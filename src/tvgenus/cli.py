@@ -211,18 +211,23 @@ def _load_triangulation(config: RunConfig):
 
 
 def load_census(path: str) -> list[tuple[str, str]]:
-    """Parse ``name ; isosig`` lines; '#' starts a comment."""
+    """Parse ``name ; isosig`` lines.
+
+    A line whose first non-blank character is '#' is a comment, and so is
+    a '#' after the signature; a '#' inside the name is kept, as in
+    ``rp3#rp3 ; <sig>`` or ``L(3,1) # RP3 ; <sig>``.
+    """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             name, sep, sig = line.rpartition(";")
             if not sep:
                 entries.append((line, ""))  # malformed: surfaces as failure
             else:
-                entries.append((name.strip(), sig.strip()))
+                entries.append((name.strip(), sig.split("#", 1)[0].strip()))
     return entries
 
 

@@ -7,9 +7,12 @@ conventions the state sum over a closed triangulation needs no square roots
 and no per-tetrahedron sign bookkeeping; the convention is pinned end to end
 by the known values of the sphere and of S^2 x S^1 (see statesum).
 
-Every symbol exists in two carriers: exact (CycNumber over Q(zeta_{2r})) and
-float (double-precision complex evaluation at zeta = e^(i*pi/r) of the same
-formulas).  SymbolTables memoizes both.
+Every symbol exists in two carriers.  Exact symbols are computed on the
+integer carrier ZElt (zarith): per level, [n]! and 1/[n]! are cached, the
+latter inverted once each, so Tet and 1/theta are filled by multiplication
+and addition only; the public functions return CycNumber, converted once.
+Float symbols are the same formulas evaluated in doubles at
+zeta = e^(i*pi/r).  SymbolTables memoizes either carrier.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .cyclotomic import CycNumber
+
+if TYPE_CHECKING:
+    from .zarith import ZElt
 
 
 @dataclass(frozen=True)
@@ -50,37 +58,50 @@ def _lv(level) -> int:
 
 
 # --------------------------------------------------------------------------
-# exact carrier
+# exact carrier: every formula evaluated once, on ZElt; the public functions
+# convert their result to CycNumber
 # --------------------------------------------------------------------------
+
+class _Exact:
+    """Per-level constants on the integer carrier: [n] and [n]! for n < 2r
+    ([n] has period 2r; [n]! = 0 from n = r on, as [r] = 0), 1/[n]! for
+    n < r, each inverted once, delta_i, D and 1/D."""
+
+    def __init__(self, r: int):
+        # imported here so that float-only processes never load the carrier
+        from .zarith import ZElt, zfield
+        f = zfield(r)
+        self.zero, self.one = ZElt.const(f, 0), ZElt.const(f, 1)
+        # [n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)
+        self.qint = [sum((ZElt.zeta_power(f, n - 1 - 2 * k) for k in range(n)),
+                         self.zero) for n in range(2 * r)]
+        self.fact = list(itertools.accumulate(self.qint[1:], operator.mul,
+                                              initial=self.one))
+        self.inv_fact = [x.inverse() for x in self.fact[:r]]
+        self.delta = [-d if i % 2 else d for i, d in enumerate(self.qint[1:r])]
+        self.dim = sum((d * d for d in self.delta), self.zero)
+        self.dim_inv = self.dim.inverse()
+
+
+@lru_cache(maxsize=None)
+def _exact(r: int) -> _Exact:
+    return _Exact(r)
+
 
 def quantum_integer(n: int, level) -> CycNumber:
     """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)."""
     r = _lv(level)
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = CycNumber.zero(r)
-    for k in range(n):
-        out = out + CycNumber.zeta_power(r, n - 1 - 2 * k)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _qint(r: int, n: int) -> CycNumber:
-    return quantum_integer(n, r)
-
-
-@lru_cache(maxsize=None)
-def _qfact(r: int, n: int) -> CycNumber:
-    if n <= 0:
-        return CycNumber.one(r)
-    return _qfact(r, n - 1) * _qint(r, n)
+    return _exact(r).qint[n % (2 * r)].to_cyc(r)
 
 
 def quantum_factorial(n: int, level) -> CycNumber:
     """[n]! = [1][2]...[n], with [0]! = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _qfact(_lv(level), n)
+    r = _lv(level)
+    return _exact(r).fact[min(n, r)].to_cyc(r)
 
 
 def qdim(i: int, level) -> CycNumber:
@@ -88,17 +109,13 @@ def qdim(i: int, level) -> CycNumber:
     r = _lv(level)
     if not 0 <= i <= r - 2:
         raise ValueError(f"color {i} out of range 0..{r - 2}")
-    d = _qint(r, i + 1)
-    return -d if i % 2 else d
+    return _exact(r).delta[i].to_cyc(r)
 
 
 def global_dim(level) -> CycNumber:
     """dim(C) = sum of delta_i^2 = sum of [i+1]^2 over the color set."""
     r = _lv(level)
-    out = CycNumber.zero(r)
-    for i in range(r - 1):
-        out = out + _qint(r, i + 1) * _qint(r, i + 1)
-    return out
+    return _exact(r).dim.to_cyc(r)
 
 
 def admissible(i: int, j: int, k: int, level) -> bool:
@@ -109,22 +126,61 @@ def admissible(i: int, j: int, k: int, level) -> bool:
             and i + j + k <= 2 * r - 4)
 
 
-def theta(a: int, b: int, c: int, level) -> CycNumber:
-    """Theta network value; symmetric in a, b, c; nonzero when admissible."""
-    r = _lv(level)
+def _theta_z(a: int, b: int, c: int, r: int, inverse: bool = False) -> ZElt:
+    """theta(a, b, c), or 1/theta(a, b, c) when inverse is set."""
     if not admissible(a, b, c, r):
         raise ValueError(f"inadmissible triple {(a, b, c)} at r={r}")
+    ex = _exact(r)
     m = (a + b - c) // 2
     n = (b + c - a) // 2
     p = (a + c - b) // 2
-    num = _qfact(r, m + n + p + 1) * _qfact(r, m) * _qfact(r, n) * _qfact(r, p)
-    den = _qfact(r, m + n) * _qfact(r, n + p) * _qfact(r, m + p)
-    val = num / den
-    return -val if (m + n + p) % 2 else val
+    up, down = (m + n + p + 1, m, n, p), (m + n, n + p, m + p)
+    if inverse:
+        up, down = down, up
+    val = ex.one
+    for k in up:
+        val = val * ex.fact[k]
+    for k in down:
+        val = val * ex.inv_fact[k]
+    return (-val if (m + n + p) % 2 else val).normalized()
+
+
+def theta(a: int, b: int, c: int, level) -> CycNumber:
+    """Theta network value; symmetric in a, b, c; nonzero when admissible."""
+    r = _lv(level)
+    return _theta_z(a, b, c, r).to_cyc(r)
 
 
 # faces of Tet[A B E; C D F]; opposite edge pairs are (A,C), (B,D), (E,F)
 _TET_FACES = ((0, 1, 4), (2, 3, 4), (0, 3, 5), (1, 2, 5))
+
+
+def _tet_z(labels: tuple[int, ...], r: int) -> ZElt:
+    """Tet = prod [b_j - a_i]! / prod [x]! * sum_s (-1)^s [s+1]!
+    / (prod [s - a_i]! prod [b_j - s]!), multiplications only."""
+    for fa in _TET_FACES:
+        tri = tuple(labels[i] for i in fa)
+        if not admissible(*tri, r):
+            raise ValueError(f"inadmissible face {tri} at r={r}")
+    A, B, C, D, E, F = labels
+    a_half = [(labels[i] + labels[j] + labels[k]) // 2 for (i, j, k) in _TET_FACES]
+    b_half = [(A + B + C + D) // 2, (A + C + E + F) // 2, (B + D + E + F) // 2]
+    ex = _exact(r)
+    fact, inv_fact = ex.fact, ex.inv_fact
+    total = ex.zero
+    for s in range(max(a_half), min(b_half) + 1):
+        term = fact[s + 1]
+        for ai in a_half:
+            term = term * inv_fact[s - ai]
+        for bj in b_half:
+            term = term * inv_fact[bj - s]
+        total = total + (-term if s % 2 else term)
+    for bj in b_half:
+        for ai in a_half:
+            total = total * fact[bj - ai]
+    for x in labels:
+        total = total * inv_fact[x]
+    return total.normalized()
 
 
 def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, level) -> CycNumber:
@@ -135,29 +191,7 @@ def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, level) -> CycNumb
     the tetrahedron acting on the edge labels.
     """
     r = _lv(level)
-    labels = (A, B, C, D, E, F)
-    for fa in _TET_FACES:
-        tri = tuple(labels[i] for i in fa)
-        if not admissible(*tri, r):
-            raise ValueError(f"inadmissible face {tri} at r={r}")
-    a_half = [(labels[i] + labels[j] + labels[k]) // 2 for (i, j, k) in _TET_FACES]
-    b_half = [(A + B + C + D) // 2, (A + C + E + F) // 2, (B + D + E + F) // 2]
-    interior = CycNumber.one(r)
-    for bj in b_half:
-        for ai in a_half:
-            interior = interior * _qfact(r, bj - ai)
-    exterior = CycNumber.one(r)
-    for x in labels:
-        exterior = exterior * _qfact(r, x)
-    total = CycNumber.zero(r)
-    for s in range(max(a_half), min(b_half) + 1):
-        term = _qfact(r, s + 1)
-        for ai in a_half:
-            term = term / _qfact(r, s - ai)
-        for bj in b_half:
-            term = term / _qfact(r, bj - s)
-        total = total + (-term if s % 2 else term)
-    return interior / exterior * total
+    return _tet_z((A, B, C, D, E, F), r).to_cyc(r)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +271,9 @@ def tet_symbol_f(A: int, B: int, C: int, D: int, E: int, F: int, level) -> float
 # --------------------------------------------------------------------------
 
 class SymbolTables:
-    """Per-level caches of delta, 1/theta and Tet, in one carrier.
+    """Per-level caches of delta, 1/theta and Tet, in one carrier: ZElt
+    values and 1/D (dim_inv) in exact mode, floats and D (dim_total) in
+    float mode.
 
     Values are filled on first use (precompute() forces the full Tet table;
     for the state sum the lazy fill touches exactly the tuples that occur,
@@ -256,9 +292,10 @@ class SymbolTables:
         self.adm = [[[admissible(a, b, c, r) for c in range(r - 1)]
                      for b in range(r - 1)] for a in range(r - 1)]
         if mode == "exact":
-            self.delta = [qdim(i, r) for i in self.level.colors]
-            self.one = CycNumber.one(r)
-            self.dim_total = global_dim(r)
+            ex = _exact(r)
+            self.delta = list(ex.delta)
+            self.one = ex.one
+            self.dim_inv = ex.dim_inv
         else:
             self.delta = [qdim_f(i, r) for i in self.level.colors]
             self.one = 1.0
@@ -272,7 +309,7 @@ class SymbolTables:
         if val is None:
             r = self.level.r
             if self.mode == "exact":
-                val = theta(*key, r).inverse()
+                val = _theta_z(*key, r, inverse=True)
             else:
                 val = 1.0 / theta_f(*key, r)
             self._theta_inv[key] = val
@@ -284,7 +321,7 @@ class SymbolTables:
         if val is None:
             r = self.level.r
             if self.mode == "exact":
-                val = tet_symbol(*key, r)
+                val = _tet_z(key, r)
             else:
                 val = tet_symbol_f(*key, r)
             self._tet[key] = val
@@ -292,16 +329,8 @@ class SymbolTables:
 
     def precompute(self):
         """Force the full Tet table over all admissible 6-tuples (O(r^6))."""
-        cols = self.level.colors
-        for A, B, E in itertools.product(cols, repeat=3):
-            if not self.adm[A][B][E]:
-                continue
-            for C, D in itertools.product(cols, repeat=2):
-                if not self.adm[C][D][E]:
-                    continue
-                for F in cols:
-                    if self.adm[A][D][F] and self.adm[B][C][F]:
-                        self.tet(A, B, C, D, E, F)
+        for tup in _admissible_tet_tuples(self.level):
+            self.tet(*tup)
         return self
 
 
@@ -354,6 +383,8 @@ def verify_identities(level, tables_override: SymbolTables | None = None) -> Ide
           sum_z N[a b x; c y z] N[a z y; d t v] N[b c z; d v w]
           = N[x c y; d t w] N[a b x; w t v].
 
+    The sums run on the integer carrier of the tables; orthogonality is
+    checked with both sides multiplied by delta_i (nonzero for every color).
     Failures are reported with the first counterexample tuple.
     """
     lv = level if isinstance(level, Level) else Level(level)
@@ -361,95 +392,68 @@ def verify_identities(level, tables_override: SymbolTables | None = None) -> Ide
     tab = tables_override if tables_override is not None else SymbolTables(lv, "exact")
     report = IdentityReport(r=r)
     cols = list(lv.colors)
+    zero = _exact(r).zero
+    adm = tab.adm
 
-    witness = None
-    for a in cols:
-        if not (tab.delta[a] == theta(a, a, 0, r)):
-            witness = (a,)
-            break
-    report.checks.append(IdentityCheck("theta(a,a,0) = delta_a", witness is None, witness))
-
-    witness = None
-    seen_tuples = []
-    for tup in _admissible_tet_tuples(lv):
-        seen_tuples.append(tup)
-        base = tab.tet(*tup)
-        for sigma in itertools.permutations((1, 2, 3, 4)):
-            relabeled = _relabel_tet(tup, sigma)
-            if not (tab.tet(*relabeled) == base):
-                witness = (tup, sigma)
-                break
-        if witness:
-            break
-    report.checks.append(IdentityCheck("tetrahedral symmetry of Tet",
-                                       witness is None, witness))
-
-    witness = None
-    for a, b, c, d in itertools.product(cols, repeat=4):
-        i_vals = [i for i in cols if tab.adm[a][b][i] and tab.adm[c][d][i]]
-        if not i_vals:
-            continue
-        j_vals = [j for j in cols if tab.adm[a][d][j] and tab.adm[b][c][j]]
-        for i in i_vals:
-            for i2 in i_vals:
-                acc = CycNumber.zero(r)
+    def orthogonality_failures():
+        for a, b, c, d in itertools.product(cols, repeat=4):
+            i_vals = [i for i in cols if adm[a][b][i] and adm[c][d][i]]
+            j_vals = [j for j in cols if adm[a][d][j] and adm[b][c][j]]
+            for i, i2 in itertools.product(i_vals, repeat=2):
+                acc = zero
                 for j in j_vals:
                     acc = acc + (tab.delta[j] * tab.tet(a, b, c, d, i, j)
                                  * tab.tet(a, b, c, d, i2, j)
                                  * tab.theta_inv(a, d, j) * tab.theta_inv(b, c, j))
                 if i == i2:
-                    want = (theta(a, b, i, r) * theta(c, d, i, r)
-                            / tab.delta[i])
+                    ok = (acc * tab.delta[i]
+                          == _theta_z(a, b, i, r) * _theta_z(c, d, i, r))
                 else:
-                    want = CycNumber.zero(r)
-                if not (acc == want):
-                    witness = (a, b, c, d, i, i2)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.checks.append(IdentityCheck("orthogonality", witness is None, witness))
+                    ok = acc.is_zero()
+                if not ok:
+                    yield (a, b, c, d, i, i2)
 
     def N(a, b, i, c, d, j):
         return (tab.delta[j] * tab.tet(a, b, c, d, i, j)
                 * tab.theta_inv(a, d, j) * tab.theta_inv(b, c, j))
 
-    witness = None
-    for a, b, c, d, t in itertools.product(cols, repeat=5):
-        for x in cols:
-            if not tab.adm[a][b][x]:
-                continue
-            for y in cols:
-                if not (tab.adm[x][c][y] and tab.adm[y][d][t]):
+    def pentagon_failures():
+        for a, b, c, d, t in itertools.product(cols, repeat=5):
+            for x in cols:
+                if not adm[a][b][x]:
                     continue
-                for w in cols:
-                    if not (tab.adm[c][d][w] and tab.adm[x][w][t]):
+                for y in cols:
+                    if not (adm[x][c][y] and adm[y][d][t]):
                         continue
-                    for v in cols:
-                        if not (tab.adm[b][w][v] and tab.adm[a][v][t]):
+                    for w in cols:
+                        if not (adm[c][d][w] and adm[x][w][t]):
                             continue
-                        lhs = CycNumber.zero(r)
-                        for z in cols:
-                            if (tab.adm[b][c][z] and tab.adm[a][z][y]
-                                    and tab.adm[z][d][v]):
-                                lhs = lhs + (N(a, b, x, c, y, z)
-                                             * N(a, z, y, d, t, v)
-                                             * N(b, c, z, d, v, w))
-                        rhs = N(x, c, y, d, t, w) * N(a, b, x, w, t, v)
-                        if not (lhs == rhs):
-                            witness = (a, b, c, d, t, x, y, w, v)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.checks.append(IdentityCheck("Biedenharn-Elliott (pentagon)",
-                                       witness is None, witness))
+                        for v in cols:
+                            if not (adm[b][w][v] and adm[a][v][t]):
+                                continue
+                            lhs = zero
+                            for z in cols:
+                                if adm[b][c][z] and adm[a][z][y] and adm[z][d][v]:
+                                    lhs = lhs + (N(a, b, x, c, y, z)
+                                                 * N(a, z, y, d, t, v)
+                                                 * N(b, c, z, d, v, w))
+                            rhs = N(x, c, y, d, t, w) * N(a, b, x, w, t, v)
+                            if not lhs == rhs:
+                                yield (a, b, c, d, t, x, y, w, v)
+
+    checks = (
+        ("theta(a,a,0) = delta_a",
+         ((a,) for a in cols if not tab.delta[a] == _theta_z(a, a, 0, r))),
+        ("tetrahedral symmetry of Tet",
+         ((tup, sigma) for tup in _admissible_tet_tuples(lv)
+          for sigma in itertools.permutations((1, 2, 3, 4))
+          if not tab.tet(*_relabel_tet(tup, sigma)) == tab.tet(*tup))),
+        ("orthogonality", orthogonality_failures()),
+        ("Biedenharn-Elliott (pentagon)", pentagon_failures()),
+    )
+    for name, failures in checks:
+        witness = next(failures, None)
+        report.checks.append(IdentityCheck(name, witness is None, witness))
     return report
 
 

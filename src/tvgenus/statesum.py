@@ -266,13 +266,12 @@ def tv_invariant(tri: Triangulation, level, mode: str = "float",
 
 
 def _run(tri: Triangulation, lv: Level, carrier: str, limits: SearchLimits):
-    if carrier == "exact":
-        # the inner loop runs on the integer-polynomial carrier, which is
-        # exactly equivalent to CycNumber arithmetic but much faster
-        from .zarith import fast_tables
-        tab = fast_tables(lv.r)
-    else:
-        tab = tables(lv.r, carrier)
+    """Sum over all branches of the first edge, then divide by D^V.
+
+    Exact mode runs on the integer carrier ZElt of the exact tables,
+    including the cached 1/D, and converts the result to CycNumber once.
+    """
+    tab = tables(lv.r, carrier)
     plan = _make_plan(tri)
     ncolors = lv.r - 1
     branches = list(range(ncolors))
@@ -291,9 +290,12 @@ def _run(tri: Triangulation, lv: Level, carrier: str, limits: SearchLimits):
             total = part if total is None else total + part
     nv = len(tri.vertex_orbits)
     if carrier == "exact":
-        total_cyc = (CycNumber.zero(lv.r) if total is None
-                     else total.normalized().to_cyc(lv.r))
-        value = total_cyc * tab.dim_total.inverse() ** nv
+        if total is None:
+            value = CycNumber.zero(lv.r)
+        else:
+            for _ in range(nv):
+                total = total * tab.dim_inv
+            value = total.normalized().to_cyc(lv.r)
     else:
         value = (total or 0.0) / tab.dim_total ** nv
     return value, visited, leaves

@@ -1,11 +1,12 @@
-"""Fast exact elements of Q(zeta_{2r}) for the state-sum inner loop.
+"""The exact carrier: elements of Q(zeta_{2r}) on integers.
 
 A value is an integer coefficient vector plus one integer denominator.
 Multiplication is an integer convolution followed by reduction with the
 (integral) rows of x^k mod Phi_{2r}; this is an order of magnitude cheaper
-than per-coefficient Fraction arithmetic and exactly equivalent.  Used
-internally by statesum and recoupling's identity checks; CycNumber remains
-the public carrier.
+than per-coefficient Fraction arithmetic and exactly equivalent.  Every
+exact symbol (recoupling) and the exact state sum (statesum) are computed
+on this carrier; CycNumber is the public value type, reached by to_cyc()
+once a result leaves the package.
 """
 
 from __future__ import annotations
@@ -17,18 +18,22 @@ from math import gcd
 from .cyclotomic import CycNumber, _field
 
 
+def _ints(row) -> tuple[int, ...]:
+    assert all(c.denominator == 1 for c in row)
+    return tuple(int(c) for c in row)
+
+
 class ZField:
-    """Shared reduction data (integral) for one level."""
+    """Shared integral data for one level: reduction rows, zeta powers and
+    the exponents of the Galois automorphisms zeta -> zeta^k."""
 
     def __init__(self, r: int):
         base = _field(r)
         self.r = r
         self.degree = base.degree
-        rows = []
-        for row in base.reduction_rows:
-            assert all(c.denominator == 1 for c in row)
-            rows.append(tuple(int(c) for c in row))
-        self.rows = rows
+        self.rows = [_ints(row) for row in base.reduction_rows]
+        self.zeta_powers = [_ints(z) for z in base.zeta_powers]
+        self.units = [k for k in range(2, base.n) if gcd(k, base.n) == 1]
 
 
 @lru_cache(maxsize=None)
@@ -47,13 +52,13 @@ class ZElt:
         self.den = den
 
     @staticmethod
-    def from_cyc(x: CycNumber) -> "ZElt":
-        f = zfield(x.level)
-        den = 1
-        for c in x.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = [int(c * den) for c in x.coeffs]
-        return ZElt(f, num, den).normalized()
+    def const(f: ZField, n: int) -> "ZElt":
+        return ZElt(f, (n,) + (0,) * (f.degree - 1))
+
+    @staticmethod
+    def zeta_power(f: ZField, k: int) -> "ZElt":
+        """zeta^k for any integer k (negative allowed)."""
+        return ZElt(f, f.zeta_powers[k % (2 * f.r)])
 
     def to_cyc(self, level: int) -> CycNumber:
         return CycNumber(level, [Fraction(n, self.den) for n in self.num])
@@ -104,6 +109,35 @@ class ZElt:
                     [x * ma + y * mb for x, y in zip(self.num, other.num)],
                     da * ma)
 
+    def __neg__(self) -> "ZElt":
+        return ZElt(self.f, [-n for n in self.num], self.den)
+
+    def conjugate_by(self, k: int) -> "ZElt":
+        """The Galois image under zeta -> zeta^k (k prime to 2r)."""
+        f = self.f
+        out = [0] * f.degree
+        for i, c in enumerate(self.num):
+            if c:
+                row = f.zeta_powers[i * k % (2 * f.r)]
+                for j in range(f.degree):
+                    out[j] += c * row[j]
+        return ZElt(f, out, self.den)
+
+    def inverse(self) -> "ZElt":
+        """1/x = (product of the other Galois conjugates of x) / N(x); the
+        norm N(x) is that product times x, a nonzero rational."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in Q(zeta)")
+        rest = ZElt.const(self.f, 1)
+        for k in self.f.units:
+            rest = rest * self.conjugate_by(k)
+        norm = (self * rest).normalized()
+        n = norm.num[0]
+        if n < 0:
+            rest, n = -rest, -n
+        return ZElt(self.f, [c * norm.den for c in rest.num],
+                    rest.den * n).normalized()
+
     def __eq__(self, other):
         if not isinstance(other, ZElt):
             return NotImplemented
@@ -117,42 +151,3 @@ class ZElt:
 
     def is_zero(self) -> bool:
         return all(n == 0 for n in self.num)
-
-
-class FastTables:
-    """ZElt view of a SymbolTables instance (exact mode)."""
-
-    def __init__(self, tables):
-        if tables.mode != "exact":
-            raise ValueError("fast view requires exact tables")
-        self._tables = tables
-        r = tables.level.r
-        self.f = zfield(r)
-        self.adm = tables.adm
-        self.one = ZElt(self.f, (1,) + (0,) * (self.f.degree - 1))
-        self.delta = [ZElt.from_cyc(d) for d in tables.delta]
-        self.dim_total = tables.dim_total
-        self._theta_inv: dict = {}
-        self._tet: dict = {}
-
-    def theta_inv(self, a, b, c):
-        key = (a, b, c) if a <= b <= c else tuple(sorted((a, b, c)))
-        val = self._theta_inv.get(key)
-        if val is None:
-            val = ZElt.from_cyc(self._tables.theta_inv(*key))
-            self._theta_inv[key] = val
-        return val
-
-    def tet(self, A, B, C, D, E, F):
-        key = (A, B, C, D, E, F)
-        val = self._tet.get(key)
-        if val is None:
-            val = ZElt.from_cyc(self._tables.tet(*key))
-            self._tet[key] = val
-        return val
-
-
-@lru_cache(maxsize=32)
-def fast_tables(r: int) -> FastTables:
-    from .recoupling import tables
-    return FastTables(tables(r, "exact"))

@@ -11,7 +11,10 @@ formulas or search machinery:
 * first homology from the boundary matrices using rational ranks and the
   minors-based invariant factors;
 * a naive Turaev-Viro evaluator: full (r-1)^E enumeration with an
-  independently coded weight formula and no pruning or tables.
+  independently coded weight formula and no pruning or tables;
+* the exact theta and Tet formulas in Fraction-coefficient CycNumber
+  arithmetic, every quotient taken by CycNumber division (Euclid in Q[x]),
+  against which the package's integer carrier is checked.
 
 The loop value used by the diagram algebra is -2cos(pi/r), matching the
 signed dimension convention (a closed strand of color n evaluates to
@@ -24,6 +27,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from tvgenus.cyclotomic import CycNumber
 
 # --------------------------------------------------------------------------
 # Temperley-Lieb diagrams
@@ -234,6 +239,53 @@ def tet_net(A, B, C, D, E, F, r: int) -> float:
     X = X.then(_lin_id(D).tensor(_caps(F)).tensor(_lin_id(C)), delta)
     X = X.then(_vertex_up(D, C, E, delta), delta)
     return markov_trace(X, delta)
+
+
+# --------------------------------------------------------------------------
+# exact theta and Tet in Fraction arithmetic
+# --------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _qfact_exact(n, r):
+    out = CycNumber.one(r)
+    for m in range(1, n + 1):
+        qint = CycNumber.zero(r)
+        for k in range(m):
+            qint = qint + CycNumber.zeta_power(r, m - 1 - 2 * k)
+        out = out * qint
+    return out
+
+
+def theta_exact(a, b, c, r):
+    m, n, p = (a + b - c) // 2, (b + c - a) // 2, (a + c - b) // 2
+    val = (_qfact_exact(m + n + p + 1, r) * _qfact_exact(m, r)
+           * _qfact_exact(n, r) * _qfact_exact(p, r)
+           / (_qfact_exact(m + n, r) * _qfact_exact(n + p, r)
+              * _qfact_exact(m + p, r)))
+    return -val if (m + n + p) % 2 else val
+
+
+def tet_exact(A, B, C, D, E, F, r):
+    faces = ((A, B, E), (C, D, E), (A, D, F), (B, C, F))
+    a = [sum(f) // 2 for f in faces]
+    b = [(A + B + C + D) // 2, (A + C + E + F) // 2, (B + D + E + F) // 2]
+    interior = CycNumber.one(r)
+    for bj in b:
+        for ai in a:
+            interior = interior * _qfact_exact(bj - ai, r)
+    ext = CycNumber.one(r)
+    for x in (A, B, C, D, E, F):
+        ext = ext * _qfact_exact(x, r)
+    total = CycNumber.zero(r)
+    for s in range(max(a), min(b) + 1):
+        term = _qfact_exact(s + 1, r)
+        for ai in a:
+            term = term / _qfact_exact(s - ai, r)
+        for bj in b:
+            term = term / _qfact_exact(bj - s, r)
+        total = total + (-term if s % 2 else term)
+    return interior / ext * total
 
 
 # --------------------------------------------------------------------------

@@ -103,6 +103,22 @@ def test_screen_batch(tmp_path, capsys):
     assert "failed" in rows[2]
 
 
+def test_load_census_comments_and_hash_in_names(tmp_path):
+    from tvgenus.cli import load_census
+    sig = fixture_isosig("rp3#rp3")
+    path = _census_file(tmp_path, [
+        "   # an indented comment line ; not a record",
+        f"rp3#rp3 ; {sig}",
+        f"L(3,1) # RP3 ; {fixture_isosig('t3')}",
+        f"sum ; {sig}   # trailing comment",
+    ])
+    assert load_census(path) == [
+        ("rp3#rp3", sig),
+        ("L(3,1) # RP3", fixture_isosig("t3")),
+        ("sum", sig),
+    ]
+
+
 def test_screen_paper_mode(tmp_path, capsys):
     path = _census_file(tmp_path, [
         f"torus ; {fixture_isosig('t3')}",
