@@ -5,10 +5,10 @@ screening for rank-versus-genus counterexample candidates."""
 __version__ = "0.1.0"
 
 from .cyclotomic import CycNumber, cyclotomic_polynomial
-from .recoupling import (Level, SymbolTables, admissible, global_dim,
-                         global_dim_f, qdim, qdim_f, quantum_factorial,
-                         quantum_integer, quantum_integer_f, tet_symbol,
-                         tet_symbol_f, theta, theta_f, verify_identities)
+from .recoupling import (SymbolTables, admissible, global_dim, global_dim_f,
+                         qdim, qdim_f, quantum_factorial, quantum_integer,
+                         quantum_integer_f, tet_symbol, tet_symbol_f, theta,
+                         theta_f, verify_identities)
 from .complex3 import (GluingParseError, PachnerError, Tetrahedron,
                        Triangulation, TriangulationError, format_gluing_file,
                        orbits, pachner_23, parse_gluing_file)
@@ -16,14 +16,14 @@ from .isosig import IsoSigError, decode_isosig, encode_isosig
 from .homology import (H1Summary, IntMatrix, boundary_matrices, format_h1,
                        h1, h1_from_matrices, parse_h1, smith_normal_form)
 from .statesum import (SearchLimits, SearchVolumeError, TvResult,
-                       enumerate_colorings, tv_anchor_checks, tv_invariant)
+                       tv_anchor_checks, tv_invariant)
 from .genus import (GenusBound, ScreenRecord, genus_lower_bound, screen,
                     screen_record, trivial_exclusions, tv_s3)
 from .fixtures import fixture, fixture_gluing_text, fixture_isosig, fixture_names
 
 __all__ = [
     "CycNumber", "cyclotomic_polynomial",
-    "Level", "SymbolTables", "admissible", "global_dim", "global_dim_f",
+    "SymbolTables", "admissible", "global_dim", "global_dim_f",
     "qdim", "qdim_f", "quantum_factorial", "quantum_integer",
     "quantum_integer_f", "tet_symbol", "tet_symbol_f", "theta", "theta_f",
     "verify_identities",
@@ -33,8 +33,8 @@ __all__ = [
     "IsoSigError", "decode_isosig", "encode_isosig",
     "H1Summary", "IntMatrix", "boundary_matrices", "format_h1", "h1",
     "h1_from_matrices", "parse_h1", "smith_normal_form",
-    "SearchLimits", "SearchVolumeError", "TvResult", "enumerate_colorings",
-    "tv_anchor_checks", "tv_invariant",
+    "SearchLimits", "SearchVolumeError", "TvResult", "tv_anchor_checks",
+    "tv_invariant",
     "GenusBound", "ScreenRecord", "genus_lower_bound", "screen",
     "screen_record", "trivial_exclusions", "tv_s3",
     "fixture", "fixture_gluing_text", "fixture_isosig", "fixture_names",

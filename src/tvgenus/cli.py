@@ -1,10 +1,9 @@
 """Command-line interface: compute, screen, homology, verify.
 
 Exit codes: 0 success, 1 any check or record failure, 2 usage error.
-All commands are deterministic for a fixed configuration (including the
-thread count).  Census files are plain text, one record per line,
-``name ; isosig``; lines that fail to parse or compute are reported in the
-record notes and never abort a batch.
+All commands are deterministic for a fixed configuration.  Census files
+are plain text, one record per line, ``name ; isosig``; lines that fail to
+parse or compute are reported in the record notes and never abort a batch.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .complex3 import parse_gluing_file
 from .fixtures import fixture, fixture_names
-from .genus import (ScreenRecord, genus_lower_bound, screen,
-                    trivial_exclusions, PAPER_MODE_R, PAPER_MODE_THRESHOLD)
+from .genus import (ScreenRecord, build_record, screen, trivial_exclusions,
+                    PAPER_MODE_R, PAPER_MODE_THRESHOLD)
 from .homology import format_h1, h1, parse_h1
 from .isosig import decode_isosig
 from .recoupling import verify_identities
@@ -44,7 +43,6 @@ class RunConfig:
     threshold: float | None = None
     paper_mode: bool = False
     fmt: str = "text"
-    threads: int = 1
     max_states: float = 1e9
     force: bool = False
     r_max: int = 5
@@ -52,8 +50,6 @@ class RunConfig:
     def __post_init__(self):
         if self.r < 3:
             raise ValueError("--r must be at least 3")
-        if self.threads < 1:
-            raise ValueError("--threads must be at least 1")
         if self.max_states <= 0:
             raise ValueError("--max-states must be positive")
         if self.threshold is not None and self.threshold <= 0:
@@ -237,20 +233,9 @@ def load_census(path: str) -> list[tuple[str, str]]:
 
 def cmd_compute(config: RunConfig, out) -> int:
     tri, name, sig = _load_triangulation(config)
-    limits = SearchLimits(max_states=config.max_states, threads=config.threads,
-                          force=config.force)
+    limits = SearchLimits(max_states=config.max_states, force=config.force)
     result = tv_invariant(tri, config.r, mode=config.mode, limits=limits)
-    homology = h1(tri)
-    tv = result.value
-    notes = tuple(result.warnings)
-    if tv > 0:
-        lb = genus_lower_bound(tv, config.r).genus_lb
-        flagged = lb > homology.min_generators
-    else:
-        lb, flagged = 0, False
-        notes = notes + ("turaev-viro value is zero; no genus bound",)
-    rec = ScreenRecord(name=name, isosig=sig, tv_value=tv, genus_lb=lb,
-                       h1=homology, flagged=flagged, notes=notes)
+    rec = build_record(name, result, h1(tri), isosig=sig)
     exact_str = None
     if result.value_exact is not None:
         exact_str = str(result.value_exact)
@@ -283,19 +268,14 @@ def cmd_screen(config: RunConfig, out) -> int:
     if config.paper_mode and threshold is None:
         threshold = PAPER_MODE_THRESHOLD
     entries = load_census(config.census)
-    limits = SearchLimits(max_states=config.max_states, threads=1,
-                          force=config.force)
-    records = screen(entries, r, threshold=None, mode=config.mode,
-                     limits=limits, threads=config.threads)
-    succeeded = sum(1 for rec in records if rec.tv_value is not None)
-    if threshold is not None:
-        records = [rec for rec in records
-                   if rec.tv_value is None or rec.tv_value >= threshold]
-    records = [trivial_exclusions(rec) for rec in records]
-    report = Report(rows=[ReportRow(rec) for rec in records],
+    limits = SearchLimits(max_states=config.max_states, force=config.force)
+    records = screen(entries, r, threshold=threshold, mode=config.mode,
+                     limits=limits)
+    report = Report(rows=[ReportRow(trivial_exclusions(rec)) for rec in records],
                     provenance=_provenance(config, r=r, threshold=threshold))
     _emit(report, config.fmt, out)
-    return 0 if succeeded > 0 or not entries else 1
+    # failed records survive the threshold, so this counts every failure
+    return 1 if entries and report.summary["failed"] == len(entries) else 0
 
 
 def cmd_verify(config: RunConfig, out) -> int:
@@ -363,8 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="float")
         p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
                        default="text")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("TVGENUS_THREADS", "1")))
+        p.add_argument("--threads", type=int, choices=(1,), default=1,
+                       help="must be 1: the search is serial")
         p.add_argument("--max-states", type=float, default=1e9)
         p.add_argument("--force", action="store_true",
                        help="ignore the search-volume guard")
@@ -395,8 +375,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    kwargs = {k: v for k, v in vars(args).items() if v is not None}
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors return 2 to callers of main()
+        return exc.code
+    kwargs = {k: v for k, v in vars(args).items()
+              if v is not None and k != "threads"}
     try:
         config = RunConfig(**kwargs)
     except (ValueError, TypeError) as exc:

@@ -19,13 +19,12 @@ tool, so flagged records carry a disclaimer note.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .complex3 import Triangulation
 from .homology import H1Summary, h1
 from .isosig import decode_isosig
-from .statesum import SearchLimits, tv_invariant
+from .statesum import SearchLimits, TvResult, tv_invariant
 
 GENUS_EPS = 1e-9
 PAPER_MODE_R = 5
@@ -79,19 +78,14 @@ FLAG_DISCLAIMER = ("potential counterexample only: the genus bound exceeds the "
                    "computed here")
 
 
-def screen_record(name: str, tri: Triangulation, r: int,
-                  mode: str = "float",
-                  limits: SearchLimits | None = None,
-                  isosig: str | None = None) -> ScreenRecord:
-    """Full per-manifold record: TV, genus bound, H_1 and the flag."""
-    result = tv_invariant(tri, r, mode=mode, limits=limits)
-    homology = h1(tri)
+def build_record(name: str, result: TvResult, homology: H1Summary,
+                 isosig: str | None = None) -> ScreenRecord:
+    """The record of one computed TV value: genus bound, flag and notes."""
     notes = tuple(result.warnings)
     tv = result.value
     if tv > 0:
-        bound = genus_lower_bound(tv, r)
-        flagged = bound.genus_lb > homology.min_generators
-        lb = bound.genus_lb
+        lb = genus_lower_bound(tv, result.r).genus_lb
+        flagged = lb > homology.min_generators
     else:
         # TV = 0 gives no bound
         flagged = False
@@ -103,15 +97,23 @@ def screen_record(name: str, tri: Triangulation, r: int,
                         h1=homology, flagged=flagged, notes=notes)
 
 
+def screen_record(name: str, tri: Triangulation, r: int,
+                  mode: str = "float",
+                  limits: SearchLimits | None = None,
+                  isosig: str | None = None) -> ScreenRecord:
+    """Full per-manifold record: TV, genus bound, H_1 and the flag."""
+    result = tv_invariant(tri, r, mode=mode, limits=limits)
+    return build_record(name, result, h1(tri), isosig=isosig)
+
+
 def screen(entries, r: int, threshold: float | None = None,
-           mode: str = "float", limits: SearchLimits | None = None,
-           threads: int = 1) -> list[ScreenRecord]:
+           mode: str = "float",
+           limits: SearchLimits | None = None) -> list[ScreenRecord]:
     """Screen census entries (name, isosig) pairs; order preserved.
 
     Per-entry failures become records with the error in notes; the batch
     never aborts.  With a threshold, only records with tv >= threshold (and
     the failures) are kept."""
-    entries = list(entries)
 
     def one(entry) -> ScreenRecord:
         name, sig = entry
@@ -124,11 +126,7 @@ def screen(entries, r: int, threshold: float | None = None,
                                 genus_lb=None, h1=None, flagged=False,
                                 notes=(f"failed: {exc}",))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, entries))
-    else:
-        records = [one(e) for e in entries]
+    records = [one(e) for e in entries]
     if threshold is not None:
         records = [rec for rec in records
                    if rec.tv_value is None or rec.tv_value >= threshold]

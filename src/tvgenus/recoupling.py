@@ -31,32 +31,6 @@ if TYPE_CHECKING:
     from .zarith import ZElt
 
 
-@dataclass(frozen=True)
-class Level:
-    """The root-of-unity parameter r >= 3; twice-colors run over 0..r-2."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 3:
-            raise ValueError("level r must be >= 3")
-
-    @property
-    def colors(self) -> range:
-        return range(self.r - 1)
-
-    def admissible_triples(self):
-        for a in self.colors:
-            for b in self.colors:
-                for c in self.colors:
-                    if admissible(a, b, c, self):
-                        yield (a, b, c)
-
-
-def _lv(level) -> int:
-    return level.r if isinstance(level, Level) else int(level)
-
-
 # --------------------------------------------------------------------------
 # exact carrier: every formula evaluated once, on ZElt; the public functions
 # convert their result to CycNumber
@@ -88,39 +62,34 @@ def _exact(r: int) -> _Exact:
     return _Exact(r)
 
 
-def quantum_integer(n: int, level) -> CycNumber:
+def quantum_integer(n: int, r: int) -> CycNumber:
     """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)."""
-    r = _lv(level)
     if n < 0:
         raise ValueError("n must be >= 0")
     return _exact(r).qint[n % (2 * r)].to_cyc(r)
 
 
-def quantum_factorial(n: int, level) -> CycNumber:
+def quantum_factorial(n: int, r: int) -> CycNumber:
     """[n]! = [1][2]...[n], with [0]! = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    r = _lv(level)
     return _exact(r).fact[min(n, r)].to_cyc(r)
 
 
-def qdim(i: int, level) -> CycNumber:
+def qdim(i: int, r: int) -> CycNumber:
     """Signed quantum dimension delta_i = (-1)^i [i+1]."""
-    r = _lv(level)
     if not 0 <= i <= r - 2:
         raise ValueError(f"color {i} out of range 0..{r - 2}")
     return _exact(r).delta[i].to_cyc(r)
 
 
-def global_dim(level) -> CycNumber:
+def global_dim(r: int) -> CycNumber:
     """dim(C) = sum of delta_i^2 = sum of [i+1]^2 over the color set."""
-    r = _lv(level)
     return _exact(r).dim.to_cyc(r)
 
 
-def admissible(i: int, j: int, k: int, level) -> bool:
+def admissible(i: int, j: int, k: int, r: int) -> bool:
     """Parity, triangle inequality, and the level cutoff i+j+k <= 2r-4."""
-    r = _lv(level)
     return ((i + j + k) % 2 == 0
             and abs(i - j) <= k <= i + j
             and i + j + k <= 2 * r - 4)
@@ -145,9 +114,8 @@ def _theta_z(a: int, b: int, c: int, r: int, inverse: bool = False) -> ZElt:
     return (-val if (m + n + p) % 2 else val).normalized()
 
 
-def theta(a: int, b: int, c: int, level) -> CycNumber:
+def theta(a: int, b: int, c: int, r: int) -> CycNumber:
     """Theta network value; symmetric in a, b, c; nonzero when admissible."""
-    r = _lv(level)
     return _theta_z(a, b, c, r).to_cyc(r)
 
 
@@ -183,14 +151,13 @@ def _tet_z(labels: tuple[int, ...], r: int) -> ZElt:
     return total.normalized()
 
 
-def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, level) -> CycNumber:
+def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> CycNumber:
     """Tetrahedral network Tet[A B E; C D F].
 
     The four vertices carry the admissible triples (A,B,E), (C,D,E), (A,D,F)
     and (B,C,F); the value is invariant under the order-24 symmetry group of
     the tetrahedron acting on the edge labels.
     """
-    r = _lv(level)
     return _tet_z((A, B, C, D, E, F), r).to_cyc(r)
 
 
@@ -198,8 +165,7 @@ def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, level) -> CycNumb
 # float carrier: the same formulas evaluated at zeta = e^(i*pi/r) in doubles
 # --------------------------------------------------------------------------
 
-def quantum_integer_f(n: int, level) -> float:
-    r = _lv(level)
+def quantum_integer_f(n: int, r: int) -> float:
     z = cmath.exp(1j * math.pi / r)
     if n == 0:
         return 0.0
@@ -213,21 +179,18 @@ def _qfact_f(r: int, n: int) -> float:
     return _qfact_f(r, n - 1) * quantum_integer_f(n, r)
 
 
-def qdim_f(i: int, level) -> float:
-    r = _lv(level)
+def qdim_f(i: int, r: int) -> float:
     if not 0 <= i <= r - 2:
         raise ValueError(f"color {i} out of range 0..{r - 2}")
     d = quantum_integer_f(i + 1, r)
     return -d if i % 2 else d
 
 
-def global_dim_f(level) -> float:
-    r = _lv(level)
+def global_dim_f(r: int) -> float:
     return sum(quantum_integer_f(i + 1, r) ** 2 for i in range(r - 1))
 
 
-def theta_f(a: int, b: int, c: int, level) -> float:
-    r = _lv(level)
+def theta_f(a: int, b: int, c: int, r: int) -> float:
     if not admissible(a, b, c, r):
         raise ValueError(f"inadmissible triple {(a, b, c)} at r={r}")
     m = (a + b - c) // 2
@@ -239,8 +202,7 @@ def theta_f(a: int, b: int, c: int, level) -> float:
     return -val if (m + n + p) % 2 else val
 
 
-def tet_symbol_f(A: int, B: int, C: int, D: int, E: int, F: int, level) -> float:
-    r = _lv(level)
+def tet_symbol_f(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> float:
     labels = (A, B, C, D, E, F)
     for fa in _TET_FACES:
         tri = tuple(labels[i] for i in fa)
@@ -278,17 +240,17 @@ class SymbolTables:
     Values are filled on first use (precompute() forces the full Tet table;
     for the state sum the lazy fill touches exactly the tuples that occur,
     which keeps small runs fast while still evaluating each symbol once).
-    Entries are never mutated once written, and a racing duplicate fill
-    computes the identical value, so concurrent readers are safe; call
-    precompute() first to pin the construction to a single thread.
+    Entries are never mutated once written.  Every state sum and identity
+    check builds its tables through this class, so r >= 3 is checked here.
     """
 
-    def __init__(self, level, mode: str = "exact"):
+    def __init__(self, r: int, mode: str = "exact"):
+        if r < 3:
+            raise ValueError("level r must be >= 3")
         if mode not in ("exact", "float"):
             raise ValueError("mode must be 'exact' or 'float'")
-        self.level = level if isinstance(level, Level) else Level(level)
+        self.r = r
         self.mode = mode
-        r = self.level.r
         self.adm = [[[admissible(a, b, c, r) for c in range(r - 1)]
                      for b in range(r - 1)] for a in range(r - 1)]
         if mode == "exact":
@@ -297,7 +259,7 @@ class SymbolTables:
             self.one = ex.one
             self.dim_inv = ex.dim_inv
         else:
-            self.delta = [qdim_f(i, r) for i in self.level.colors]
+            self.delta = [qdim_f(i, r) for i in range(r - 1)]
             self.one = 1.0
             self.dim_total = global_dim_f(r)
         self._theta_inv: dict = {}
@@ -307,11 +269,10 @@ class SymbolTables:
         key = (a, b, c) if a <= b <= c else tuple(sorted((a, b, c)))
         val = self._theta_inv.get(key)
         if val is None:
-            r = self.level.r
             if self.mode == "exact":
-                val = _theta_z(*key, r, inverse=True)
+                val = _theta_z(*key, self.r, inverse=True)
             else:
-                val = 1.0 / theta_f(*key, r)
+                val = 1.0 / theta_f(*key, self.r)
             self._theta_inv[key] = val
         return val
 
@@ -319,17 +280,16 @@ class SymbolTables:
         key = (A, B, C, D, E, F)
         val = self._tet.get(key)
         if val is None:
-            r = self.level.r
             if self.mode == "exact":
-                val = _tet_z(key, r)
+                val = _tet_z(key, self.r)
             else:
-                val = tet_symbol_f(*key, r)
+                val = tet_symbol_f(*key, self.r)
             self._tet[key] = val
         return val
 
     def precompute(self):
         """Force the full Tet table over all admissible 6-tuples (O(r^6))."""
-        for tup in _admissible_tet_tuples(self.level):
+        for tup in _admissible_tet_tuples(self.r):
             self.tet(*tup)
         return self
 
@@ -337,7 +297,7 @@ class SymbolTables:
 @lru_cache(maxsize=32)
 def tables(r: int, mode: str) -> SymbolTables:
     """Shared memoized tables; keyed by (r, mode)."""
-    return SymbolTables(Level(r), mode)
+    return SymbolTables(r, mode)
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +326,7 @@ class IdentityReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_identities(level, tables_override: SymbolTables | None = None) -> IdentityReport:
+def verify_identities(r: int, tables_override: SymbolTables | None = None) -> IdentityReport:
     """Exhaustive exact checks of the recoupling identities at one level.
 
     Checks, over all admissible tuples:
@@ -387,11 +347,9 @@ def verify_identities(level, tables_override: SymbolTables | None = None) -> Ide
     checked with both sides multiplied by delta_i (nonzero for every color).
     Failures are reported with the first counterexample tuple.
     """
-    lv = level if isinstance(level, Level) else Level(level)
-    r = lv.r
-    tab = tables_override if tables_override is not None else SymbolTables(lv, "exact")
+    tab = tables_override if tables_override is not None else SymbolTables(r, "exact")
     report = IdentityReport(r=r)
-    cols = list(lv.colors)
+    cols = list(range(r - 1))
     zero = _exact(r).zero
     adm = tab.adm
 
@@ -445,7 +403,7 @@ def verify_identities(level, tables_override: SymbolTables | None = None) -> Ide
         ("theta(a,a,0) = delta_a",
          ((a,) for a in cols if not tab.delta[a] == _theta_z(a, a, 0, r))),
         ("tetrahedral symmetry of Tet",
-         ((tup, sigma) for tup in _admissible_tet_tuples(lv)
+         ((tup, sigma) for tup in _admissible_tet_tuples(r)
           for sigma in itertools.permutations((1, 2, 3, 4))
           if not tab.tet(*_relabel_tet(tup, sigma)) == tab.tet(*tup))),
         ("orthogonality", orthogonality_failures()),
@@ -457,16 +415,16 @@ def verify_identities(level, tables_override: SymbolTables | None = None) -> Ide
     return report
 
 
-def _admissible_tet_tuples(level: Level):
-    cols = level.colors
+def _admissible_tet_tuples(r: int):
+    cols = range(r - 1)
     for A, B, E in itertools.product(cols, repeat=3):
-        if not admissible(A, B, E, level):
+        if not admissible(A, B, E, r):
             continue
         for C, D in itertools.product(cols, repeat=2):
-            if not admissible(C, D, E, level):
+            if not admissible(C, D, E, r):
                 continue
             for F in cols:
-                if admissible(A, D, F, level) and admissible(B, C, F, level):
+                if admissible(A, D, F, r) and admissible(B, C, F, r):
                     yield (A, B, C, D, E, F)
 
 

@@ -17,18 +17,17 @@ index), colors ascending, pruning as soon as a completed face triple is
 inadmissible.  Weights are accumulated incrementally along the search path.
 Float mode partitions the sum by the first edge's color and combines the
 per-branch partial sums in ascending order, so results are bit-identical
-across runs and thread counts.
+across runs.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complex3 import Triangulation
 from .cyclotomic import CycNumber
-from .recoupling import Level, SymbolTables, tables
+from .recoupling import SymbolTables, tables
 
 
 class SearchVolumeError(RuntimeError):
@@ -45,7 +44,6 @@ class SearchVolumeError(RuntimeError):
 @dataclass(frozen=True)
 class SearchLimits:
     max_states: float = 1e9
-    threads: int = 1
     force: bool = False
 
 
@@ -108,8 +106,7 @@ def _make_plan(tri: Triangulation) -> _Plan:
                  tuple(tuple(t) for t in tets_at), ne)
 
 
-def estimated_states(tri: Triangulation, level) -> float:
-    r = level.r if isinstance(level, Level) else int(level)
+def estimated_states(tri: Triangulation, r: int) -> float:
     return float(r - 1) ** len(tri.edge_orbits)
 
 
@@ -182,46 +179,7 @@ def _branch_sum(plan: _Plan, tab: SymbolTables, first_color: int):
     return total, visited, leaves
 
 
-def enumerate_colorings(tri: Triangulation, level, visitor=None):
-    """Visit every admissible total coloring exactly once.
-
-    The visitor receives a dict {edge orbit index: color}.  Returns
-    (states_visited, states_admissible).  Edge order and color order match
-    the state-sum search exactly.
-    """
-    lv = level if isinstance(level, Level) else Level(level)
-    tab = tables(lv.r, "float")
-    plan = _make_plan(tri)
-    ne = plan.n_edges
-    ncolors = lv.r - 1
-    colors = [0] * ne
-    visited = 0
-    leaves = 0
-
-    def ok(k: int) -> bool:
-        for (px, py, pz) in plan.faces_at[k]:
-            if not tab.adm[colors[px]][colors[py]][colors[pz]]:
-                return False
-        return True
-
-    def rec(k: int):
-        nonlocal visited, leaves
-        if k == ne:
-            leaves += 1
-            if visitor is not None:
-                visitor({plan.order[i]: colors[i] for i in range(ne)})
-            return
-        for c in range(ncolors):
-            colors[k] = c
-            visited += 1
-            if ok(k):
-                rec(k + 1)
-
-    rec(0)
-    return visited, leaves
-
-
-def tv_invariant(tri: Triangulation, level, mode: str = "float",
+def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
                  limits: SearchLimits | None = None) -> TvResult:
     """Compute TV_r of a closed triangulation.
 
@@ -231,9 +189,8 @@ def tv_invariant(tri: Triangulation, level, mode: str = "float",
     """
     if mode not in ("float", "exact", "both"):
         raise ValueError("mode must be 'float', 'exact' or 'both'")
-    lv = level if isinstance(level, Level) else Level(level)
     limits = limits or SearchLimits()
-    estimate = estimated_states(tri, lv)
+    estimate = estimated_states(tri, r)
     if estimate > limits.max_states and not limits.force:
         raise SearchVolumeError(estimate, limits.max_states)
 
@@ -242,14 +199,14 @@ def tv_invariant(tri: Triangulation, level, mode: str = "float",
         warnings = ("non-orientable input",)
 
     start = time.perf_counter()
-    result = TvResult(r=lv.r, mode=mode, warnings=warnings)
+    result = TvResult(r=r, mode=mode, warnings=warnings)
     if mode in ("float", "both"):
-        value, visited, leaves = _run(tri, lv, "float", limits)
+        value, visited, leaves = _run(tri, r, "float")
         result.value_float = value
         result.states_visited = visited
         result.states_admissible = leaves
     if mode in ("exact", "both"):
-        value_e, visited, leaves = _run(tri, lv, "exact", limits)
+        value_e, visited, leaves = _run(tri, r, "exact")
         result.value_exact = value_e
         result.states_visited = visited
         result.states_admissible = leaves
@@ -265,25 +222,19 @@ def tv_invariant(tri: Triangulation, level, mode: str = "float",
     return result
 
 
-def _run(tri: Triangulation, lv: Level, carrier: str, limits: SearchLimits):
+def _run(tri: Triangulation, r: int, carrier: str):
     """Sum over all branches of the first edge, then divide by D^V.
 
     Exact mode runs on the integer carrier ZElt of the exact tables,
     including the cached 1/D, and converts the result to CycNumber once.
     """
-    tab = tables(lv.r, carrier)
+    tab = tables(r, carrier)
     plan = _make_plan(tri)
-    ncolors = lv.r - 1
-    branches = list(range(ncolors))
-    if limits.threads > 1:
-        with ThreadPoolExecutor(max_workers=limits.threads) as pool:
-            outs = list(pool.map(lambda c: _branch_sum(plan, tab, c), branches))
-    else:
-        outs = [_branch_sum(plan, tab, c) for c in branches]
     total = None
     visited = 0
     leaves = 0
-    for part, v, l in outs:  # ascending branch order: deterministic floats
+    for c in range(r - 1):  # ascending branch order: deterministic floats
+        part, v, l = _branch_sum(plan, tab, c)
         visited += v
         leaves += l
         if part is not None:
@@ -291,11 +242,11 @@ def _run(tri: Triangulation, lv: Level, carrier: str, limits: SearchLimits):
     nv = len(tri.vertex_orbits)
     if carrier == "exact":
         if total is None:
-            value = CycNumber.zero(lv.r)
+            value = CycNumber.zero(r)
         else:
             for _ in range(nv):
                 total = total * tab.dim_inv
-            value = total.normalized().to_cyc(lv.r)
+            value = total.normalized().to_cyc(r)
     else:
         value = (total or 0.0) / tab.dim_total ** nv
     return value, visited, leaves

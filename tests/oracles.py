@@ -453,6 +453,12 @@ def _adm(a, b, c, r):
             and a + b + c <= 2 * r - 4)
 
 
+def admissible_triples(r: int) -> list[tuple[int, int, int]]:
+    """All admissible color triples at level r, in lexicographic order."""
+    return [t for t in itertools.product(range(r - 1), repeat=3)
+            if _adm(*t, r)]
+
+
 def _theta(a, b, c, r):
     m, n, p = (a + b - c) // 2, (b + c - a) // 2, (a + c - b) // 2
     sign = -1.0 if (m + n + p) % 2 else 1.0

@@ -212,8 +212,4 @@ def test_criterion_10_agreement_and_determinism():
         assert abs(res.value_exact.to_float() - res.value_float) <= 1e-9, name
         rerun = tv_invariant(tri, r, limits=FORCE).value_float
         assert rerun == res.value_float, name
-        threaded = tv_invariant(
-            tri, r, limits=SearchLimits(force=True, threads=3)).value_float
-        assert threaded == res.value_float, name
-    _report(10, "exact/float within 1e-9 and bit-identical reruns "
-                "(including threads)", t0)
+    _report(10, "exact/float within 1e-9 and bit-identical reruns", t0)

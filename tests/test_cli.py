@@ -1,10 +1,18 @@
 """Command-line surface: commands, formats, round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import tvgenus
 from tvgenus.cli import (Report, main, report_from_csv, report_from_json,
                          report_to_csv, report_to_json)
-from tvgenus.fixtures import fixture_gluing_text, fixture_isosig
+from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_isosig
+from tvgenus.genus import FLAG_DISCLAIMER, screen_record
+from tvgenus.homology import format_h1, parse_h1
 
 
 def run_cli(capsys, *argv):
@@ -221,8 +229,72 @@ def test_verify_reports_injected_failure(capsys, monkeypatch):
     assert "FAIL anchor r=5: TV(S^3) = 1/dim(C)" in out
 
 
-def test_threads_default_from_environment(monkeypatch):
-    from tvgenus.cli import _build_parser
-    monkeypatch.setenv("TVGENUS_THREADS", "4")
-    args = _build_parser().parse_args(["compute", "--fixture", "s3"])
-    assert args.threads == 4
+def test_benchmark_command_lines(tmp_path, capsys):
+    # the argv that perfbench/run.py passes, and the same with --threads 2
+    sig = fixture_isosig("t3")
+    compute = ["compute", "--isosig", sig, "--r", "5", "--mode", "exact",
+               "--format", "json", "--force", "--threads"]
+    census = _census_file(tmp_path, [f"t3 ; {sig}"])
+    screen = ["screen", "--census", census, "--r", "5", "--format", "csv",
+              "--threads"]
+    for argv in (compute, screen):
+        code, out, _ = run_cli(capsys, *argv, "1")
+        assert code == 0 and sig in out
+        code, _, err = run_cli(capsys, *argv, "2")
+        assert code == 2 and "threads" in err
+
+
+def test_import_loads_no_thread_pool():
+    src = os.path.dirname(os.path.dirname(tvgenus.__file__))
+    probe = "import sys, tvgenus.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
+
+
+# --- one record path: compute and screen ------------------------------------------
+
+def _json_record(capsys, name):
+    code, out, _ = run_cli(capsys, "compute", "--fixture", name, "--r", "5",
+                           "--format", "json")
+    assert code == 0
+    return json.loads(out)["records"][0]
+
+
+def _fields(rec):
+    return {"tv_float": rec.tv_value, "genus_lb": rec.genus_lb,
+            "h1": format_h1(rec.h1), "flagged": rec.flagged,
+            "notes": list(rec.notes)}
+
+
+@pytest.mark.parametrize("name", ("s3", "rp3", "q8", "t3"))
+def test_compute_record_matches_screen_record(capsys, name):
+    got = _json_record(capsys, name)
+    want = _fields(screen_record(name, fixture(name), 5))
+    assert {k: got[k] for k in want} == want
+
+
+def test_flagged_compute_row_carries_disclaimer(capsys, monkeypatch):
+    import tvgenus.cli as cli_mod
+    import tvgenus.genus as genus_mod
+
+    def trivial_h1(tri):
+        return parse_h1("0")
+
+    monkeypatch.setattr(cli_mod, "h1", trivial_h1)
+    monkeypatch.setattr(genus_mod, "h1", trivial_h1)
+    got = _json_record(capsys, "t3")
+    want = _fields(screen_record("t3", fixture("t3"), 5))
+    assert got["flagged"] and FLAG_DISCLAIMER in got["notes"]
+    assert {k: got[k] for k in want} == want
+
+
+def test_screen_threshold_filters_every_record(tmp_path, capsys):
+    path = _census_file(tmp_path, [f"torus ; {fixture_isosig('t3')}",
+                                   f"sum ; {fixture_isosig('rp3#rp3')}"])
+    code, out, _ = run_cli(capsys, "screen", "--census", path,
+                           "--threshold", "100", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["records"] == [] and data["summary"]["total"] == 0

@@ -144,13 +144,13 @@ def test_screen_records_fixture_batch():
                ("sum", fixture_isosig("rp3#rp3")),
                ("bad", "zzz###"),
                ("torus", fixture_isosig("t3"))]
-    records = screen(entries, r=5, limits=None, threads=1)
+    records = screen(entries, r=5, limits=None)
     assert [rec.name for rec in records] == ["sphere", "sum", "bad", "torus"]
     assert records[0].tv_value is not None
     assert records[2].tv_value is None
     assert any("failed" in n for n in records[2].notes)
-    # deterministic across thread counts
-    records2 = screen(entries, r=5, threads=2)
+    # deterministic across reruns
+    records2 = screen(entries, r=5)
     assert [r.tv_value for r in records2] == [r.tv_value for r in records]
 
 

@@ -7,10 +7,10 @@ import pytest
 from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
-from tvgenus.recoupling import global_dim
+from tvgenus.homology import h1
+from tvgenus.recoupling import SymbolTables, global_dim
 from tvgenus.statesum import (SearchLimits, SearchVolumeError,
-                              enumerate_colorings, tv_anchor_checks,
-                              tv_invariant)
+                              tv_anchor_checks, tv_invariant)
 
 import oracles
 
@@ -95,20 +95,19 @@ def _naive_admissible_count(tri, r):
 @pytest.mark.parametrize("r", (3, 4, 5))
 def test_pruning_soundness(name, r):
     tri = fixture(name)
-    _visited, leaves = enumerate_colorings(tri, r)
-    assert leaves == _naive_admissible_count(tri, r)
+    assert (tv_invariant(tri, r).states_admissible
+            == _naive_admissible_count(tri, r))
 
 
-def test_all_zero_coloring_always_visited():
-    seen = []
-    enumerate_colorings(fixture("t3"), 5, visitor=seen.append)
-    assert {e: 0 for e in range(7)} in seen
-
-
-def test_visitor_sees_each_leaf_once():
-    seen = []
-    enumerate_colorings(fixture("rp3"), 5, visitor=seen.append)
-    assert len(seen) == len({tuple(sorted(d.items())) for d in seen})
+@pytest.mark.parametrize("name", fixture_names())
+def test_r3_count_is_mod2_cocycle_count(name):
+    # at r=3 the admissible colorings are the Z_2 1-cocycles, so their number
+    # is 2^(b1(M;Z_2) + V - 1); b1(M;Z_2) counts free and even-torsion factors
+    tri = fixture(name)
+    homology = h1(tri)
+    b1 = homology.free_rank + sum(1 for d in homology.torsion if d % 2 == 0)
+    want = 2 ** (b1 + len(tri.vertex_orbits) - 1)
+    assert tv_invariant(tri, 3, limits=FORCE).states_admissible == want
 
 
 # --- move invariance -------------------------------------------------------------
@@ -181,8 +180,6 @@ def test_determinism_bit_identical():
         a = tv_invariant(tri, 5, limits=FORCE).value_float
         b = tv_invariant(tri, 5, limits=FORCE).value_float
         assert a == b
-        c = tv_invariant(tri, 5, limits=SearchLimits(force=True, threads=2)).value_float
-        assert a == c
 
 
 def test_search_volume_guard():
@@ -204,6 +201,13 @@ def test_nonorientable_warning():
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
         tv_invariant(fixture("s3"), 5, mode="fast")
+
+
+def test_level_below_three_rejected():
+    with pytest.raises(ValueError):
+        tv_invariant(fixture("s3"), 2)
+    with pytest.raises(ValueError):
+        SymbolTables(2, "float")
 
 
 def test_result_counters():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from tvgenus.cyclotomic import CycNumber
-from tvgenus.recoupling import (Level, SymbolTables, _admissible_tet_tuples,
+from tvgenus.recoupling import (SymbolTables, _admissible_tet_tuples,
                                 _exact, quantum_factorial)
 from tvgenus.zarith import ZElt, zfield
 
@@ -80,9 +80,9 @@ def test_exact_tables_match_fraction_oracle():
     formulas with CycNumber division."""
     for r in range(3, 7):
         tab = SymbolTables(r, "exact")
-        for tup in _admissible_tet_tuples(Level(r)):
+        for tup in _admissible_tet_tuples(r):
             assert tab.tet(*tup).to_cyc(r) == oracles.tet_exact(*tup, r), (r, tup)
-        for tri in Level(r).admissible_triples():
+        for tri in oracles.admissible_triples(r):
             want = oracles.theta_exact(*tri, r).inverse()
             assert tab.theta_inv(*tri).to_cyc(r) == want, (r, tri)
         assert [d.to_cyc(r) for d in tab.delta] == [
