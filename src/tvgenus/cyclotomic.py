@@ -1,11 +1,17 @@
 """Exact arithmetic in the cyclotomic field Q(zeta) with zeta = e^(i*pi/r).
 
 zeta is a primitive 2r-th root of unity, so the field is Q[x]/(Phi_{2r}(x))
-with Phi_{2r} the 2r-th cyclotomic polynomial.  Elements are represented as
-polynomials in zeta with rational coefficients, reduced modulo Phi_{2r}.
-This is enough to carry every quantity the recoupling theory produces at
-q = e^(i*pi/r): quantum integers, theta- and tetrahedral symbols, and the
-state-sum values built from them, all without square roots.
+with Phi_{2r} the 2r-th cyclotomic polynomial.  An element is a polynomial
+in zeta of degree below deg Phi_{2r}, stored as an integer numerator vector
+over one positive integer denominator.  Multiplication is an integer
+convolution followed by reduction with the integral rows of x^k mod
+Phi_{2r}; the inverse is the product of the other Galois conjugates over
+the norm.  No rational arithmetic runs inside: Fraction appears only at the
+edges, in the constructor and in the coeffs view.
+
+This one type carries every exact quantity the recoupling theory produces
+at q = e^(i*pi/r): quantum integers, theta- and tetrahedral symbols, and
+the state-sum values built from them, all without square roots.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -63,52 +70,37 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
 
 
 class _Field:
-    """Reduction data for Q[x]/(Phi_{2r}), shared by all CycNumber at level r."""
+    """Integral data for Q[x]/(Phi_{2r}), shared by every CycNumber at level
+    r: reduction rows, zeta powers and the exponents of the Galois
+    automorphisms zeta -> zeta^k."""
 
     def __init__(self, r: int):
+        if r < 3:
+            raise ValueError("level must be >= 3")
         self.r = r
         self.n = 2 * r
         phi = cyclotomic_polynomial(self.n)
-        self.degree = len(phi) - 1
-        # x^k mod Phi for k = degree .. 2*degree-2, as Fraction rows
-        top = [Fraction(-c) for c in phi[:-1]]
-        rows = [top]
-        for _ in range(self.degree - 2):
-            prev = rows[-1]
-            row = [Fraction(0)] + prev[:-1]
-            if prev[-1]:
-                row = [row[i] + prev[-1] * top[i] for i in range(self.degree)]
-            rows.append(row)
-        self.reduction_rows = rows
-        self.phi = phi
+        d = self.degree = len(phi) - 1
+        # x^k mod Phi for k = degree .. 2*degree-2 (Phi is monic)
+        top = [-c for c in phi[:-1]]
+        self.rows = [top]
+        for _ in range(d - 2):
+            self.rows.append(self._shift(self.rows[-1]))
         # zeta^k reduced, for k = 0 .. 2r-1
-        zp = []
-        cur = [Fraction(0)] * self.degree
-        cur[0] = Fraction(1)
+        cur = [1] + [0] * (d - 1)
+        self.zeta_powers = []
         for _ in range(self.n):
-            zp.append(tuple(cur))
+            self.zeta_powers.append(tuple(cur))
             cur = self._shift(cur)
-        self.zeta_powers = zp
+        self.units = [k for k in range(2, self.n) if gcd(k, self.n) == 1]
         self.zeta_complex = cmath.exp(1j * math.pi / r)
 
-    def _shift(self, coeffs):
-        out = [Fraction(0)] + list(coeffs[:-1])
+    def _shift(self, coeffs: list[int]) -> list[int]:
+        """x * coeffs, reduced."""
+        out = [0] + coeffs[:-1]
         lead = coeffs[-1]
         if lead:
-            red = self.reduction_rows[0]
-            out = [out[i] + lead * red[i] for i in range(self.degree)]
-        return out
-
-    def reduce(self, coeffs):
-        """Reduce a coefficient list of length <= 2*degree-1."""
-        d = self.degree
-        out = list(coeffs[:d]) + [Fraction(0)] * (d - min(d, len(coeffs)))
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = self.reduction_rows[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
+            out = [a + lead * t for a, t in zip(out, self.rows[0])]
         return out
 
 
@@ -117,32 +109,50 @@ def _field(r: int) -> _Field:
     return _Field(r)
 
 
-class CycNumber:
-    """An element of Q(zeta_{2r}), zeta = e^(i*pi/r), at level r >= 3.
+def _make(f: _Field, num, den: int = 1) -> "CycNumber":
+    """An element from integer data, without the constructor's checks."""
+    x = object.__new__(CycNumber)
+    x.f = f
+    x.num = tuple(num)
+    x.den = den
+    return x
 
-    Immutable.  Supports +, -, *, /, ** and exact equality; division by
-    zero (the only non-invertible element, Phi_{2r} being irreducible)
-    raises ZeroDivisionError.
+
+class CycNumber:
+    """An element of Q(zeta_{2r}), zeta = e^(i*pi/r), at level r >= 3:
+    num (one int per power of zeta below the field degree) over den > 0.
+
+    Immutable by convention: every operation returns a new element.
+    Supports +, -, *, /, ** and exact equality (also with ints); * and /
+    also take int and Fraction scalars.  Division by zero (the only
+    non-invertible element, Phi_{2r} being irreducible) raises
+    ZeroDivisionError.
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("f", "num", "den")
 
     def __init__(self, level: int, coeffs):
-        if level < 3:
-            raise ValueError("level must be >= 3")
         f = _field(level)
         if len(coeffs) != f.degree:
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.f = f
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
-    def __setattr__(self, *a):
-        raise AttributeError("CycNumber is immutable")
+    @property
+    def level(self) -> int:
+        return self.f.r
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # --- constructors -----------------------------------------------------
     @staticmethod
     def zero(level: int) -> "CycNumber":
-        return CycNumber(level, [0] * _field(level).degree)
+        return CycNumber.from_rational(level, 0)
 
     @staticmethod
     def one(level: int) -> "CycNumber":
@@ -150,84 +160,124 @@ class CycNumber:
 
     @staticmethod
     def from_rational(level: int, value) -> "CycNumber":
+        value = Fraction(value)
         f = _field(level)
-        coeffs = [Fraction(0)] * f.degree
-        coeffs[0] = Fraction(value)
-        return CycNumber(level, coeffs)
+        return _make(f, (value.numerator,) + (0,) * (f.degree - 1),
+                     value.denominator)
 
     @staticmethod
     def zeta_power(level: int, k: int) -> "CycNumber":
         """zeta^k for any integer k (negative allowed)."""
         f = _field(level)
-        return CycNumber(level, f.zeta_powers[k % f.n])
+        return _make(f, f.zeta_powers[k % f.n])
 
     # --- ring operations ---------------------------------------------------
-    def _check(self, other: "CycNumber"):
+    def _check(self, other):
         if not isinstance(other, CycNumber):
             raise TypeError("expected CycNumber")
-        if other.level != self.level:
+        if other.f is not self.f:
             raise ValueError("mixed levels")
 
+    def normalized(self) -> "CycNumber":
+        """The same element with gcd(num, den) = 1, the canonical form."""
+        g = self.den
+        for n in self.num:
+            g = gcd(g, n)
+            if g == 1:
+                return self
+        if g > 1:
+            return _make(self.f, (n // g for n in self.num), self.den // g)
+        return self
+
     def __add__(self, other):
-        self._check(other)
-        return CycNumber(self.level,
-                         [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if other.__class__ is not CycNumber or other.f is not self.f:
+            self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.f, [x + y for x, y in zip(self.num, other.num)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return _make(self.f,
+                     [x * ma + y * mb for x, y in zip(self.num, other.num)],
+                     da * ma)
 
     def __sub__(self, other):
-        self._check(other)
-        return CycNumber(self.level,
-                         [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
-        return CycNumber(self.level, [-a for a in self.coeffs])
+        return _make(self.f, [-n for n in self.num], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycNumber(self.level, [a * other for a in self.coeffs])
-        self._check(other)
-        f = _field(self.level)
-        a, b = self.coeffs, other.coeffs
+        f = self.f
+        if other.__class__ is not CycNumber or other.f is not f:
+            if isinstance(other, (int, Fraction)):
+                other = CycNumber.from_rational(f.r, other)
+            else:
+                self._check(other)
         d = f.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
+        a, b = self.num, other.num
+        conv = [0] * (2 * d - 1)
+        for i in range(d):
+            x = a[i]
             if x:
-                for j, y in enumerate(b):
+                for j in range(d):
+                    y = b[j]
                     if y:
                         conv[i + j] += x * y
-        return CycNumber(self.level, f.reduce(conv))
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            c = conv[k]
+            if c:
+                row = f.rows[k - d]
+                for i in range(d):
+                    if row[i]:
+                        out[i] += c * row[i]
+        res = _make(f, out, self.den * other.den)
+        # keep numbers small without paying gcd on every step
+        if res.den.bit_length() > 128:
+            return res.normalized()
+        return res
 
     __rmul__ = __mul__
 
+    def conjugate_by(self, k: int) -> "CycNumber":
+        """The Galois image under zeta -> zeta^k (k prime to 2r)."""
+        f = self.f
+        out = [0] * f.degree
+        for i, c in enumerate(self.num):
+            if c:
+                row = f.zeta_powers[i * k % f.n]
+                for j in range(f.degree):
+                    out[j] += c * row[j]
+        return _make(f, out, self.den)
+
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """1/x = (product of the other Galois conjugates of x) / N(x); the
+        norm N(x) is that product times x, a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        f = _field(self.level)
-        # extended gcd of self (as polynomial) and Phi
-        a = list(self.coeffs)
-        b = [Fraction(c) for c in f.phi]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while any(b):
-            q, rem = _poly_divmod_frac(a, b)
-            a, b = b, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        # a is now the (degree 0) gcd; normalize
-        lead = _poly_lead(a)
-        inv_coeffs = [c / lead for c in s0]
-        return CycNumber(self.level, f.reduce(inv_coeffs))
+        rest = CycNumber.one(self.f.r)
+        for k in self.f.units:
+            rest = rest * self.conjugate_by(k)
+        norm = (self * rest).normalized()
+        n = norm.num[0]
+        if n < 0:
+            rest, n = -rest, -n
+        return _make(self.f, [c * norm.den for c in rest.num],
+                     rest.den * n).normalized()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return CycNumber(self.level, [a / other for a in self.coeffs])
+            return self * (1 / Fraction(other))
         self._check(other)
         return self * other.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycNumber.one(self.level)
+        out = CycNumber.one(self.f.r)
         base = self
         while k:
             if k & 1:
@@ -238,35 +288,32 @@ class CycNumber:
 
     # --- predicates and embeddings ------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = CycNumber.from_rational(self.level, other)
+            other = CycNumber.from_rational(self.f.r, other)
         if not isinstance(other, CycNumber):
             return NotImplemented
-        return self.level == other.level and self.coeffs == other.coeffs
+        if other.f is not self.f:
+            return False
+        a, b = self.normalized(), other.normalized()
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        return hash((self.level, self.coeffs))
+        a = self.normalized()
+        return hash((self.f.r, a.num, a.den))
 
     def conjugate(self) -> "CycNumber":
         """Complex conjugation, i.e. the field automorphism zeta -> zeta^(2r-1)."""
-        f = _field(self.level)
-        out = [Fraction(0)] * f.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = f.zeta_powers[(-k) % f.n]
-                for i in range(f.degree):
-                    out[i] += c * row[i]
-        return CycNumber(self.level, out)
+        return self.conjugate_by(self.f.n - 1)
 
     def is_real(self) -> bool:
         """Exact test: fixed by complex conjugation."""
         return self == self.conjugate()
 
     def to_complex(self) -> complex:
-        z = _field(self.level).zeta_complex
+        z = self.f.zeta_complex
         out = 0j
         for c in reversed(self.coeffs):
             out = out * z + complex(c)
@@ -297,51 +344,3 @@ class CycNumber:
                 else:
                     terms.append(f"{c}*{mon}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-
-def _poly_lead(p):
-    for c in reversed(p):
-        if c != 0:
-            return c
-    return Fraction(0)
-
-
-def _poly_deg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod_frac(a, b):
-    da, db = _poly_deg(a), _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(1, da - db + 1)
-    lead = b[db]
-    for i in range(da - db, -1, -1):
-        c = rem[i + db]
-        if c:
-            q = c / lead
-            quot[i] = q
-            for j in range(db + 1):
-                rem[i + j] -= q * b[j]
-    return quot, rem

@@ -7,12 +7,14 @@ conventions the state sum over a closed triangulation needs no square roots
 and no per-tetrahedron sign bookkeeping; the convention is pinned end to end
 by the known values of the sphere and of S^2 x S^1 (see statesum).
 
-Every symbol exists in two carriers.  Exact symbols are computed on the
-integer carrier ZElt (zarith): per level, [n]! and 1/[n]! are cached, the
-latter inverted once each, so Tet and 1/theta are filled by multiplication
-and addition only; the public functions return CycNumber, converted once.
-Float symbols are the same formulas evaluated in doubles at
-zeta = e^(i*pi/r).  SymbolTables memoizes either carrier.
+Each formula is written once, over the per-level constants of a carrier:
+[n] and [n]! for n < 2r, delta_i and D, and three operations (a quotient
+of factorial products, division by one factorial, and an inverse).  The
+exact carrier is CycNumber; it also caches 1/[n]! for n < r, each inverted
+once, so Tet and theta are built by multiplication and addition only.  The
+float carrier evaluates the same expressions in doubles at
+zeta = e^(i*pi/r).  The public *_f functions are the float wrappers of the
+same formulas.  SymbolTables memoizes either carrier.
 """
 
 from __future__ import annotations
@@ -23,70 +25,99 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .cyclotomic import CycNumber
 
-if TYPE_CHECKING:
-    from .zarith import ZElt
-
 
 # --------------------------------------------------------------------------
-# exact carrier: every formula evaluated once, on ZElt; the public functions
-# convert their result to CycNumber
+# per-level constants of the two carriers
 # --------------------------------------------------------------------------
 
-class _Exact:
-    """Per-level constants on the integer carrier: [n] and [n]! for n < 2r
-    ([n] has period 2r; [n]! = 0 from n = r on, as [r] = 0), 1/[n]! for
-    n < r, each inverted once, delta_i, D and 1/D."""
+class _Carrier:
+    """[n] and [n]! for n < 2r ([n] has period 2r; [n]! = 0 from n = r on,
+    as [r] = 0), delta_i and D, in one carrier."""
+
+    def __init__(self, r: int, qint: list, zero, one):
+        self.r, self.zero, self.one, self.qint = r, zero, one, qint
+        self.fact = list(itertools.accumulate(qint[1:], operator.mul,
+                                              initial=one))
+        self.delta = [-d if i % 2 else d for i, d in enumerate(qint[1:r])]
+        # d ** 2, not d * d: for doubles the two can differ in the last bit
+        self.dim = sum((d ** 2 for d in self.delta), zero)
+
+
+class _Exact(_Carrier):
+    """CycNumber constants, plus 1/[n]! for n < r, each inverted once."""
 
     def __init__(self, r: int):
-        # imported here so that float-only processes never load the carrier
-        from .zarith import ZElt, zfield
-        f = zfield(r)
-        self.zero, self.one = ZElt.const(f, 0), ZElt.const(f, 1)
+        zero = CycNumber.zero(r)
         # [n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)
-        self.qint = [sum((ZElt.zeta_power(f, n - 1 - 2 * k) for k in range(n)),
-                         self.zero) for n in range(2 * r)]
-        self.fact = list(itertools.accumulate(self.qint[1:], operator.mul,
-                                              initial=self.one))
+        super().__init__(r, [sum((CycNumber.zeta_power(r, n - 1 - 2 * k)
+                                  for k in range(n)), zero)
+                             for n in range(2 * r)], zero, CycNumber.one(r))
         self.inv_fact = [x.inverse() for x in self.fact[:r]]
-        self.delta = [-d if i % 2 else d for i, d in enumerate(self.qint[1:r])]
-        self.dim = sum((d * d for d in self.delta), self.zero)
-        self.dim_inv = self.dim.inverse()
+
+    def quot(self, x, up, down):
+        """x * prod [u]! / prod [d]!, in canonical form."""
+        for k in up:
+            x = x * self.fact[k]
+        for k in down:
+            x = x * self.inv_fact[k]
+        return x.normalized()
+
+    def div_fact(self, x, n: int):
+        return x * self.inv_fact[n]
+
+    @staticmethod
+    def inverse(x):
+        return x.inverse()
+
+
+class _Float(_Carrier):
+    """The same constants in doubles, [n] evaluated at zeta = e^(i*pi/r)."""
+
+    def __init__(self, r: int):
+        z = cmath.exp(1j * math.pi / r)
+        super().__init__(r, [((z ** n - z ** (-n)) / (z - z ** (-1))).real
+                             if n else 0.0 for n in range(2 * r)], 0.0, 1.0)
+
+    def quot(self, x, up, down):
+        """x * prod [u]! / prod [d]!.  This evaluation order fixes every bit
+        of the float symbols, and float noise decides visible outputs (the
+        sign of a TV that is exactly 0)."""
+        num = den = 1.0
+        for k in up:
+            num *= self.fact[k]
+        for k in down:
+            den *= self.fact[k]
+        return num / den * x
+
+    def div_fact(self, x, n: int):
+        return x / self.fact[n]
+
+    @staticmethod
+    def inverse(x):
+        return 1.0 / x
+
+
+def _at(r: int, exact: bool, n: int = 0) -> _Carrier:
+    """The per-level constants of one carrier; the one place that rejects
+    a level r < 3 and an index n < 0."""
+    if r < 3:
+        raise ValueError("level r must be >= 3")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _carrier(r, exact)
 
 
 @lru_cache(maxsize=None)
-def _exact(r: int) -> _Exact:
-    return _Exact(r)
+def _carrier(r: int, exact: bool) -> _Carrier:
+    return _Exact(r) if exact else _Float(r)
 
 
-def quantum_integer(n: int, r: int) -> CycNumber:
-    """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _exact(r).qint[n % (2 * r)].to_cyc(r)
-
-
-def quantum_factorial(n: int, r: int) -> CycNumber:
-    """[n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _exact(r).fact[min(n, r)].to_cyc(r)
-
-
-def qdim(i: int, r: int) -> CycNumber:
-    """Signed quantum dimension delta_i = (-1)^i [i+1]."""
-    if not 0 <= i <= r - 2:
-        raise ValueError(f"color {i} out of range 0..{r - 2}")
-    return _exact(r).delta[i].to_cyc(r)
-
-
-def global_dim(r: int) -> CycNumber:
-    """dim(C) = sum of delta_i^2 = sum of [i+1]^2 over the color set."""
-    return _exact(r).dim.to_cyc(r)
-
+# --------------------------------------------------------------------------
+# the formulas, written once over a carrier
+# --------------------------------------------------------------------------
 
 def admissible(i: int, j: int, k: int, r: int) -> bool:
     """Parity, triangle inequality, and the level cutoff i+j+k <= 2r-4."""
@@ -95,60 +126,76 @@ def admissible(i: int, j: int, k: int, r: int) -> bool:
             and i + j + k <= 2 * r - 4)
 
 
-def _theta_z(a: int, b: int, c: int, r: int, inverse: bool = False) -> ZElt:
-    """theta(a, b, c), or 1/theta(a, b, c) when inverse is set."""
-    if not admissible(a, b, c, r):
-        raise ValueError(f"inadmissible triple {(a, b, c)} at r={r}")
-    ex = _exact(r)
+def _qdim(lv: _Carrier, i: int):
+    if not 0 <= i <= lv.r - 2:
+        raise ValueError(f"color {i} out of range 0..{lv.r - 2}")
+    return lv.delta[i]
+
+
+def _theta(lv: _Carrier, a: int, b: int, c: int):
+    """theta(a, b, c) = (-1)^(m+n+p) [m+n+p+1]! [m]! [n]! [p]!
+    / ([m+n]! [n+p]! [m+p]!)."""
+    if not admissible(a, b, c, lv.r):
+        raise ValueError(f"inadmissible triple {(a, b, c)} at r={lv.r}")
     m = (a + b - c) // 2
     n = (b + c - a) // 2
     p = (a + c - b) // 2
-    up, down = (m + n + p + 1, m, n, p), (m + n, n + p, m + p)
-    if inverse:
-        up, down = down, up
-    val = ex.one
-    for k in up:
-        val = val * ex.fact[k]
-    for k in down:
-        val = val * ex.inv_fact[k]
-    return (-val if (m + n + p) % 2 else val).normalized()
-
-
-def theta(a: int, b: int, c: int, r: int) -> CycNumber:
-    """Theta network value; symmetric in a, b, c; nonzero when admissible."""
-    return _theta_z(a, b, c, r).to_cyc(r)
+    val = lv.quot(lv.one, (m + n + p + 1, m, n, p), (m + n, n + p, m + p))
+    return -val if (m + n + p) % 2 else val
 
 
 # faces of Tet[A B E; C D F]; opposite edge pairs are (A,C), (B,D), (E,F)
 _TET_FACES = ((0, 1, 4), (2, 3, 4), (0, 3, 5), (1, 2, 5))
 
 
-def _tet_z(labels: tuple[int, ...], r: int) -> ZElt:
+def _tet(lv: _Carrier, labels: tuple[int, ...]):
     """Tet = prod [b_j - a_i]! / prod [x]! * sum_s (-1)^s [s+1]!
-    / (prod [s - a_i]! prod [b_j - s]!), multiplications only."""
+    / (prod [s - a_i]! prod [b_j - s]!)."""
     for fa in _TET_FACES:
         tri = tuple(labels[i] for i in fa)
-        if not admissible(*tri, r):
-            raise ValueError(f"inadmissible face {tri} at r={r}")
+        if not admissible(*tri, lv.r):
+            raise ValueError(f"inadmissible face {tri} at r={lv.r}")
     A, B, C, D, E, F = labels
     a_half = [(labels[i] + labels[j] + labels[k]) // 2 for (i, j, k) in _TET_FACES]
     b_half = [(A + B + C + D) // 2, (A + C + E + F) // 2, (B + D + E + F) // 2]
-    ex = _exact(r)
-    fact, inv_fact = ex.fact, ex.inv_fact
-    total = ex.zero
+    total = lv.zero
     for s in range(max(a_half), min(b_half) + 1):
-        term = fact[s + 1]
+        term = lv.fact[s + 1]
         for ai in a_half:
-            term = term * inv_fact[s - ai]
+            term = lv.div_fact(term, s - ai)
         for bj in b_half:
-            term = term * inv_fact[bj - s]
+            term = lv.div_fact(term, bj - s)
         total = total + (-term if s % 2 else term)
-    for bj in b_half:
-        for ai in a_half:
-            total = total * fact[bj - ai]
-    for x in labels:
-        total = total * inv_fact[x]
-    return total.normalized()
+    return lv.quot(total, [bj - ai for bj in b_half for ai in a_half], labels)
+
+
+# --------------------------------------------------------------------------
+# public symbols: exact (CycNumber) and float wrappers of the formulas
+# --------------------------------------------------------------------------
+
+def quantum_integer(n: int, r: int) -> CycNumber:
+    """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)."""
+    return _at(r, True, n).qint[n % (2 * r)]
+
+
+def quantum_factorial(n: int, r: int) -> CycNumber:
+    """[n]! = [1][2]...[n], with [0]! = 1."""
+    return _at(r, True, n).fact[min(n, r)]
+
+
+def qdim(i: int, r: int) -> CycNumber:
+    """Signed quantum dimension delta_i = (-1)^i [i+1]."""
+    return _qdim(_at(r, True), i)
+
+
+def global_dim(r: int) -> CycNumber:
+    """dim(C) = sum of delta_i^2 = sum of [i+1]^2 over the color set."""
+    return _at(r, True).dim
+
+
+def theta(a: int, b: int, c: int, r: int) -> CycNumber:
+    """Theta network value; symmetric in a, b, c; nonzero when admissible."""
+    return _theta(_at(r, True), a, b, c)
 
 
 def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> CycNumber:
@@ -158,74 +205,27 @@ def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> CycNum
     and (B,C,F); the value is invariant under the order-24 symmetry group of
     the tetrahedron acting on the edge labels.
     """
-    return _tet_z((A, B, C, D, E, F), r).to_cyc(r)
+    return _tet(_at(r, True), (A, B, C, D, E, F))
 
-
-# --------------------------------------------------------------------------
-# float carrier: the same formulas evaluated at zeta = e^(i*pi/r) in doubles
-# --------------------------------------------------------------------------
 
 def quantum_integer_f(n: int, r: int) -> float:
-    z = cmath.exp(1j * math.pi / r)
-    if n == 0:
-        return 0.0
-    return ((z ** n - z ** (-n)) / (z - z ** (-1))).real
-
-
-@lru_cache(maxsize=None)
-def _qfact_f(r: int, n: int) -> float:
-    if n <= 0:
-        return 1.0
-    return _qfact_f(r, n - 1) * quantum_integer_f(n, r)
+    return _at(r, False, n).qint[n % (2 * r)]
 
 
 def qdim_f(i: int, r: int) -> float:
-    if not 0 <= i <= r - 2:
-        raise ValueError(f"color {i} out of range 0..{r - 2}")
-    d = quantum_integer_f(i + 1, r)
-    return -d if i % 2 else d
+    return _qdim(_at(r, False), i)
 
 
 def global_dim_f(r: int) -> float:
-    return sum(quantum_integer_f(i + 1, r) ** 2 for i in range(r - 1))
+    return _at(r, False).dim
 
 
 def theta_f(a: int, b: int, c: int, r: int) -> float:
-    if not admissible(a, b, c, r):
-        raise ValueError(f"inadmissible triple {(a, b, c)} at r={r}")
-    m = (a + b - c) // 2
-    n = (b + c - a) // 2
-    p = (a + c - b) // 2
-    val = (_qfact_f(r, m + n + p + 1) * _qfact_f(r, m) * _qfact_f(r, n)
-           * _qfact_f(r, p) / (_qfact_f(r, m + n) * _qfact_f(r, n + p)
-                               * _qfact_f(r, m + p)))
-    return -val if (m + n + p) % 2 else val
+    return _theta(_at(r, False), a, b, c)
 
 
 def tet_symbol_f(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> float:
-    labels = (A, B, C, D, E, F)
-    for fa in _TET_FACES:
-        tri = tuple(labels[i] for i in fa)
-        if not admissible(*tri, r):
-            raise ValueError(f"inadmissible face {tri} at r={r}")
-    a_half = [(labels[i] + labels[j] + labels[k]) // 2 for (i, j, k) in _TET_FACES]
-    b_half = [(A + B + C + D) // 2, (A + C + E + F) // 2, (B + D + E + F) // 2]
-    interior = 1.0
-    for bj in b_half:
-        for ai in a_half:
-            interior *= _qfact_f(r, bj - ai)
-    exterior = 1.0
-    for x in labels:
-        exterior *= _qfact_f(r, x)
-    total = 0.0
-    for s in range(max(a_half), min(b_half) + 1):
-        term = _qfact_f(r, s + 1)
-        for ai in a_half:
-            term /= _qfact_f(r, s - ai)
-        for bj in b_half:
-            term /= _qfact_f(r, bj - s)
-        total += -term if s % 2 else term
-    return interior / exterior * total
+    return _tet(_at(r, False), (A, B, C, D, E, F))
 
 
 # --------------------------------------------------------------------------
@@ -233,35 +233,26 @@ def tet_symbol_f(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> floa
 # --------------------------------------------------------------------------
 
 class SymbolTables:
-    """Per-level caches of delta, 1/theta and Tet, in one carrier: ZElt
-    values and 1/D (dim_inv) in exact mode, floats and D (dim_total) in
-    float mode.
+    """Per-level caches of delta, 1/theta and Tet in one carrier (CycNumber
+    in exact mode, floats in float mode), with that carrier's zero, one and
+    global dimension D (dim).
 
     Values are filled on first use (precompute() forces the full Tet table;
     for the state sum the lazy fill touches exactly the tuples that occur,
     which keeps small runs fast while still evaluating each symbol once).
-    Entries are never mutated once written.  Every state sum and identity
-    check builds its tables through this class, so r >= 3 is checked here.
+    Entries are never mutated once written.
     """
 
     def __init__(self, r: int, mode: str = "exact"):
-        if r < 3:
-            raise ValueError("level r must be >= 3")
         if mode not in ("exact", "float"):
             raise ValueError("mode must be 'exact' or 'float'")
+        self._lv = lv = _at(r, mode == "exact")
         self.r = r
         self.mode = mode
         self.adm = [[[admissible(a, b, c, r) for c in range(r - 1)]
                      for b in range(r - 1)] for a in range(r - 1)]
-        if mode == "exact":
-            ex = _exact(r)
-            self.delta = list(ex.delta)
-            self.one = ex.one
-            self.dim_inv = ex.dim_inv
-        else:
-            self.delta = [qdim_f(i, r) for i in range(r - 1)]
-            self.one = 1.0
-            self.dim_total = global_dim_f(r)
+        self.delta = list(lv.delta)
+        self.zero, self.one, self.dim = lv.zero, lv.one, lv.dim
         self._theta_inv: dict = {}
         self._tet: dict = {}
 
@@ -269,10 +260,7 @@ class SymbolTables:
         key = (a, b, c) if a <= b <= c else tuple(sorted((a, b, c)))
         val = self._theta_inv.get(key)
         if val is None:
-            if self.mode == "exact":
-                val = _theta_z(*key, self.r, inverse=True)
-            else:
-                val = 1.0 / theta_f(*key, self.r)
+            val = self._lv.inverse(_theta(self._lv, *key))
             self._theta_inv[key] = val
         return val
 
@@ -280,10 +268,7 @@ class SymbolTables:
         key = (A, B, C, D, E, F)
         val = self._tet.get(key)
         if val is None:
-            if self.mode == "exact":
-                val = _tet_z(key, self.r)
-            else:
-                val = tet_symbol_f(*key, self.r)
+            val = _tet(self._lv, key)
             self._tet[key] = val
         return val
 
@@ -343,14 +328,14 @@ def verify_identities(r: int, tables_override: SymbolTables | None = None) -> Id
           sum_z N[a b x; c y z] N[a z y; d t v] N[b c z; d v w]
           = N[x c y; d t w] N[a b x; w t v].
 
-    The sums run on the integer carrier of the tables; orthogonality is
-    checked with both sides multiplied by delta_i (nonzero for every color).
+    The sums run on the exact tables; orthogonality is checked with both
+    sides multiplied by delta_i (nonzero for every color).
     Failures are reported with the first counterexample tuple.
     """
     tab = tables_override if tables_override is not None else SymbolTables(r, "exact")
     report = IdentityReport(r=r)
     cols = list(range(r - 1))
-    zero = _exact(r).zero
+    zero = tab.zero
     adm = tab.adm
 
     def orthogonality_failures():
@@ -365,7 +350,7 @@ def verify_identities(r: int, tables_override: SymbolTables | None = None) -> Id
                                  * tab.theta_inv(a, d, j) * tab.theta_inv(b, c, j))
                 if i == i2:
                     ok = (acc * tab.delta[i]
-                          == _theta_z(a, b, i, r) * _theta_z(c, d, i, r))
+                          == theta(a, b, i, r) * theta(c, d, i, r))
                 else:
                     ok = acc.is_zero()
                 if not ok:
@@ -401,7 +386,7 @@ def verify_identities(r: int, tables_override: SymbolTables | None = None) -> Id
 
     checks = (
         ("theta(a,a,0) = delta_a",
-         ((a,) for a in cols if not tab.delta[a] == _theta_z(a, a, 0, r))),
+         ((a,) for a in cols if not tab.delta[a] == theta(a, a, 0, r))),
         ("tetrahedral symmetry of Tet",
          ((tup, sigma) for tup in _admissible_tet_tuples(r)
           for sigma in itertools.permutations((1, 2, 3, 4))

@@ -223,11 +223,8 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
 
 
 def _run(tri: Triangulation, r: int, carrier: str):
-    """Sum over all branches of the first edge, then divide by D^V.
-
-    Exact mode runs on the integer carrier ZElt of the exact tables,
-    including the cached 1/D, and converts the result to CycNumber once.
-    """
+    """Sum over all branches of the first edge, then divide by D^V; the
+    same code for both carriers (an empty or zero float sum gives +0.0)."""
     tab = tables(r, carrier)
     plan = _make_plan(tri)
     total = None
@@ -239,16 +236,7 @@ def _run(tri: Triangulation, r: int, carrier: str):
         leaves += l
         if part is not None:
             total = part if total is None else total + part
-    nv = len(tri.vertex_orbits)
-    if carrier == "exact":
-        if total is None:
-            value = CycNumber.zero(r)
-        else:
-            for _ in range(nv):
-                total = total * tab.dim_inv
-            value = total.normalized().to_cyc(r)
-    else:
-        value = (total or 0.0) / tab.dim_total ** nv
+    value = (total or tab.zero) / tab.dim ** len(tri.vertex_orbits)
     return value, visited, leaves
 
 

@@ -12,9 +12,10 @@ formulas or search machinery:
   minors-based invariant factors;
 * a naive Turaev-Viro evaluator: full (r-1)^E enumeration with an
   independently coded weight formula and no pruning or tables;
-* the exact theta and Tet formulas in Fraction-coefficient CycNumber
-  arithmetic, every quotient taken by CycNumber division (Euclid in Q[x]),
-  against which the package's integer carrier is checked.
+* Fraction-coefficient arithmetic in Q(zeta_2r) (FracCyc: convolution
+  reduced modulo Phi_2r, the inverse by the extended Euclidean algorithm in
+  Q[x]) and the exact theta and Tet formulas on it, every quotient taken by
+  that inverse, against which the package's integer CycNumber is checked.
 
 The loop value used by the diagram algebra is -2cos(pi/r), matching the
 signed dimension convention (a closed strand of color n evaluates to
@@ -28,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from tvgenus.cyclotomic import CycNumber
+from tvgenus.cyclotomic import cyclotomic_polynomial
 
 # --------------------------------------------------------------------------
 # Temperley-Lieb diagrams
@@ -246,13 +247,105 @@ def tet_net(A, B, C, D, E, F, r: int) -> float:
 # --------------------------------------------------------------------------
 
 
+def _poly_deg(p):
+    for i in range(len(p) - 1, -1, -1):
+        if p[i] != 0:
+            return i
+    return -1
+
+
+def _poly_mul_frac(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _poly_divmod_frac(a, b):
+    da, db = _poly_deg(a), _poly_deg(b)
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    quot = [Fraction(0)] * max(1, da - db + 1)
+    lead = b[db]
+    for i in range(da - db, -1, -1):
+        c = rem[i + db]
+        if c:
+            q = c / lead
+            quot[i] = q
+            for j in range(db + 1):
+                rem[i + j] -= q * b[j]
+    return quot, rem
+
+
+class FracCyc:
+    """An element of Q(zeta_2r), zeta = e^(i pi/r), as the Fraction
+    coefficients of 1, zeta, ..., zeta^(d-1), d = deg Phi_2r."""
+
+    def __init__(self, r, coeffs):
+        self.r = r
+        self.phi = [Fraction(c) for c in cyclotomic_polynomial(2 * r)]
+        d = len(self.phi) - 1
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) > d:
+            coeffs = _poly_divmod_frac(coeffs, self.phi)[1]
+        self.coeffs = tuple(coeffs[:d]) + (Fraction(0),) * (d - len(coeffs))
+
+    @staticmethod
+    def const(r, n):
+        return FracCyc(r, [n])
+
+    @staticmethod
+    def zeta_power(r, k):
+        return FracCyc(r, [0] * (k % (2 * r)) + [1])
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __add__(self, other):
+        return FracCyc(self.r, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return FracCyc(self.r, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        return FracCyc(self.r, _poly_mul_frac(self.coeffs, other.coeffs))
+
+    def inverse(self):
+        """Extended Euclid of self and Phi_2r in Q[x]."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in Q(zeta)")
+        a, b = list(self.coeffs), list(self.phi)
+        s0, s1 = [Fraction(1)], [Fraction(0)]
+        while any(b):
+            q, rem = _poly_divmod_frac(a, b)
+            a, b = b, rem
+            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
+        # a is now the (degree 0) gcd
+        lead = a[_poly_deg(a)]
+        return FracCyc(self.r, [c / lead for c in s0])
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+
 @lru_cache(maxsize=None)
 def _qfact_exact(n, r):
-    out = CycNumber.one(r)
+    out = FracCyc.const(r, 1)
     for m in range(1, n + 1):
-        qint = CycNumber.zero(r)
+        qint = FracCyc.const(r, 0)
         for k in range(m):
-            qint = qint + CycNumber.zeta_power(r, m - 1 - 2 * k)
+            qint = qint + FracCyc.zeta_power(r, m - 1 - 2 * k)
         out = out * qint
     return out
 
@@ -270,14 +363,14 @@ def tet_exact(A, B, C, D, E, F, r):
     faces = ((A, B, E), (C, D, E), (A, D, F), (B, C, F))
     a = [sum(f) // 2 for f in faces]
     b = [(A + B + C + D) // 2, (A + C + E + F) // 2, (B + D + E + F) // 2]
-    interior = CycNumber.one(r)
+    interior = FracCyc.const(r, 1)
     for bj in b:
         for ai in a:
             interior = interior * _qfact_exact(bj - ai, r)
-    ext = CycNumber.one(r)
+    ext = FracCyc.const(r, 1)
     for x in (A, B, C, D, E, F):
         ext = ext * _qfact_exact(x, r)
-    total = CycNumber.zero(r)
+    total = FracCyc.const(r, 0)
     for s in range(max(a), min(b) + 1):
         term = _qfact_exact(s + 1, r)
         for ai in a:

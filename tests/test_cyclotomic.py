@@ -1,4 +1,5 @@
-"""Exact cyclotomic arithmetic."""
+"""Exact cyclotomic arithmetic: CycNumber on its own, and against the
+Fraction-coefficient oracle (tests/oracles.py)."""
 
 import cmath
 import math
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvgenus.cyclotomic import CycNumber, cyclotomic_polynomial
+from oracles import FracCyc
+from tvgenus.cyclotomic import CycNumber, _field, _make, cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials_small():
@@ -96,5 +98,65 @@ def test_real_detection_is_exact():
 
 
 def test_mixed_levels_rejected():
-    with pytest.raises(ValueError):
-        CycNumber.one(5) + CycNumber.one(7)
+    a, b = CycNumber.one(5), CycNumber.one(7)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(ValueError):
+            op()
+    assert a != b
+    with pytest.raises(TypeError):
+        a + 1
+
+
+# --- against the Fraction-coefficient oracle ---------------------------------
+
+def _coeffs(r):
+    deg = len(cyclotomic_polynomial(2 * r)) - 1
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.lists(coeff, min_size=deg, max_size=deg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coeffs(5), _coeffs(5))
+def test_mul_matches_fraction_oracle_r5(a, b):
+    assert ((CycNumber(5, a) * CycNumber(5, b)).coeffs
+            == (FracCyc(5, a) * FracCyc(5, b)).coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coeffs(7), _coeffs(7))
+def test_add_matches_fraction_oracle_r7(a, b):
+    assert ((CycNumber(7, a) + CycNumber(7, b)).coeffs
+            == (FracCyc(7, a) + FracCyc(7, b)).coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coeffs(6), _coeffs(6), _coeffs(6))
+def test_long_products_stay_exact(a, b, c):
+    x, y, z = (CycNumber(6, v) for v in (a, b, c))
+    fx, fy, fz = (FracCyc(6, v) for v in (a, b, c))
+    assert (x * y * z + x).coeffs == (fx * fy * fz + fx).coeffs
+
+
+def test_roundtrip_and_normalization():
+    x = CycNumber(5, [Fraction(6, 4), Fraction(0), Fraction(-2, 4), Fraction(2)])
+    assert x.den == 2 and x.num == (3, 0, -1, 4)
+    assert x.coeffs == (Fraction(3, 2), 0, Fraction(-1, 2), 2)
+    assert CycNumber(5, x.coeffs) == x
+    big = _make(_field(5), (2 ** 200, 0, 0, 0), 2 ** 199)
+    assert big.normalized().num == (2, 0, 0, 0)
+    assert big.normalized().den == 1
+    assert big == 2 and str(big) == "2"
+    # a product whose denominator passes 128 bits comes out reduced
+    prod = CycNumber.one(5) * (2 ** 200) / (2 ** 199)
+    assert (prod.num, prod.den) == ((2, 0, 0, 0), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coeffs(6), _coeffs(7))
+def test_neg_and_inverse_match_fraction_oracle(a, b):
+    for v, r in ((a, 6), (b, 7)):
+        x, fx = CycNumber(r, v), FracCyc(r, v)
+        assert (-x).coeffs == (-fx).coeffs
+        if not fx.is_zero():
+            assert x.inverse().coeffs == fx.inverse().coeffs
+            assert x * x.inverse() == 1

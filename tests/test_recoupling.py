@@ -1,5 +1,6 @@
 """Quantum integers, dimensions, theta and tetrahedral symbols."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -10,7 +11,8 @@ from tvgenus.recoupling import (SymbolTables, admissible, global_dim,
                                 global_dim_f, qdim, qdim_f, quantum_factorial,
                                 quantum_integer, quantum_integer_f,
                                 tet_symbol, tet_symbol_f, theta, theta_f,
-                                verify_identities, _admissible_tet_tuples)
+                                verify_identities, _admissible_tet_tuples,
+                                _carrier)
 
 import oracles
 
@@ -204,6 +206,93 @@ def test_exact_float_agreement(r):
     for tup in sample:
         assert abs(tet_symbol(*tup, r).to_float()
                    - tet_symbol_f(*tup, r)) <= 1e-9
+
+
+# --- the two carriers' tables ---------------------------------------------
+
+def test_factorials_and_their_inverses():
+    for r in range(3, 10):
+        ex = _carrier(r, True)
+        for n in range(r):
+            assert ex.fact[n] * ex.inv_fact[n] == ex.one, (r, n)
+        assert all(ex.fact[n].is_zero() for n in range(r, 2 * r))
+        assert quantum_factorial(r, r).is_zero()
+        assert ex.dim * ex.dim.inverse() == ex.one
+
+
+def test_exact_tables_match_fraction_oracle():
+    """Every admissible Tet and 1/theta at r=3..6, against the Fraction
+    formulas with Euclid division (oracles.FracCyc)."""
+    for r in range(3, 7):
+        tab = SymbolTables(r, "exact")
+        for tup in _admissible_tet_tuples(r):
+            want = oracles.tet_exact(*tup, r).coeffs
+            assert tab.tet(*tup).coeffs == want, (r, tup)
+        for tri in oracles.admissible_triples(r):
+            want = oracles.theta_exact(*tri, r).inverse().coeffs
+            assert tab.theta_inv(*tri).coeffs == want, (r, tri)
+        assert [d.coeffs for d in tab.delta] == [
+            oracles.theta_exact(a, a, 0, r).coeffs for a in range(r - 1)]
+
+
+_SYMBOLS = {
+    "quantum_integer": lambda r: quantum_integer(1, r),
+    "quantum_factorial": lambda r: quantum_factorial(1, r),
+    "qdim": lambda r: qdim(0, r),
+    "global_dim": global_dim,
+    "theta": lambda r: theta(0, 0, 0, r),
+    "tet_symbol": lambda r: tet_symbol(0, 0, 0, 0, 0, 0, r),
+    "quantum_integer_f": lambda r: quantum_integer_f(1, r),
+    "qdim_f": lambda r: qdim_f(0, r),
+    "global_dim_f": global_dim_f,
+    "theta_f": lambda r: theta_f(0, 0, 0, r),
+    "tet_symbol_f": lambda r: tet_symbol_f(0, 0, 0, 0, 0, 0, r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYMBOLS))
+@pytest.mark.parametrize("r", (1, 2))
+def test_level_below_three_rejected_by_every_symbol(name, r):
+    with pytest.raises(ValueError):
+        _SYMBOLS[name](r)
+
+
+def test_negative_index_rejected_in_both_carriers():
+    for fn in (quantum_integer, quantum_integer_f, quantum_factorial):
+        with pytest.raises(ValueError):
+            fn(-1, 5)
+
+
+def _float_table_values(r):
+    tab = SymbolTables(r, "float")
+    yield from (quantum_integer_f(n, r) for n in range(2 * r))
+    yield from tab.delta
+    yield global_dim_f(r)
+    cols = range(r - 1)
+    yield from (tab.theta_inv(a, b, c) for a in cols for b in cols for c in cols
+                if a <= b <= c and admissible(a, b, c, r))
+    yield from (tab.tet(*tup) for tup in _admissible_tet_tuples(r))
+
+
+def test_float_symbol_bits_pinned():
+    """The exact bits of every float [n] (n < 2r), delta, D, 1/theta and Tet
+    at r=3..9 (6,489 values), hashed over their reprs.
+
+    Float rounding noise decides visible outputs (the sign of a TV that is
+    exactly 0, and so the zero note), so a refactor must keep every bit.
+    A deliberate change of the float evaluation, such as certified float
+    values (ROADMAP item 2), updates this digest and records that in
+    CHANGES.md.
+    """
+    h = hashlib.sha256()
+    count = 0
+    for r in range(3, 10):
+        for v in _float_table_values(r):
+            h.update(repr(v).encode() + b"\n")
+            count += 1
+    assert count == 6489
+    assert h.hexdigest() == (
+        "c8282d204f020f07ff1b9c3f5f112be12e0407848908782f9550d4f092299a1d")
 
 
 # --- identity suite -----------------------------------------------------------

@@ -182,6 +182,49 @@ def test_determinism_bit_identical():
         assert a == b
 
 
+PINNED_FLOAT = {
+    5: {"s3": "0.13819660112501048", "s3_double": "0.1381966011250105",
+        "rp3": "-6.137161939757019e-17", "l31": "0.3618033988749894",
+        "s2xs1": "1.0", "s2xts1": "1.0", "q8": "2.552786404500042",
+        "t3": "16.0", "rp3#rp3": "1.1134889515993497e-17",
+        "rp3#l31": "9.25953970277354e-17"},
+    6: {"s3": "0.08333333333333327", "s3_double": "0.08333333333333313",
+        "rp3": "0.04465819873852064", "l31": "0.24999999999999986",
+        "s2xs1": "0.9999999999999991", "s2xts1": "0.9999999999999991",
+        "q8": "2.33333333333333", "t3": "24.999999999999982",
+        "rp3#rp3": "0.02393225657483024", "rp3#l31": "0.13397459621556082"},
+}
+PINNED_EXACT_R5 = {
+    "s3": "1/5 - 1/10*z^2 + 1/10*z^3", "s3_double": "1/5 - 1/10*z^2 + 1/10*z^3",
+    "rp3": "0", "l31": "3/10 + 1/10*z^2 - 1/10*z^3", "s2xs1": "1",
+    "s2xts1": "1", "q8": "14/5 - 2/5*z^2 + 2/5*z^3", "t3": "16",
+    "rp3#rp3": "0", "rp3#l31": "0",
+}
+
+
+@pytest.mark.parametrize("r", (5, 6))
+def test_float_values_pinned(r):
+    """repr(value_float) of every fixture, bit for bit.
+
+    The noise is pinned too: rp3 at r=5 is exactly 0 and reads -6.1e-17
+    (ROADMAP item 2).  A deliberate change of the float evaluation, such as
+    that item's certified values, updates these strings and records that in
+    CHANGES.md.
+    """
+    got = {name: repr(tv_invariant(fixture(name), r, limits=FORCE).value_float)
+           for name in fixture_names()}
+    assert got == PINNED_FLOAT[r]
+
+
+def test_exact_strings_pinned():
+    """str(value_exact) at r=5: the tv_exact text of the CLI reports, which
+    readers such as perfbench/qzeta.parse_poly parse."""
+    got = {name: str(tv_invariant(fixture(name), 5, mode="exact",
+                                  limits=FORCE).value_exact)
+           for name in fixture_names()}
+    assert got == PINNED_EXACT_R5
+
+
 def test_search_volume_guard():
     with pytest.raises(SearchVolumeError) as err:
         tv_invariant(fixture("rp3#rp3"), 7)
