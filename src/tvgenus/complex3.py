@@ -6,9 +6,15 @@ opposite vertex k, and a gluing of face k of tetrahedron t is a pair
 the vertices of t' (so the target face is p[k]).  Construction eagerly
 computes vertex/edge/face orbits with orientation data and validates that
 the complex is a connected closed 3-manifold: gluings involutive and free of
-face self-identifications, every edge link a circle, every vertex link a
-2-sphere.  Non-orientable inputs are accepted (the state sum is defined for
-them); orientability is recorded on the triangulation.
+face self-identifications, no edge identified with itself in reverse, every
+vertex link a 2-sphere.  Non-orientable inputs are accepted (the state sum
+is defined for them); orientability is recorded on the triangulation.
+
+Edge orbits come from one union-find over the 6n edge slots that carries
+each slot's orientation relative to its root.  Each slot lies in exactly two
+faces, so every orbit is one circle around its edge (the edge link); an
+orbit lists its slots in ascending order.  The two ends of each edge orbit
+are the vertices of the vertex links.
 
 The 6 edges of a tetrahedron are indexed by vertex pairs in lexicographic
 order: 01, 02, 03, 12, 13, 23.  Opposite edge pairs are (01,23), (02,13),
@@ -97,8 +103,9 @@ class Tetrahedron:
 @dataclass(frozen=True)
 class EdgeOrbit:
     """One edge class: members are (tet, edge index, sign) with sign the
-    orientation of that slot relative to the representative; the member list
-    is the cyclic sequence obtained by walking around the edge."""
+    orientation of that slot relative to the representative members[0], the
+    lowest slot 6*tet + edge of the class; members are in ascending slot
+    order."""
 
     index: int
     members: tuple[tuple[int, int, int], ...]
@@ -250,23 +257,25 @@ class Triangulation:
             for v in range(4):
                 self.vertex_orbits[self.vertex_orbit_index[4 * t + v]].append((t, v))
 
+        # edge orbits in order of their lowest slot, signs relative to it;
+        # members are listed in ascending slot order
         eroots: dict[int, int] = {}
+        first_sign: list[int] = []
+        members: list[list[tuple[int, int, int]]] = []
         self.edge_orbit_index = [0] * (6 * n)
         self.edge_orbit_sign = [1] * (6 * n)
         for x in range(6 * n):
             rt, sg = efind(x)
-            if rt not in eroots:
-                eroots[rt] = len(eroots)
-            self.edge_orbit_index[x] = eroots[rt]
+            o = eroots.get(rt)
+            if o is None:
+                o = eroots[rt] = len(members)
+                first_sign.append(sg)
+                members.append([])
+            sg *= first_sign[o]
+            self.edge_orbit_index[x] = o
             self.edge_orbit_sign[x] = sg
-        # fix per-orbit representative = first slot; renormalize signs to it
-        first_sign = {}
-        for x in range(6 * n):
-            o = self.edge_orbit_index[x]
-            if o not in first_sign:
-                first_sign[o] = self.edge_orbit_sign[x]
-        for x in range(6 * n):
-            self.edge_orbit_sign[x] *= first_sign[self.edge_orbit_index[x]]
+            members[o].append((x // 6, x % 6, sg))
+        self.edge_orbits = [EdgeOrbit(o, tuple(m)) for o, m in enumerate(members)]
 
         # face orbits: paired slots
         self.face_orbit_index = [[-1] * 4 for _ in range(n)]
@@ -283,91 +292,18 @@ class Triangulation:
                 self.face_orbit_index[t2][f2] = idx
         self.face_orbits = face_orbits
 
-        # edge orbits with the cyclic walk around each edge
-        self.edge_orbits = [self._edge_cycle(o) for o in range(len(eroots))]
-
-    def _edge_cycle(self, orbit: int) -> EdgeOrbit:
-        """Walk around one edge orbit through face gluings, producing the
-        cyclic incidence sequence; its length must equal the orbit size."""
-        n = self.size
-        slots = [x for x in range(6 * n) if self.edge_orbit_index[x] == orbit]
-        start = slots[0]
-        t0, e0 = start // 6, start % 6
-        u0, v0 = EDGES[e0]
-        # faces of t0 containing edge e0: the two faces not opposite u0/v0
-        containing = [f for f in range(4) if u0 != f and v0 != f]
-        members = []
-        visited = set()
-        t, e, f = t0, e0, containing[0]
-        while True:
-            members.append((t, e, self.edge_orbit_sign[6 * t + e]))
-            visited.add((t, e, f))
-            t2, p = self.gluing(t, f)
-            u, v = EDGES[e]
-            e2 = EDGE_INDEX[(p[u], p[v])]
-            f2 = p[f]
-            # continue through the other face of t2 containing e2
-            u2, v2 = EDGES[e2]
-            f_next = next(g for g in range(4)
-                          if g != f2 and g != u2 and g != v2)
-            t, e, f = t2, e2, f_next
-            if (t, e, f) == (t0, e0, containing[0]):
-                break
-            if len(members) > len(slots):
-                raise TriangulationError(
-                    "edge link walk does not close up (non-manifold edge)")
-        if len(members) != len(slots):
-            raise TriangulationError(
-                "edge link is not a single circle (non-manifold edge)")
-        return EdgeOrbit(orbit, tuple(members))
-
     def _validate_manifold(self):
         """Vertex links must be 2-spheres: connected (automatic for an orbit,
-        via the face gluings used to build it) with Euler characteristic 2."""
-        n = self.size
-        # link-vertex classes = edge-end classes; ends tracked as (slot, k)
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
+        via the face gluings used to build it) with Euler characteristic 2.
 
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for t in range(n):
-            for f in range(4):
-                t2, p = self.gluing(t, f)
-                vs = FACE_VERTS[f]
-                for (u, v) in ((vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])):
-                    e1 = EDGE_INDEX[(u, v)]
-                    e2 = EDGE_INDEX[(p[u], p[v])]
-                    a, b = min(u, v), max(u, v)
-                    same = p[a] < p[b]
-                    if same:
-                        union(((6 * t + e1), 0), ((6 * t2 + e2), 0))
-                        union(((6 * t + e1), 1), ((6 * t2 + e2), 1))
-                    else:
-                        union(((6 * t + e1), 0), ((6 * t2 + e2), 1))
-                        union(((6 * t + e1), 1), ((6 * t2 + e2), 0))
-
+        The link vertices are the ends of the edge orbits, two per orbit and
+        never the same one, since no edge is identified with itself in
+        reverse."""
         link_vertices = [0] * len(self.vertex_orbits)
-        seen_roots = set()
-        for t in range(n):
-            for e in range(6):
-                for k in (0, 1):
-                    rt = find((6 * t + e, k))
-                    if rt in seen_roots:
-                        continue
-                    seen_roots.add(rt)
-                    vslot = 4 * t + EDGES[e][k]
-                    link_vertices[self.vertex_orbit_index[vslot]] += 1
+        for orbit in self.edge_orbits:
+            t, e, _sign = orbit.members[0]
+            for v in EDGES[e]:
+                link_vertices[self.vertex_orbit_index[4 * t + v]] += 1
         corners = [len(m) for m in self.vertex_orbits]
         for o, c in enumerate(corners):
             chi = link_vertices[o] - (3 * c) // 2 + c
@@ -436,8 +372,8 @@ class Triangulation:
 def orbits(tri: Triangulation):
     """(vertex, edge, face) orbit structures of a triangulation.
 
-    Vertex orbits are lists of (tet, vertex) slots; edge orbits carry the
-    cyclic incidence sequence with per-slot orientation signs; face orbits
+    Vertex orbits are lists of (tet, vertex) slots; edge orbits list their
+    slots in ascending order with per-slot orientation signs; face orbits
     pair the two glued slots."""
     return tri.vertex_orbits, tri.edge_orbits, tri.face_orbits
 

@@ -123,10 +123,10 @@ class CycNumber:
     num (one int per power of zeta below the field degree) over den > 0.
 
     Immutable by convention: every operation returns a new element.
-    Supports +, -, *, /, ** and exact equality (also with ints); * and /
-    also take int and Fraction scalars.  Division by zero (the only
-    non-invertible element, Phi_{2r} being irreducible) raises
-    ZeroDivisionError.
+    Supports +, -, *, /, ** and exact equality (also with ints and
+    Fractions, which rational elements hash like); * and / also take int
+    and Fraction scalars.  Division by zero (the only non-invertible
+    element, Phi_{2r} being irreducible) raises ZeroDivisionError.
     """
 
     __slots__ = ("f", "num", "den")
@@ -291,7 +291,7 @@ class CycNumber:
         return not any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = CycNumber.from_rational(self.f.r, other)
         if not isinstance(other, CycNumber):
             return NotImplemented
@@ -301,6 +301,9 @@ class CycNumber:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        """A rational element hashes like the Fraction it equals."""
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         a = self.normalized()
         return hash((self.f.r, a.num, a.den))
 

@@ -1,16 +1,17 @@
 """Integer Smith normal form and first homology of a triangulation.
 
-H_1 is computed from the orbit CW structure: an integer kernel basis of the
-edge-to-vertex boundary map is extracted from a Smith decomposition with
-transforms, the face boundaries are rewritten in that basis, and a second
-Smith form gives the invariant factors.  All arithmetic is exact (Python
-integers), since intermediate entries blow up well before census-sized
-matrices become large.
+H_1 is ker d1 / im d2 of the orbit CW structure.  Since im d1 is free,
+Z^E / im d2 (the cokernel of d2) is H_1 + im d1, so no kernel basis is
+needed: the torsion of H_1 is the invariant factors of d2 greater than 1,
+and its free rank is E - rank d1 - rank d2.  All arithmetic is exact
+(Python integers), since intermediate entries blow up well before
+census-sized matrices become large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .complex3 import EDGES, EDGE_INDEX, FACE_VERTS, Triangulation
 
@@ -30,10 +31,6 @@ class IntMatrix:
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix([[0] * cols for _ in range(rows)])
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -41,12 +38,6 @@ class IntMatrix:
     def __setitem__(self, ij, v):
         i, j = ij
         self.entries[i][j] = int(v)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.entries])
-
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.entries]
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -57,70 +48,27 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U @ A @ V = D with U, V unimodular; V_inv = V^-1.
-
-    diagonal holds the invariant factors d_1 | d_2 | ... (nonnegative,
+    """diagonal holds the invariant factors d_1 | d_2 | ... (nonnegative,
     padded with zeros up to min(rows, cols))."""
 
     diagonal: tuple[int, ...]
-    U: IntMatrix | None = None
-    V: IntMatrix | None = None
-    V_inv: IntMatrix | None = None
 
 
-def smith_normal_form(mat: IntMatrix | list[list[int]],
-                      transforms: bool = False) -> SnfResult:
+def smith_normal_form(mat: IntMatrix | list[list[int]]) -> SnfResult:
     """Smith normal form over Z.
 
-    Row/column reduction with smallest-pivot selection; after
-    diagonalization the divisibility chain d_i | d_{i+1} is enforced by
-    gcd/lcm folding, and all factors are made nonnegative.
+    Row/column reduction with smallest-pivot selection; the diagonal left by
+    it is then folded pairwise into (gcd, lcm) until d_i | d_{i+1}, with
+    zeros last and all factors nonnegative.
     """
     if not isinstance(mat, IntMatrix):
         mat = IntMatrix(mat)
     m = [row[:] for row in mat.entries]
     R, C = mat.rows, mat.cols
-    want = transforms
-    U = IntMatrix.identity(R) if want else None
-    V = IntMatrix.identity(C) if want else None
-    Vinv = IntMatrix.identity(C) if want else None
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        if want:
-            U.entries[i], U.entries[j] = U.entries[j], U.entries[i]
-
-    def row_sub(i, j, q):
-        if q == 0:
-            return
-        mi, mj = m[i], m[j]
-        for k in range(C):
-            mi[k] -= q * mj[k]
-        if want:
-            ui, uj = U.entries[i], U.entries[j]
-            for k in range(R):
-                ui[k] -= q * uj[k]
 
     def col_swap(i, j):
         for row in m:
             row[i], row[j] = row[j], row[i]
-        if want:
-            for row in V.entries:
-                row[i], row[j] = row[j], row[i]
-            Vinv.entries[i], Vinv.entries[j] = Vinv.entries[j], Vinv.entries[i]
-
-    def col_sub(i, j, q):
-        """col i -= q * col j; keeps A@V-relation, so Vinv row j += q * row i."""
-        if q == 0:
-            return
-        for row in m:
-            row[i] -= q * row[j]
-        if want:
-            for row in V.entries:
-                row[i] -= q * row[j]
-            vi, vj = Vinv.entries[i], Vinv.entries[j]
-            for k in range(C):
-                vj[k] += q * vi[k]
 
     pivot = 0
     while pivot < R and pivot < C:
@@ -132,21 +80,24 @@ def smith_normal_form(mat: IntMatrix | list[list[int]],
                     best = (i, j)
         if best is None:
             break
-        row_swap(pivot, best[0])
+        m[pivot], m[best[0]] = m[best[0]], m[pivot]
         col_swap(pivot, best[1])
         while True:
             dirty = False
             for i in range(pivot + 1, R):
                 if m[i][pivot]:
                     q = m[i][pivot] // m[pivot][pivot]
-                    row_sub(i, pivot, q)
+                    mi, mp = m[i], m[pivot]
+                    for k in range(C):
+                        mi[k] -= q * mp[k]
                     if m[i][pivot]:
-                        row_swap(pivot, i)
+                        m[pivot], m[i] = m[i], m[pivot]
                         dirty = True
             for j in range(pivot + 1, C):
                 if m[pivot][j]:
                     q = m[pivot][j] // m[pivot][pivot]
-                    col_sub(j, pivot, q)
+                    for row in m:
+                        row[j] -= q * row[pivot]
                     if m[pivot][j]:
                         col_swap(pivot, j)
                         dirty = True
@@ -154,49 +105,13 @@ def smith_normal_form(mat: IntMatrix | list[list[int]],
                 break
         pivot += 1
 
-    diag = [m[i][i] for i in range(min(R, C))]
-    # enforce the divisibility chain without breaking the decomposition:
-    # fold adjacent pairs (a, b) with a ∤ b into (gcd, lcm) via explicit
-    # row/column operations on the diagonal 2x2 block.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a == 0 and b != 0:
-                row_swap(i, i + 1)
-                col_swap(i, i + 1)
-                diag[i], diag[i + 1] = b, a
-                changed = True
-            elif a != 0 and b % a != 0:
-                # [[a,0],[0,b]] -> [[g,0],[0,lcm]] by unimodular ops
-                col_sub(i, i + 1, -1)           # col i += col i+1
-                while True:
-                    aa, bb = m[i][i], m[i + 1][i]
-                    if bb == 0:
-                        break
-                    q = aa // bb
-                    row_sub(i, i + 1, q)
-                    row_swap(i, i + 1)
-                # clear the off-diagonal remnants
-                if m[i][i + 1]:
-                    col_sub(i + 1, i, m[i][i + 1] // m[i][i])
-                if m[i + 1][i]:
-                    row_sub(i + 1, i, m[i + 1][i] // m[i][i])
-                if m[i + 1][i + 1] == 0 and (a != 0 and b != 0):
-                    raise AssertionError("divisibility folding lost rank")
-                diag[i], diag[i + 1] = m[i][i], m[i + 1][i + 1]
-                changed = True
-    # normalize signs (flip the row in m and in U together)
-    for i, d in enumerate(diag):
-        if d < 0:
-            diag[i] = -d
-            for k in range(C):
-                m[i][k] = -m[i][k]
-            if want:
-                for k in range(R):
-                    U.entries[i][k] = -U.entries[i][k]
-    return SnfResult(tuple(diag), U, V, Vinv)
+    size = min(R, C)
+    diag = [abs(m[i][i]) for i in range(size) if m[i][i]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return SnfResult(tuple(diag) + (0,) * (size - len(diag)))
 
 
 @dataclass(frozen=True)
@@ -299,29 +214,15 @@ def boundary_matrices(tri: Triangulation) -> tuple[IntMatrix, IntMatrix]:
 
 def h1_from_matrices(d1: IntMatrix, d2: IntMatrix) -> H1Summary:
     """ker d1 / im d2 in invariant-factor form (requires d1 @ d2 = 0)."""
-    ne = d1.cols
-    snf1 = smith_normal_form(d1, transforms=True)
-    rank1 = sum(1 for d in snf1.diagonal if d != 0)
-    kernel_pos = [j for j in range(ne)
-                  if j >= len(snf1.diagonal) or snf1.diagonal[j] == 0]
-    # coordinates of each face boundary in the V-basis; kernel coords only
-    rows = []
-    for pos in kernel_pos:
-        vrow = snf1.V_inv.entries[pos]
-        rows.append([sum(vrow[i] * d2[i, c] for i in range(ne))
-                     for c in range(d2.cols)])
-    # non-kernel coordinates must vanish since im d2 lies in ker d1
-    for pos in range(min(rank1, ne)):
-        vrow = snf1.V_inv.entries[pos]
+    for row in d1.entries:
         for c in range(d2.cols):
-            if sum(vrow[i] * d2[i, c] for i in range(ne)) != 0:
+            if sum(row[k] * d2.entries[k][c] for k in range(d1.cols)):
                 raise ValueError("d1 @ d2 != 0: inconsistent boundary maps")
-    if not rows:
-        return H1Summary(0, ())
-    snf2 = smith_normal_form(IntMatrix(rows))
-    rank2 = sum(1 for d in snf2.diagonal if d != 0)
-    torsion = tuple(d for d in snf2.diagonal if d not in (0, 1))
-    return H1Summary(len(kernel_pos) - rank2, torsion)
+    rank1 = sum(1 for d in smith_normal_form(d1).diagonal if d)
+    snf2 = smith_normal_form(d2).diagonal
+    rank2 = sum(1 for d in snf2 if d)
+    torsion = tuple(d for d in snf2 if d > 1)
+    return H1Summary(d1.cols - rank1 - rank2, torsion)
 
 
 def h1(tri: Triangulation) -> H1Summary:

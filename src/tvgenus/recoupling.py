@@ -237,10 +237,9 @@ class SymbolTables:
     in exact mode, floats in float mode), with that carrier's zero, one and
     global dimension D (dim).
 
-    Values are filled on first use (precompute() forces the full Tet table;
-    for the state sum the lazy fill touches exactly the tuples that occur,
-    which keeps small runs fast while still evaluating each symbol once).
-    Entries are never mutated once written.
+    Values are filled on first use: for the state sum the lazy fill touches
+    exactly the tuples that occur, which keeps small runs fast while still
+    evaluating each symbol once.  Entries are never mutated once written.
     """
 
     def __init__(self, r: int, mode: str = "exact"):
@@ -271,12 +270,6 @@ class SymbolTables:
             val = _tet(self._lv, key)
             self._tet[key] = val
         return val
-
-    def precompute(self):
-        """Force the full Tet table over all admissible 6-tuples (O(r^6))."""
-        for tup in _admissible_tet_tuples(self.r):
-            self.tet(*tup)
-        return self
 
 
 @lru_cache(maxsize=32)

@@ -69,10 +69,10 @@ class TvResult:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Static search schedule for one triangulation."""
+    """Static search schedule for one triangulation.  Edges are named by
+    their position in the assignment order; faces_at[k] and tets_at[k] list
+    the face triples and Tet arguments completed by the k-th edge."""
 
-    order: tuple[int, ...]                 # edge orbits in assignment order
-    position: tuple[int, ...]              # inverse of order
     faces_at: tuple[tuple[tuple[int, int, int], ...], ...]
     tets_at: tuple[tuple[tuple[int, ...], ...], ...]
     n_edges: int
@@ -101,8 +101,7 @@ def _make_plan(tri: Triangulation) -> _Plan:
         e01, e02, e03, e12, e13, e23 = tet_edges
         arg_pos = tuple(position[e] for e in (e01, e02, e23, e13, e12, e03))
         tets_at[max(arg_pos)].append(arg_pos)
-    return _Plan(tuple(order), tuple(position),
-                 tuple(tuple(f) for f in faces_at),
+    return _Plan(tuple(tuple(f) for f in faces_at),
                  tuple(tuple(t) for t in tets_at), ne)
 
 

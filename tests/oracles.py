@@ -10,6 +10,10 @@ formulas or search machinery:
   (determinantal divisors);
 * first homology from the boundary matrices using rational ranks and the
   minors-based invariant factors;
+* the Euler characteristic of every vertex link of a face gluing, with the
+  link vertices counted as classes of edge ends under a dictionary
+  union-find that knows nothing of orbit signs or edge numbering, which
+  also tells whether some edge is identified with itself in reverse;
 * a naive Turaev-Viro evaluator: full (r-1)^E enumeration with an
   independently coded weight formula and no pruning or tables;
 * Fraction-coefficient arithmetic in Q(zeta_2r) (FracCyc: convolution
@@ -521,6 +525,61 @@ def h1_via_minors(d1_entries, d2_entries) -> tuple[int, tuple[int, ...]]:
         factors = snf_naive(d2_entries)
     torsion = tuple(d for d in factors if d not in (0, 1))
     return free, torsion
+
+
+# --------------------------------------------------------------------------
+# vertex links of a face gluing
+# --------------------------------------------------------------------------
+
+
+def vertex_links(rows) -> tuple[list[int], bool]:
+    """(chi of the link of each vertex class, sorted; whether some edge is
+    identified with itself in reverse) for a closed face gluing.
+
+    rows[t][f] = (t2, p) glues face f of tetrahedron t (the face opposite
+    vertex f) to tetrahedron t2 by the vertex permutation p.  The link of a
+    vertex class has one triangle per corner (t, u) of the class, its edges
+    glued in pairs, and one vertex per class of edge ends: the end at u of
+    the edge uv of tetrahedron t is (t, u, v), and a face gluing identifies
+    the ends (t, u, v) and (t2, p[u], p[v]) for u, v in the face.  An edge
+    is reversed when its two ends fall in one class."""
+    parent: dict = {}
+
+    def find(x):
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(x, x) != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    n = len(rows)
+    for t in range(n):
+        for f in range(4):
+            t2, p = rows[t][f]
+            face = [u for u in range(4) if u != f]
+            for u in face:
+                union(("corner", t, u), ("corner", t2, p[u]))
+                for v in face:
+                    if v != u:
+                        union((t, u, v), (t2, p[u], p[v]))
+    corners: dict = {}
+    ends: dict = {}
+    for t in range(n):
+        for u in range(4):
+            vertex = find(("corner", t, u))
+            corners[vertex] = corners.get(vertex, 0) + 1
+            ends.setdefault(vertex, set()).update(
+                find((t, u, v)) for v in range(4) if v != u)
+    reversed_edge = any(find((t, u, v)) == find((t, v, u))
+                        for t in range(n) for u in range(4) for v in range(u))
+    return (sorted(len(ends[x]) - 3 * c // 2 + c for x, c in corners.items()),
+            reversed_edge)
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,14 @@ import random
 
 import pytest
 
-from tvgenus.complex3 import (GluingParseError, PachnerError, Triangulation,
-                              TriangulationError, format_gluing_file,
-                              pachner_23, parse_gluing_file, perm_inverse)
+from tvgenus.complex3 import (FACE_VERTS, GluingParseError, PachnerError,
+                              Triangulation, TriangulationError,
+                              format_gluing_file, pachner_23,
+                              parse_gluing_file, perm_inverse)
 from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_names
+from tvgenus.homology import boundary_matrices, h1
+
+import oracles
 
 S3_TEXT = fixture_gluing_text("s3")
 
@@ -40,12 +44,15 @@ def test_edge_cycles_cover_orbits():
     for name in ("s3", "t3", "rp3#rp3"):
         tri = fixture(name)
         for orbit in tri.edge_orbits:
-            # cyclic walk hits each incidence of the class exactly once
+            # each incidence of the class once, in ascending slot order, with
+            # the signs relative to the lowest slot
             slots = [(t, e) for (t, e, _s) in orbit.members]
-            assert len(set(slots)) == orbit.degree
             want = [(t, e) for t in range(tri.size) for e in range(6)
                     if tri.edge_orbit_index[6 * t + e] == orbit.index]
-            assert sorted(slots) == sorted(want)
+            assert slots == want
+            assert [s for (t, e, s) in orbit.members] == \
+                   [tri.edge_orbit_sign[6 * t + e] for (t, e) in slots]
+            assert orbit.members[0][2] == 1
 
 
 def test_face_orbits_pair_two_slots():
@@ -147,6 +154,67 @@ def test_non_manifold_vertex_link_rejected():
     ]
     with pytest.raises(TriangulationError, match="not a sphere"):
         Triangulation(rows)
+
+
+def _random_gluing(rng, n):
+    """Pair the 4n faces at random, each pair by a random vertex bijection."""
+    slots = [(t, f) for t in range(n) for f in range(4)]
+    rng.shuffle(slots)
+    rows = [[None] * 4 for _ in range(n)]
+    for (t, f), (t2, f2) in zip(slots[::2], slots[1::2]):
+        image = list(FACE_VERTS[f2])
+        rng.shuffle(image)
+        p = [f2] * 4
+        for u, v in zip(FACE_VERTS[f], image):
+            p[u] = v
+        rows[t][f] = (t2, tuple(p))
+        rows[t2][f2] = (t, perm_inverse(tuple(p)))
+    return rows
+
+
+def _connected(rows):
+    seen, stack = {0}, [0]
+    while stack:
+        for t2, _ in rows[stack.pop()]:
+            if t2 not in seen:
+                seen.add(t2)
+                stack.append(t2)
+    return len(seen) == len(rows)
+
+
+def test_random_gluings_match_link_oracle():
+    """2,000 seeded random closed gluings of 1-4 tetrahedra: a connected one
+    is accepted exactly when no edge is identified with itself in reverse
+    and every vertex link has chi = 2 (tests/oracles.py counts the link
+    vertices as edge-end classes), each rejection names the first defect,
+    and every accepted one has the H_1 of the minors oracle."""
+    rng = random.Random(2026)
+    outcomes = {}
+    for _ in range(2000):
+        rows = _random_gluing(rng, rng.randint(1, 4))
+        chis, reversed_edge = oracles.vertex_links(rows)
+        if not _connected(rows):
+            want = "not connected"
+        elif reversed_edge:
+            want = "itself in reverse"
+        elif any(chi != 2 for chi in chis):
+            want = "is not a sphere"
+        else:
+            want = None
+        try:
+            tri = Triangulation(rows)
+        except TriangulationError as exc:
+            assert want is not None and want in str(exc), (rows, str(exc))
+        else:
+            assert want is None, rows
+            assert len(tri.vertex_orbits) == len(chis)
+            d1, d2 = boundary_matrices(tri)
+            got = h1(tri)
+            assert (got.free_rank, got.torsion) == \
+                   oracles.h1_via_minors(d1.entries, d2.entries), rows
+        outcomes[want] = outcomes.get(want, 0) + 1
+    # every branch is exercised
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 50, outcomes
 
 
 def test_format_roundtrip():

@@ -160,3 +160,19 @@ def test_neg_and_inverse_match_fraction_oracle(a, b):
         if not fx.is_zero():
             assert x.inverse().coeffs == fx.inverse().coeffs
             assert x * x.inverse() == 1
+
+
+def test_rational_elements_hash_and_compare_like_fractions():
+    for r in (3, 5, 8):
+        for value in (0, 1, -3, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2)):
+            x = CycNumber.from_rational(r, value)
+            assert x == value and x == Fraction(value)
+            assert hash(x) == hash(value) == hash(Fraction(value))
+            assert len({x, value, Fraction(value)}) == 1
+        # an unreduced representation of 2 hashes like 2 too
+        two = _make(_field(r), (6,) + (0,) * (_field(r).degree - 1), 3)
+        assert two == 2 and hash(two) == hash(2)
+        assert CycNumber.one(r) != Fraction(1, 2)
+        assert CycNumber.zeta_power(r, 1) != 1
+    assert len({CycNumber.one(5), 1}) == 1
+    assert CycNumber.one(5) == Fraction(1)

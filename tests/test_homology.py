@@ -17,7 +17,8 @@ import oracles
 # --- Smith normal form -----------------------------------------------------
 
 def test_snf_identity():
-    assert smith_normal_form(IntMatrix.identity(4)).diagonal == (1, 1, 1, 1)
+    eye = IntMatrix([[int(i == j) for j in range(4)] for i in range(4)])
+    assert smith_normal_form(eye).diagonal == (1, 1, 1, 1)
 
 
 def test_snf_single_entry():
@@ -60,28 +61,6 @@ def test_snf_random_matrices_divisibility_permutation_oracle():
         assert smith_normal_form(shuffled).diagonal == diag, (mat, rows, cols)
         if trial % 5 == 0:
             assert oracles.snf_via_minors(mat) == diag, mat
-
-
-def test_snf_transforms_are_a_decomposition():
-    rng = random.Random(13)
-    for _ in range(100):
-        mat = _random_matrix(rng)
-        res = smith_normal_form(mat, transforms=True)
-        R, C = len(mat), len(mat[0])
-        # U @ mat @ V == diag
-        prod = [[sum(res.U[i, k] * mat[k][j] for k in range(R))
-                 for j in range(C)] for i in range(R)]
-        prod = [[sum(prod[i][k] * res.V[k, j] for k in range(C))
-                 for j in range(C)] for i in range(R)]
-        for i in range(R):
-            for j in range(C):
-                want = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
-                assert prod[i][j] == want, (mat, res.diagonal)
-        # V @ V_inv == identity
-        for i in range(C):
-            for j in range(C):
-                s = sum(res.V[i, k] * res.V_inv[k, j] for k in range(C))
-                assert s == (1 if i == j else 0)
 
 
 # --- H1 ----------------------------------------------------------------------
@@ -148,6 +127,27 @@ def test_h1_independent_of_orientation_conventions():
                     for e in range(d2.rows):
                         f2[e, j] = -f2[e, j]
             assert h1_from_matrices(f1, f2) == base
+
+
+def test_h1_rejects_boundary_maps_that_do_not_compose_to_zero():
+    # adding 1 to a face's coefficient on an edge between two distinct
+    # vertices gives that face a boundary, on every such entry
+    d1, d2 = boundary_matrices(fixture("rp3#l31"))
+    assert h1_from_matrices(d1, d2) == H1Summary(0, (6,))
+    checked = 0
+    for e in range(d2.rows):
+        if not any(d1[v, e] for v in range(d1.rows)):
+            continue
+        for f in range(d2.cols):
+            broken = IntMatrix([row[:] for row in d2.entries])
+            broken[e, f] += 1
+            with pytest.raises(ValueError, match="d1 @ d2 != 0"):
+                h1_from_matrices(d1, broken)
+            checked += 1
+    assert checked == 10 * 20
+    # a single edge from one vertex to another, bounding a face
+    with pytest.raises(ValueError, match="d1 @ d2 != 0"):
+        h1_from_matrices(IntMatrix([[-1], [1]]), IntMatrix([[1]]))
 
 
 # --- summaries: formatting and parsing ------------------------------------
