@@ -62,20 +62,14 @@ class RunConfig:
 
 
 @dataclass
-class ReportRow:
-    record: ScreenRecord
-    tv_exact: str | None = None  # reduced polynomial in zeta, when computed
-
-
-@dataclass
 class Report:
-    rows: list[ReportRow] = field(default_factory=list)
+    rows: list[ScreenRecord] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
     @property
     def summary(self) -> dict:
-        failed = sum(1 for row in self.rows if row.record.tv_value is None)
-        flagged = sum(1 for row in self.rows if row.record.flagged)
+        failed = sum(1 for rec in self.rows if rec.tv_value is None)
+        flagged = sum(1 for rec in self.rows if rec.flagged)
         return {"total": len(self.rows), "flagged": flagged, "failed": failed}
 
 
@@ -90,14 +84,13 @@ def _fmt12(x: float) -> str:
 def report_to_json(report: Report) -> str:
     out = {"provenance": report.provenance, "summary": report.summary,
            "records": []}
-    for row in report.rows:
-        rec = row.record
+    for rec in report.rows:
         out["records"].append({
             "name": rec.name,
             "isosig": rec.isosig,
             "r": report.provenance.get("r"),
             "tv_float": rec.tv_value,
-            "tv_exact": row.tv_exact,
+            "tv_exact": rec.tv_exact,
             "genus_lb": rec.genus_lb,
             "h1": None if rec.h1 is None else format_h1(rec.h1),
             "min_gens": rec.min_generators,
@@ -111,12 +104,12 @@ def report_from_json(text: str) -> Report:
     data = json.loads(text)
     report = Report(provenance=data.get("provenance", {}))
     for item in data["records"]:
-        rec = ScreenRecord(
+        report.rows.append(ScreenRecord(
             name=item["name"], isosig=item["isosig"],
             tv_value=item["tv_float"], genus_lb=item["genus_lb"],
             h1=None if item["h1"] is None else parse_h1(item["h1"]),
-            flagged=item["flagged"], notes=tuple(item["notes"]))
-        report.rows.append(ReportRow(rec, item.get("tv_exact")))
+            flagged=item["flagged"], notes=tuple(item["notes"]),
+            tv_exact=item.get("tv_exact")))
     return report
 
 
@@ -125,14 +118,13 @@ def report_to_csv(report: Report) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     r = report.provenance.get("r")
-    for row in report.rows:
-        rec = row.record
+    for rec in report.rows:
         writer.writerow([
             rec.name,
             rec.isosig or "",
             "" if r is None else r,
             "" if rec.tv_value is None else repr(rec.tv_value),
-            row.tv_exact or "",
+            rec.tv_exact or "",
             "" if rec.genus_lb is None else rec.genus_lb,
             "" if rec.h1 is None else format_h1(rec.h1),
             "" if rec.min_generators is None else rec.min_generators,
@@ -152,15 +144,15 @@ def report_from_csv(text: str) -> Report:
         row = dict(zip(CSV_COLUMNS, cells))
         if report.provenance.get("r") is None and row["r"]:
             report.provenance["r"] = int(row["r"])
-        rec = ScreenRecord(
+        report.rows.append(ScreenRecord(
             name=row["name"],
             isosig=row["isosig"] or None,
             tv_value=float(row["tv_float"]) if row["tv_float"] else None,
             genus_lb=int(row["genus_lb"]) if row["genus_lb"] else None,
             h1=parse_h1(row["h1"]) if row["h1"] else None,
             flagged=bool(int(row["flagged"])),
-            notes=tuple(row["notes"].split(NOTE_SEP)) if row["notes"] else ())
-        report.rows.append(ReportRow(rec, row["tv_exact"] or None))
+            notes=tuple(row["notes"].split(NOTE_SEP)) if row["notes"] else (),
+            tv_exact=row["tv_exact"] or None))
     return report
 
 
@@ -170,13 +162,12 @@ def _emit(report: Report, fmt: str, out) -> None:
     elif fmt == "csv":
         out.write(report_to_csv(report))
     else:
-        for row in report.rows:
-            rec = row.record
+        for rec in report.rows:
             cols = [rec.name]
             if rec.tv_value is not None:
                 cols.append(f"tv={_fmt12(rec.tv_value)}")
-            if row.tv_exact:
-                cols.append(f"exact={row.tv_exact}")
+            if rec.tv_exact:
+                cols.append(f"exact={rec.tv_exact}")
             if rec.genus_lb is not None:
                 cols.append(f"genus>={rec.genus_lb}")
             if rec.h1 is not None:
@@ -236,11 +227,7 @@ def cmd_compute(config: RunConfig, out) -> int:
     limits = SearchLimits(max_states=config.max_states, force=config.force)
     result = tv_invariant(tri, config.r, mode=config.mode, limits=limits)
     rec = build_record(name, result, h1(tri), isosig=sig)
-    exact_str = None
-    if result.value_exact is not None:
-        exact_str = str(result.value_exact)
-    report = Report(rows=[ReportRow(rec, exact_str)],
-                    provenance=_provenance(config))
+    report = Report(rows=[rec], provenance=_provenance(config))
     _emit(report, config.fmt, out)
     if config.fmt == "text" and result.value_exact is not None:
         out.write(f"# exact value, decimal: {_fmt12(result.value_exact.to_float())}\n")
@@ -255,7 +242,7 @@ def cmd_homology(config: RunConfig, out) -> int:
     if config.fmt == "text":
         out.write(format_h1(homology) + "\n")
     else:
-        _emit(Report(rows=[ReportRow(rec)], provenance=_provenance(config)),
+        _emit(Report(rows=[rec], provenance=_provenance(config)),
               config.fmt, out)
     return 0
 
@@ -271,7 +258,7 @@ def cmd_screen(config: RunConfig, out) -> int:
     limits = SearchLimits(max_states=config.max_states, force=config.force)
     records = screen(entries, r, threshold=threshold, mode=config.mode,
                      limits=limits)
-    report = Report(rows=[ReportRow(trivial_exclusions(rec)) for rec in records],
+    report = Report(rows=[trivial_exclusions(rec) for rec in records],
                     provenance=_provenance(config, r=r, threshold=threshold))
     _emit(report, config.fmt, out)
     # failed records survive the threshold, so this counts every failure

@@ -34,7 +34,6 @@ for _i, (_u, _v) in enumerate(EDGES):
     EDGE_INDEX[(_v, _u)] = _i
 FACE_VERTS: tuple[tuple[int, int, int], ...] = tuple(
     tuple(v for v in range(4) if v != f) for f in range(4))
-OPPOSITE_EDGE: tuple[int, ...] = (5, 4, 3, 2, 1, 0)
 
 Perm = tuple[int, int, int, int]
 IDENTITY_PERM: Perm = (0, 1, 2, 3)

@@ -67,6 +67,7 @@ class ScreenRecord:
     h1: H1Summary | None
     flagged: bool
     notes: tuple[str, ...] = ()
+    tv_exact: str | None = None  # reduced polynomial in zeta, when computed
 
     @property
     def min_generators(self) -> int | None:
@@ -82,7 +83,7 @@ def build_record(name: str, result: TvResult, homology: H1Summary,
                  isosig: str | None = None) -> ScreenRecord:
     """The record of one computed TV value: genus bound, flag and notes."""
     notes = tuple(result.warnings)
-    tv = result.value
+    tv = result.value_float
     if tv > 0:
         lb = genus_lower_bound(tv, result.r).genus_lb
         flagged = lb > homology.min_generators
@@ -93,8 +94,10 @@ def build_record(name: str, result: TvResult, homology: H1Summary,
         notes = notes + ("turaev-viro value is zero; no genus bound",)
     if flagged:
         notes = notes + (FLAG_DISCLAIMER,)
+    tv_exact = None if result.value_exact is None else str(result.value_exact)
     return ScreenRecord(name=name, isosig=isosig, tv_value=tv, genus_lb=lb,
-                        h1=homology, flagged=flagged, notes=notes)
+                        h1=homology, flagged=flagged, notes=notes,
+                        tv_exact=tv_exact)
 
 
 def screen_record(name: str, tri: Triangulation, r: int,

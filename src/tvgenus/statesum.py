@@ -11,13 +11,13 @@ convention of the recoupling module.  Each face of a closed complex lies in
 exactly two tetrahedra, which is what makes this square-root-free grouping
 equal to the unitarized-6j formulation.
 
-Enumeration is a backtracking search over edge orbits in a static
-most-constrained-first order (descending face-incidence degree, ties by
-index), colors ascending, pruning as soon as a completed face triple is
+Enumeration is one iterative depth-first search over edge orbits in a
+static most-constrained-first order (descending face-incidence degree, ties
+by index), colors ascending, pruning as soon as a completed face triple is
 inadmissible.  Weights are accumulated incrementally along the search path.
-Float mode partitions the sum by the first edge's color and combines the
-per-branch partial sums in ascending order, so results are bit-identical
-across runs.
+The weight of each complete coloring is added to the partial sum of its
+first edge's color, and those partial sums are added in ascending color
+order, so float results are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .complex3 import Triangulation
 from .cyclotomic import CycNumber
-from .recoupling import SymbolTables, tables
+from .recoupling import tables
 
 
 class SearchVolumeError(RuntimeError):
@@ -60,25 +60,11 @@ class TvResult:
     elapsed_seconds: float = 0.0
     warnings: tuple[str, ...] = ()
 
-    @property
-    def value(self) -> float:
-        if self.value_float is not None:
-            return self.value_float
-        return self.value_exact.to_float()
 
-
-@dataclass(frozen=True)
-class _Plan:
-    """Static search schedule for one triangulation.  Edges are named by
-    their position in the assignment order; faces_at[k] and tets_at[k] list
-    the face triples and Tet arguments completed by the k-th edge."""
-
-    faces_at: tuple[tuple[tuple[int, int, int], ...], ...]
-    tets_at: tuple[tuple[tuple[int, ...], ...], ...]
-    n_edges: int
-
-
-def _make_plan(tri: Triangulation) -> _Plan:
+def _make_plan(tri: Triangulation) -> list[tuple[list, list]]:
+    """Static search schedule: one (faces, tets) step per position of the
+    assignment order, listing the face triples and the Tet arguments that
+    the edge at that position completes.  Both name edges by position."""
     ne = len(tri.edge_orbits)
     face_triples = tri.face_edge_orbits()
     degree = [0] * ne
@@ -89,93 +75,22 @@ def _make_plan(tri: Triangulation) -> _Plan:
     position = [0] * ne
     for k, e in enumerate(order):
         position[e] = k
-    faces_at: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
+    plan: list[tuple[list, list]] = [([], []) for _ in range(ne)]
     for (x, y, z) in face_triples:
-        px, py, pz = position[x], position[y], position[z]
-        faces_at[max(px, py, pz)].append((px, py, pz))
+        pos = (position[x], position[y], position[z])
+        plan[max(pos)][0].append(pos)
     # a tetrahedron completes when the last of its 6 edge orbits is colored;
     # store the positions in the argument order of SymbolTables.tet:
     # (A,B,C,D,E,F) = (c01, c02, c23, c13, c12, c03)
-    tets_at: list[list[tuple[int, ...]]] = [[] for _ in range(ne)]
     for tet_edges in tri.tet_edge_orbits():
         e01, e02, e03, e12, e13, e23 = tet_edges
         arg_pos = tuple(position[e] for e in (e01, e02, e23, e13, e12, e03))
-        tets_at[max(arg_pos)].append(arg_pos)
-    return _Plan(tuple(tuple(f) for f in faces_at),
-                 tuple(tuple(t) for t in tets_at), ne)
+        plan[max(arg_pos)][1].append(arg_pos)
+    return plan
 
 
 def estimated_states(tri: Triangulation, r: int) -> float:
     return float(r - 1) ** len(tri.edge_orbits)
-
-
-def _branch_sum(plan: _Plan, tab: SymbolTables, first_color: int):
-    """Sum of weights over all admissible colorings with the first edge in
-    the static order set to first_color.  Returns (sum, visited, leaves)."""
-    ne = plan.n_edges
-    ncolors = len(tab.delta)
-    adm = tab.adm
-    delta = tab.delta
-    theta_inv = tab.theta_inv
-    tet = tab.tet
-    faces_at = plan.faces_at
-    tets_at = plan.tets_at
-    colors = [0] * ne
-    weights = [tab.one] * (ne + 1)  # weights[k] = product after k assignments
-    total = None
-    visited = 0
-    leaves = 0
-
-    def weight_after(k: int, c: int):
-        """Weight update assigning color c at position k, or None if pruned."""
-        for (px, py, pz) in faces_at[k]:
-            if not adm[colors[px]][colors[py]][colors[pz]]:
-                return None
-        w = weights[k] * delta[c]
-        for (px, py, pz) in faces_at[k]:
-            w = w * theta_inv(colors[px], colors[py], colors[pz])
-        for arg_pos in tets_at[k]:
-            w = w * tet(colors[arg_pos[0]], colors[arg_pos[1]],
-                        colors[arg_pos[2]], colors[arg_pos[3]],
-                        colors[arg_pos[4]], colors[arg_pos[5]])
-        return w
-
-    # iterative DFS over positions 1..ne-1; position 0 fixed to first_color
-    colors[0] = first_color
-    visited += 1
-    w0 = weight_after(0, first_color)
-    if w0 is None:
-        return None, visited, leaves
-    weights[1] = w0
-    if ne == 1:
-        return w0, visited, 1
-
-    stack_color = [0] * ne  # next color to try at each depth
-    depth = 1
-    while depth >= 1:
-        c = stack_color[depth]
-        if c >= ncolors:
-            stack_color[depth] = 0
-            depth -= 1
-            if depth == 0:
-                break
-            stack_color[depth] += 1
-            continue
-        colors[depth] = c
-        visited += 1
-        w = weight_after(depth, c)
-        if w is None:
-            stack_color[depth] += 1
-            continue
-        if depth == ne - 1:
-            leaves += 1
-            total = w if total is None else total + w
-            stack_color[depth] += 1
-            continue
-        weights[depth + 1] = w
-        depth += 1
-        stack_color[depth] = 0
-    return total, visited, leaves
 
 
 def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
@@ -222,21 +137,49 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
 
 
 def _run(tri: Triangulation, r: int, carrier: str):
-    """Sum over all branches of the first edge, then divide by D^V; the
-    same code for both carriers (an empty or zero float sum gives +0.0)."""
+    """The state sum divided by D^V, and the (visited, admissible) counts;
+    the same code for both carriers (a zero float sum gives +0.0)."""
     tab = tables(r, carrier)
+    adm, delta, theta_inv, tet = tab.adm, tab.delta, tab.theta_inv, tab.tet
     plan = _make_plan(tri)
-    total = None
-    visited = 0
-    leaves = 0
-    for c in range(r - 1):  # ascending branch order: deterministic floats
-        part, v, l = _branch_sum(plan, tab, c)
-        visited += v
-        leaves += l
-        if part is not None:
-            total = part if total is None else total + part
-    value = (total or tab.zero) / tab.dim ** len(tri.vertex_orbits)
-    return value, visited, leaves
+    last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
+    ncolors = len(delta)
+    colors = [0] * len(plan)
+    next_color = [0] * len(plan)
+    weights = [tab.one] * len(plan)  # weights[k]: product before position k
+    branch = [tab.zero] * ncolors  # partial sums by first-edge color
+    visited = leaves = 0
+    k = 0
+    while k >= 0:
+        c = next_color[k]
+        if c == ncolors:
+            next_color[k] = 0
+            k -= 1
+            continue
+        next_color[k] = c + 1
+        colors[k] = c
+        visited += 1
+        faces, tets = plan[k]
+        for (px, py, pz) in faces:
+            if not adm[colors[px]][colors[py]][colors[pz]]:
+                break  # prune
+        else:
+            w = weights[k] * delta[c]
+            for (px, py, pz) in faces:
+                w = w * theta_inv(colors[px], colors[py], colors[pz])
+            for (p0, p1, p2, p3, p4, p5) in tets:
+                w = w * tet(colors[p0], colors[p1], colors[p2], colors[p3],
+                            colors[p4], colors[p5])
+            if k == last:
+                leaves += 1
+                branch[colors[0]] += w
+            else:
+                weights[k + 1] = w
+                k += 1
+    total = tab.zero
+    for part in branch:  # ascending color order: deterministic floats
+        total += part
+    return total / tab.dim ** len(tri.vertex_orbits), visited, leaves
 
 
 @dataclass

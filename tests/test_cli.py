@@ -13,6 +13,7 @@ from tvgenus.cli import (Report, main, report_from_csv, report_from_json,
 from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_isosig
 from tvgenus.genus import FLAG_DISCLAIMER, screen_record
 from tvgenus.homology import format_h1, parse_h1
+from tvgenus.isosig import encode_isosig
 
 
 def run_cli(capsys, *argv):
@@ -171,14 +172,14 @@ def _sample_report(tmp_path, capsys) -> Report:
 def test_json_roundtrip(tmp_path, capsys):
     report = _sample_report(tmp_path, capsys)
     again = report_from_json(report_to_json(report))
-    assert [r.record for r in again.rows] == [r.record for r in report.rows]
+    assert again.rows == report.rows
     assert again.provenance == report.provenance
 
 
 def test_csv_roundtrip(tmp_path, capsys):
     report = _sample_report(tmp_path, capsys)
     again = report_from_csv(report_to_csv(report))
-    assert [r.record for r in again.rows] == [r.record for r in report.rows]
+    assert again.rows == report.rows
 
 
 def test_csv_columns_contract(tmp_path, capsys):
@@ -207,6 +208,20 @@ def test_compute_exact_mode_fills_csv_exact_column(capsys):
     assert cells[4] != ""  # tv_exact polynomial present
     again = report_from_csv(out)
     assert again.rows[0].tv_exact == cells[4]
+
+
+def test_screen_exact_mode_reports_exact_value(tmp_path, capsys):
+    path = _census_file(tmp_path, [f"s3 ; {encode_isosig(fixture('s3'))}"])
+    want = "1/5 - 1/10*z^2 + 1/10*z^3"
+    code, out, _ = run_cli(capsys, "screen", "--census", path, "--r", "5",
+                           "--mode", "exact", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == want
+    assert report_from_csv(out).rows[0].tv_exact == want
+    code, out, _ = run_cli(capsys, "screen", "--census", path, "--r", "5",
+                           "--mode", "exact", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["records"][0]["tv_exact"] == want
 
 
 def test_bad_thread_count_is_usage_error(capsys):

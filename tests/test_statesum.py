@@ -225,6 +225,36 @@ def test_exact_strings_pinned():
     assert got == PINNED_EXACT_R5
 
 
+PINNED_COUNTERS = {  # (states_visited, states_admissible) in float mode
+    3: {"s3": (6, 1), "s3_double": (62, 8), "rp3": (10, 2), "l31": (6, 1),
+        "s2xs1": (10, 2), "s2xts1": (10, 2), "q8": (14, 4), "t3": (94, 8),
+        "rp3#rp3": (302, 16), "rp3#l31": (162, 8)},
+    4: {"s3": (9, 1), "s3_double": (312, 36), "rp3": (24, 6), "l31": (9, 1),
+        "s2xs1": (24, 4), "s2xts1": (24, 4), "q8": (39, 10), "t3": (573, 40),
+        "rp3#rp3": (3426, 204), "rp3#l31": (1077, 44)},
+    5: {"s3": (24, 5), "s3_double": (1076, 120), "rp3": (44, 10),
+        "l31": (24, 5), "s2xs1": (44, 8), "s2xts1": (44, 8), "q8": (84, 20),
+        "t3": (2260, 152), "rp3#rp3": (28052, 2240),
+        "rp3#l31": (13844, 1024)},
+    6: {"s3": (35, 10), "s3_double": (2950, 329), "rp3": (75, 19),
+        "l31": (35, 10), "s2xs1": (75, 13), "s2xts1": (75, 13),
+        "q8": (155, 35), "t3": (6845, 475), "rp3#rp3": (182775, 17971),
+        "rp3#l31": (72960, 7746)},
+}
+
+
+@pytest.mark.parametrize("r", (3, 4, 5, 6))
+def test_search_counters_pinned(r):
+    """Every attempted color assignment counts as visited, every complete
+    admissible coloring as admissible; a change of search order or pruning
+    moves these and must say so in CHANGES.md."""
+    got = {}
+    for name in fixture_names():
+        res = tv_invariant(fixture(name), r, limits=FORCE)
+        got[name] = (res.states_visited, res.states_admissible)
+    assert got == PINNED_COUNTERS[r]
+
+
 def test_search_volume_guard():
     with pytest.raises(SearchVolumeError) as err:
         tv_invariant(fixture("rp3#rp3"), 7)

@@ -76,7 +76,8 @@ def enumerate_two_tet():
 
 def classify(tri: Triangulation):
     hom = h1(tri)
-    tvs = tuple(round(tv_invariant(tri, r).value, 9) for r in (4, 5, 6, 7))
+    tvs = tuple(round(tv_invariant(tri, r).value_float, 9)
+                for r in (4, 5, 6, 7))
     return (hom.free_rank, hom.torsion, tri.orientable, tvs)
 
 
@@ -235,9 +236,10 @@ def connected_sum(t1: Triangulation, t2: Triangulation,
 def check_multiplicative(total, part_a, part_b, sphere, rs=(3, 4, 5, 6)):
     limits = SearchLimits(force=True)
     for r in rs:
-        lhs = (tv_invariant(total, r, limits=limits).value
-               * tv_invariant(sphere, r).value)
-        rhs = (tv_invariant(part_a, r).value * tv_invariant(part_b, r).value)
+        lhs = (tv_invariant(total, r, limits=limits).value_float
+               * tv_invariant(sphere, r).value_float)
+        rhs = (tv_invariant(part_a, r).value_float
+               * tv_invariant(part_b, r).value_float)
         if abs(lhs - rhs) > 1e-9:
             raise SystemExit(
                 f"multiplicativity failed for {total.name} at r={r}: "
