@@ -1,6 +1,7 @@
 """Command-line interface: compute, screen, homology, verify.
 
-Exit codes: 0 success, 1 any check or record failure, 2 usage error.
+Exit codes: 0 success, 1 any check or record failure, 2 usage error, for
+which argparse prints the usage line.  ``--paper-mode`` overrides ``--r``.
 All commands are deterministic for a fixed configuration.  Census files
 are plain text, one record per line, ``name ; isosig``; lines that fail to
 parse or compute are reported in the record notes and never abort a batch.
@@ -31,36 +32,6 @@ CSV_COLUMNS = ("name", "isosig", "r", "tv_float", "tv_exact", "genus_lb",
 NOTE_SEP = " | "
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    r: int = 5
-    mode: str = "float"
-    input_path: str | None = None
-    isosig: str | None = None
-    fixture_name: str | None = None
-    census: str | None = None
-    threshold: float | None = None
-    paper_mode: bool = False
-    fmt: str = "text"
-    max_states: float = 1e9
-    force: bool = False
-    r_max: int = 5
-
-    def __post_init__(self):
-        if self.r < 3:
-            raise ValueError("--r must be at least 3")
-        if self.max_states <= 0:
-            raise ValueError("--max-states must be positive")
-        if self.threshold is not None and self.threshold <= 0:
-            raise ValueError("--threshold must be positive")
-        sources = [s for s in (self.input_path, self.isosig, self.fixture_name)
-                   if s is not None]
-        if self.command in ("compute", "homology") and len(sources) != 1:
-            raise ValueError(
-                "exactly one of --input, --isosig, --fixture is required")
-
-
 @dataclass
 class Report:
     rows: list[ScreenRecord] = field(default_factory=list)
@@ -68,7 +39,8 @@ class Report:
 
     @property
     def summary(self) -> dict:
-        failed = sum(1 for rec in self.rows if rec.tv_value is None)
+        # a failed record is the only kind without H_1
+        failed = sum(1 for rec in self.rows if rec.h1 is None)
         flagged = sum(1 for rec in self.rows if rec.flagged)
         return {"total": len(self.rows), "flagged": flagged, "failed": failed}
 
@@ -81,36 +53,46 @@ def _fmt12(x: float) -> str:
 # serialization (round-trip capable)
 # --------------------------------------------------------------------------
 
-def report_to_json(report: Report) -> str:
-    out = {"provenance": report.provenance, "summary": report.summary,
-           "records": []}
-    for rec in report.rows:
-        out["records"].append({
-            "name": rec.name,
-            "isosig": rec.isosig,
-            "r": report.provenance.get("r"),
-            "tv_float": rec.tv_value,
-            "tv_exact": rec.tv_exact,
+def _row(rec: ScreenRecord, r: int | None) -> dict:
+    """The report fields of one record, keyed and ordered by CSV_COLUMNS."""
+    return {"name": rec.name, "isosig": rec.isosig, "r": r,
+            "tv_float": rec.tv_value, "tv_exact": rec.tv_exact,
             "genus_lb": rec.genus_lb,
             "h1": None if rec.h1 is None else format_h1(rec.h1),
-            "min_gens": rec.min_generators,
-            "flagged": rec.flagged,
-            "notes": list(rec.notes),
-        })
-    return json.dumps(out, indent=2)
+            "min_gens": rec.min_generators, "flagged": rec.flagged,
+            "notes": list(rec.notes)}
+
+
+def _record(row: dict) -> ScreenRecord:
+    """The record of report fields, as JSON values or as CSV text (with the
+    notes split); an empty or missing optional field reads as None."""
+    def opt(parse, key):
+        return None if row.get(key) in (None, "") else parse(row[key])
+    return ScreenRecord(
+        name=row["name"], isosig=opt(str, "isosig"),
+        tv_value=opt(float, "tv_float"), genus_lb=opt(int, "genus_lb"),
+        h1=opt(parse_h1, "h1"), flagged=bool(int(row["flagged"])),
+        notes=tuple(row["notes"]), tv_exact=opt(str, "tv_exact"))
+
+
+def _csv_cell(value):
+    if isinstance(value, list):
+        return NOTE_SEP.join(value)
+    if isinstance(value, bool):
+        return int(value)
+    return "" if value is None else value
+
+
+def report_to_json(report: Report) -> str:
+    records = [_row(rec, report.provenance.get("r")) for rec in report.rows]
+    return json.dumps({"provenance": report.provenance,
+                       "summary": report.summary, "records": records}, indent=2)
 
 
 def report_from_json(text: str) -> Report:
     data = json.loads(text)
-    report = Report(provenance=data.get("provenance", {}))
-    for item in data["records"]:
-        report.rows.append(ScreenRecord(
-            name=item["name"], isosig=item["isosig"],
-            tv_value=item["tv_float"], genus_lb=item["genus_lb"],
-            h1=None if item["h1"] is None else parse_h1(item["h1"]),
-            flagged=item["flagged"], notes=tuple(item["notes"]),
-            tv_exact=item.get("tv_exact")))
-    return report
+    return Report(rows=[_record(item) for item in data["records"]],
+                  provenance=data.get("provenance", {}))
 
 
 def report_to_csv(report: Report) -> str:
@@ -119,18 +101,8 @@ def report_to_csv(report: Report) -> str:
     writer.writerow(CSV_COLUMNS)
     r = report.provenance.get("r")
     for rec in report.rows:
-        writer.writerow([
-            rec.name,
-            rec.isosig or "",
-            "" if r is None else r,
-            "" if rec.tv_value is None else repr(rec.tv_value),
-            rec.tv_exact or "",
-            "" if rec.genus_lb is None else rec.genus_lb,
-            "" if rec.h1 is None else format_h1(rec.h1),
-            "" if rec.min_generators is None else rec.min_generators,
-            int(rec.flagged),
-            NOTE_SEP.join(rec.notes),
-        ])
+        row = _row(rec, r)
+        writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -144,15 +116,8 @@ def report_from_csv(text: str) -> Report:
         row = dict(zip(CSV_COLUMNS, cells))
         if report.provenance.get("r") is None and row["r"]:
             report.provenance["r"] = int(row["r"])
-        report.rows.append(ScreenRecord(
-            name=row["name"],
-            isosig=row["isosig"] or None,
-            tv_value=float(row["tv_float"]) if row["tv_float"] else None,
-            genus_lb=int(row["genus_lb"]) if row["genus_lb"] else None,
-            h1=parse_h1(row["h1"]) if row["h1"] else None,
-            flagged=bool(int(row["flagged"])),
-            notes=tuple(row["notes"].split(NOTE_SEP)) if row["notes"] else (),
-            tv_exact=row["tv_exact"] or None))
+        row["notes"] = row["notes"].split(NOTE_SEP) if row["notes"] else []
+        report.rows.append(_record(row))
     return report
 
 
@@ -185,15 +150,15 @@ def _emit(report: Report, fmt: str, out) -> None:
 # input resolution
 # --------------------------------------------------------------------------
 
-def _load_triangulation(config: RunConfig):
-    if config.fixture_name is not None:
-        return fixture(config.fixture_name), config.fixture_name, None
-    if config.isosig is not None:
-        return (decode_isosig(config.isosig, name=config.isosig),
-                config.isosig, config.isosig)
-    with open(config.input_path, "r", encoding="utf-8") as fh:
+def _load_triangulation(args):
+    if args.fixture_name is not None:
+        return fixture(args.fixture_name), args.fixture_name, None
+    if args.isosig is not None:
+        return (decode_isosig(args.isosig, name=args.isosig),
+                args.isosig, args.isosig)
+    with open(args.input_path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    name = os.path.basename(config.input_path)
+    name = os.path.basename(args.input_path)
     return parse_gluing_file(text, name=name), name, None
 
 
@@ -222,50 +187,46 @@ def load_census(path: str) -> list[tuple[str, str]]:
 # commands
 # --------------------------------------------------------------------------
 
-def cmd_compute(config: RunConfig, out) -> int:
-    tri, name, sig = _load_triangulation(config)
-    limits = SearchLimits(max_states=config.max_states, force=config.force)
-    result = tv_invariant(tri, config.r, mode=config.mode, limits=limits)
+def cmd_compute(args, out) -> int:
+    tri, name, sig = _load_triangulation(args)
+    limits = SearchLimits(max_states=args.max_states, force=args.force)
+    result = tv_invariant(tri, args.r, mode=args.mode, limits=limits)
     rec = build_record(name, result, h1(tri), isosig=sig)
-    report = Report(rows=[rec], provenance=_provenance(config))
-    _emit(report, config.fmt, out)
-    if config.fmt == "text" and result.value_exact is not None:
+    _emit(Report(rows=[rec], provenance=_provenance(args)), args.fmt, out)
+    if args.fmt == "text" and result.value_exact is not None:
         out.write(f"# exact value, decimal: {_fmt12(result.value_exact.to_float())}\n")
     return 0
 
 
-def cmd_homology(config: RunConfig, out) -> int:
-    tri, name, sig = _load_triangulation(config)
+def cmd_homology(args, out) -> int:
+    tri, name, sig = _load_triangulation(args)
     homology = h1(tri)
     rec = ScreenRecord(name=name, isosig=sig, tv_value=None, genus_lb=None,
                        h1=homology, flagged=False)
-    if config.fmt == "text":
+    if args.fmt == "text":
         out.write(format_h1(homology) + "\n")
     else:
-        _emit(Report(rows=[rec], provenance=_provenance(config)),
-              config.fmt, out)
+        _emit(Report(rows=[rec], provenance=_provenance(args)), args.fmt, out)
     return 0
 
 
-def cmd_screen(config: RunConfig, out) -> int:
-    if config.census is None:
-        raise ValueError("--census <path> is required for screen")
-    r = PAPER_MODE_R if config.paper_mode else config.r
-    threshold = config.threshold
-    if config.paper_mode and threshold is None:
-        threshold = PAPER_MODE_THRESHOLD
-    entries = load_census(config.census)
-    limits = SearchLimits(max_states=config.max_states, force=config.force)
-    records = screen(entries, r, threshold=threshold, mode=config.mode,
-                     limits=limits)
+def cmd_screen(args, out) -> int:
+    if args.paper_mode:
+        args.r = PAPER_MODE_R
+        if args.threshold is None:
+            args.threshold = PAPER_MODE_THRESHOLD
+    entries = load_census(args.census)
+    limits = SearchLimits(max_states=args.max_states, force=args.force)
+    records = screen(entries, args.r, threshold=args.threshold,
+                     mode=args.mode, limits=limits)
     report = Report(rows=[trivial_exclusions(rec) for rec in records],
-                    provenance=_provenance(config, r=r, threshold=threshold))
-    _emit(report, config.fmt, out)
+                    provenance=_provenance(args))
+    _emit(report, args.fmt, out)
     # failed records survive the threshold, so this counts every failure
     return 1 if entries and report.summary["failed"] == len(entries) else 0
 
 
-def cmd_verify(config: RunConfig, out) -> int:
+def cmd_verify(args, out) -> int:
     failures = 0
 
     def check(label: str, ok: bool, detail: str = ""):
@@ -276,12 +237,12 @@ def cmd_verify(config: RunConfig, out) -> int:
         if not ok:
             failures += 1
 
-    for r in range(3, config.r_max + 1):
+    for r in range(3, args.r_max + 1):
         report = verify_identities(r)
         for c in report.checks:
             check(f"identities r={r}: {c.name}", c.passed,
                   "" if c.passed else f"witness {c.witness}")
-    for a in tv_anchor_checks(range(3, max(config.r_max, 6) + 1)):
+    for a in tv_anchor_checks(range(3, max(args.r_max, 6) + 1)):
         check(f"anchor r={a.r}: {a.name}", a.passed, a.detail)
     # move invariance and exact/float agreement on the small fixtures
     from .complex3 import pachner_23
@@ -304,10 +265,10 @@ def cmd_verify(config: RunConfig, out) -> int:
     return 1 if failures else 0
 
 
-def _provenance(config: RunConfig, r: int | None = None,
-                threshold: float | None = None) -> dict:
-    p = {"tool": "tvgenus", "version": __version__,
-         "r": config.r if r is None else r, "mode": config.mode}
+def _provenance(args) -> dict:
+    p = {"tool": "tvgenus", "version": __version__, "r": args.r,
+         "mode": args.mode}
+    threshold = getattr(args, "threshold", None)  # screen only
     if threshold is not None:
         p["threshold"] = threshold
     return p
@@ -317,6 +278,23 @@ def _provenance(config: RunConfig, r: int | None = None,
 # argument parsing
 # --------------------------------------------------------------------------
 
+def _checked(convert, rule: str, ok):
+    """An argparse type: a value fails unless ``ok(convert(text))``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+_LEVEL = _checked(int, "an integer at least 3", lambda v: v >= 3)
+_POSITIVE = _checked(float, "a positive number", lambda v: v > 0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tvgenus",
@@ -324,74 +302,54 @@ def _build_parser() -> argparse.ArgumentParser:
                     "census screening for closed 3-manifold triangulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        p.add_argument("--r", type=int, default=5, help="level r >= 3")
+    def add_command(name, run, about, with_input=False):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
+        p.add_argument("--r", type=_LEVEL, default=5, help="level r >= 3")
         p.add_argument("--mode", choices=("exact", "float", "both"),
                        default="float")
         p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
                        default="text")
         p.add_argument("--threads", type=int, choices=(1,), default=1,
                        help="must be 1: the search is serial")
-        p.add_argument("--max-states", type=float, default=1e9)
+        p.add_argument("--max-states", type=_POSITIVE, default=1e9)
         p.add_argument("--force", action="store_true",
                        help="ignore the search-volume guard")
         if with_input:
-            p.add_argument("--input", dest="input_path",
-                           help="gluing file path")
-            p.add_argument("--isosig", help="isomorphism signature literal")
-            p.add_argument("--fixture", dest="fixture_name",
-                           choices=fixture_names(), help="built-in fixture")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--input", dest="input_path",
+                                help="gluing file path")
+            source.add_argument("--isosig",
+                                help="isomorphism signature literal")
+            source.add_argument("--fixture", dest="fixture_name",
+                                choices=fixture_names(),
+                                help="built-in fixture")
+        return p
 
-    p_compute = sub.add_parser("compute", help="Turaev-Viro invariant of one "
-                                               "triangulation")
-    add_common(p_compute)
-    p_screen = sub.add_parser("screen", help="screen a census file")
-    add_common(p_screen, with_input=False)
+    add_command("compute", cmd_compute, with_input=True,
+                about="Turaev-Viro invariant of one triangulation")
+    p_screen = add_command("screen", cmd_screen, about="screen a census file")
     p_screen.add_argument("--census", required=True,
                           help="census file: 'name ; isosig' per line")
-    p_screen.add_argument("--threshold", type=float, default=None)
+    p_screen.add_argument("--threshold", type=_POSITIVE, default=None)
     p_screen.add_argument("--paper-mode", action="store_true",
                           help="r=5, threshold 7.235, flag column")
-    p_homology = sub.add_parser("homology", help="first homology")
-    add_common(p_homology)
-    p_verify = sub.add_parser("verify", help="self-verification suite")
-    add_common(p_verify, with_input=False)
+    add_command("homology", cmd_homology, with_input=True,
+                about="first homology")
+    p_verify = add_command("verify", cmd_verify,
+                           about="self-verification suite")
     p_verify.add_argument("--r-max", dest="r_max", type=int, default=5)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors return 2 to callers of main()
         return exc.code
-    kwargs = {k: v for k, v in vars(args).items()
-              if v is not None and k != "threads"}
     try:
-        config = RunConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = sys.stdout
-    try:
-        if config.command == "compute":
-            return cmd_compute(config, out)
-        if config.command == "screen":
-            return cmd_screen(config, out)
-        if config.command == "homology":
-            return cmd_homology(config, out)
-        if config.command == "verify":
-            return cmd_verify(config, out)
-        print(f"error: unknown command {config.command}", file=sys.stderr)
-        return 2
-    except SearchVolumeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return args.run(args, sys.stdout)
+    except (SearchVolumeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,18 +31,41 @@ def test_compute_fixture_both(capsys):
     assert "h1=0" in out
 
 
-def test_compute_r_too_small_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "compute", "--fixture", "s3", "--r", "2")
-    assert code == 2
-    assert "at least 3" in err
+USAGE_ERRORS = [
+    pytest.param(["compute", "--fixture", "s3", "--r", "2"],
+                 "argument --r: must be an integer at least 3",
+                 id="r-too-small"),
+    pytest.param(["compute", "--r", "5"],
+                 "one of the arguments --input --isosig --fixture is required",
+                 id="no-input"),
+    pytest.param(["compute", "--fixture", "s3", "--isosig", "cMcabbgqs"],
+                 "argument --isosig: not allowed with argument --fixture",
+                 id="two-inputs"),
+    pytest.param(["homology"], "one of the arguments --input",
+                 id="homology-no-input"),
+    pytest.param(["compute", "--fixture", "s3", "--threads", "0"],
+                 "argument --threads: invalid choice", id="threads"),
+    pytest.param(["compute", "--fixture", "s3", "--max-states", "0"],
+                 "argument --max-states: must be a positive number",
+                 id="max-states-zero"),
+    pytest.param(["compute", "--fixture", "s3", "--max-states", "abc"],
+                 "argument --max-states: must be a positive number",
+                 id="max-states-text"),
+    pytest.param(["screen", "--r", "5"], "--census", id="no-census"),
+    pytest.param(["screen", "--census", "c.txt", "--threshold", "0"],
+                 "argument --threshold: must be a positive number",
+                 id="threshold-zero"),
+    pytest.param(["screen", "--census", "c.txt", "--threshold", "-1"],
+                 "argument --threshold: must be a positive number",
+                 id="threshold-negative"),
+]
 
 
-def test_compute_requires_one_input(capsys):
-    code, _, err = run_cli(capsys, "compute", "--r", "5")
-    assert code == 2
-    code, _, err = run_cli(capsys, "compute", "--fixture", "s3",
-                           "--isosig", "cMcabbgqs")
-    assert code == 2
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "usage: tvgenus" in err and message in err
 
 
 def test_compute_isosig_t3(capsys):
@@ -155,6 +178,31 @@ def test_screen_missing_census(capsys):
     assert code == 1
 
 
+def test_unreadable_input_is_an_error(tmp_path, capsys):
+    for argv in (["compute", "--input", str(tmp_path)],
+                 ["screen", "--census", str(tmp_path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_summary_counts_only_failed_records(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "homology", "--fixture", "rp3",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"total": 1, "flagged": 0,
+                                          "failed": 0}
+    one_bad = _census_file(tmp_path, [f"torus ; {fixture_isosig('t3')}",
+                                      "bad ; zzz"])
+    code, out, _ = run_cli(capsys, "screen", "--census", one_bad,
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["summary"]["failed"] == 1
+    all_bad = _census_file(tmp_path, ["a ; zzz", "no-separator"])
+    code, out, _ = run_cli(capsys, "screen", "--census", all_bad,
+                           "--format", "json")
+    assert code == 1 and json.loads(out)["summary"]["failed"] == 2
+
+
 # --- serialization round trips ---------------------------------------------------
 
 def _sample_report(tmp_path, capsys) -> Report:
@@ -222,13 +270,6 @@ def test_screen_exact_mode_reports_exact_value(tmp_path, capsys):
                            "--mode", "exact", "--format", "json")
     assert code == 0
     assert json.loads(out)["records"][0]["tv_exact"] == want
-
-
-def test_bad_thread_count_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "compute", "--fixture", "s3",
-                           "--threads", "0")
-    assert code == 2
-    assert "threads" in err
 
 
 def test_verify_reports_injected_failure(capsys, monkeypatch):

@@ -5,14 +5,25 @@ Usage, from the repository root:
     python3 tools/golden_outputs.py OUTDIR [--src SRC]
 
 It runs, in process through ``tvgenus.cli.main`` imported from SRC (default:
-this checkout's ``src``), and writes one file per command to OUTDIR:
+this checkout's ``src``), and writes each command's standard output to one
+file in OUTDIR:
 
-- ``screen --r 5 --format csv`` over ``perfbench/data/census.txt``;
+- ``screen --r 5`` over ``perfbench/data/census.txt`` in CSV and in text
+  (with its summary line), and ``screen --paper-mode --format json``;
+- ``screen --mode exact --format csv`` over the census's start
+  triangulations plus one bad line, and ``screen`` over a census of bad
+  lines only;
 - ``compute --format json --force`` on every fixture, in float mode at
   r=5..7 and in exact mode at r=5..6;
-- ``verify --r-max 6``.
+- ``compute`` at r=5 in text (float, both, exact) and in CSV (float,
+  exact) on a few fixtures;
+- ``homology`` on every fixture in text, CSV and JSON;
+- ``verify --r-max 6``;
+- the usage errors (exit 2) and run-time errors (exit 1) of ``USAGE_ERRORS``
+  and ``RUNTIME_ERRORS``.
 
-``exit_codes.txt`` lists each file with its command's exit code.  To check a
+``exit_codes.txt`` lists each file with its command's exit code; standard
+error is not kept, since argparse's usage text may change.  To check a
 change, write the set from the parent's ``src`` and from the change's, then
 ``diff -r`` the two directories: the diff must be empty.
 """
@@ -24,22 +35,81 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CENSUS = os.path.join(ROOT, "perfbench", "data", "census.txt")
+EXT = {"text": "txt", "csv": "csv", "json": "json"}
+
+# (file stem, argv) of commands that argparse must reject
+USAGE_ERRORS = (
+    ("compute-r2", ["compute", "--fixture", "s3", "--r", "2"]),
+    ("compute-no-input", ["compute", "--r", "5"]),
+    ("compute-two-inputs", ["compute", "--fixture", "s3",
+                            "--isosig", "cMcabbgqs"]),
+    ("homology-no-input", ["homology"]),
+    ("compute-threads-0", ["compute", "--fixture", "s3", "--threads", "0"]),
+    ("compute-max-states-0", ["compute", "--fixture", "s3",
+                              "--max-states", "0"]),
+    ("compute-max-states-abc", ["compute", "--fixture", "s3",
+                                "--max-states", "abc"]),
+    ("screen-no-census", ["screen", "--r", "5"]),
+    ("screen-threshold-0", ["screen", "--census", CENSUS, "--threshold", "0"]),
+    ("screen-threshold-neg", ["screen", "--census", CENSUS,
+                              "--threshold", "-1"]),
+)
+
+# (file stem, argv) of commands that fail while running
+RUNTIME_ERRORS = (
+    ("compute-guard", ["compute", "--fixture", "rp3#rp3", "--r", "7"]),
+    ("screen-missing-census", ["screen", "--census",
+                               os.path.join(ROOT, "no-such-census.txt")]),
+)
 
 
-def commands(fixture_names) -> list[tuple[str, list[str]]]:
+def census_starts() -> list[str]:
+    """The census lines of the start triangulations (not their walks)."""
+    with open(CENSUS, encoding="utf-8") as fh:
+        return [line for line in fh
+                if not line.startswith("#") and ".v" not in line]
+
+
+def commands(fixture_names, tmpdir: str) -> list[tuple[str, list[str]]]:
     """(file name, argv) for every command of the output set."""
-    out = [("screen-r5.csv",
-            ["screen", "--census", CENSUS, "--r", "5", "--format", "csv"])]
+    starts = os.path.join(tmpdir, "starts.txt")
+    with open(starts, "w", encoding="utf-8") as fh:
+        fh.writelines(census_starts() + ["bad ; zzz\n"])
+    all_bad = os.path.join(tmpdir, "all-bad.txt")
+    with open(all_bad, "w", encoding="utf-8") as fh:
+        fh.write("a ; zzz\nb ; !!!\nno-separator\n")
+    screen = ["screen", "--census", CENSUS]
+    out = [("screen-r5.csv", screen + ["--r", "5", "--format", "csv"]),
+           ("screen-r5.txt", screen + ["--r", "5"]),
+           ("screen-paper.json", screen + ["--paper-mode", "--format", "json"]),
+           ("screen-exact-starts-r5.csv",
+            ["screen", "--census", starts, "--r", "5", "--mode", "exact",
+             "--format", "csv"]),
+           ("screen-all-bad.txt", ["screen", "--census", all_bad])]
     for name in fixture_names:
         for mode, levels in (("float", (5, 6, 7)), ("exact", (5, 6))):
             for r in levels:
                 out.append((f"compute-{mode}-r{r}-{name}.json",
                             ["compute", "--fixture", name, "--r", str(r),
                              "--mode", mode, "--format", "json", "--force"]))
+    for name in ("s3", "rp3", "t3"):
+        for mode, fmt in (("float", "text"), ("both", "text"),
+                          ("exact", "text"), ("float", "csv"),
+                          ("exact", "csv")):
+            out.append((f"compute-{mode}-r5-{name}.{EXT[fmt]}",
+                        ["compute", "--fixture", name, "--r", "5",
+                         "--mode", mode, "--format", fmt]))
+    for name in fixture_names:
+        for fmt in ("text", "csv", "json"):
+            out.append((f"homology-{name}.{EXT[fmt]}",
+                        ["homology", "--fixture", name, "--format", fmt]))
     out.append(("verify-r6.txt", ["verify", "--r-max", "6"]))
+    out += [(f"usage-{stem}.txt", argv) for stem, argv in USAGE_ERRORS]
+    out += [(f"error-{stem}.txt", argv) for stem, argv in RUNTIME_ERRORS]
     return out
 
 
@@ -55,14 +125,16 @@ def main(argv=None) -> int:
 
     os.makedirs(args.outdir, exist_ok=True)
     codes = []
-    for filename, cmd in commands(fixture_names()):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(cmd)
-        with open(os.path.join(args.outdir, filename), "w",
-                  encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-        codes.append(f"{filename} {code}\n")
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for filename, cmd in commands(fixture_names(), tmpdir):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(cmd)
+            with open(os.path.join(args.outdir, filename), "w",
+                      encoding="utf-8") as fh:
+                fh.write(buf.getvalue())
+            codes.append(f"{filename} {code}\n")
     with open(os.path.join(args.outdir, "exit_codes.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(codes)
