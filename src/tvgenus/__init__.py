@@ -5,13 +5,13 @@ screening for rank-versus-genus counterexample candidates."""
 __version__ = "0.1.0"
 
 from .cyclotomic import CycNumber, cyclotomic_polynomial
-from .recoupling import (SymbolTables, admissible, global_dim, global_dim_f,
-                         qdim, qdim_f, quantum_factorial, quantum_integer,
-                         quantum_integer_f, tet_symbol, tet_symbol_f, theta,
-                         theta_f, verify_identities)
-from .complex3 import (GluingParseError, PachnerError, Tetrahedron,
-                       Triangulation, TriangulationError, format_gluing_file,
-                       orbits, pachner_23, parse_gluing_file)
+from .recoupling import (admissible, global_dim, global_dim_f, qdim, qdim_f,
+                         quantum_factorial, quantum_integer, quantum_integer_f,
+                         tet_symbol, tet_symbol_f, theta, theta_f,
+                         verify_identities)
+from .complex3 import (GluingParseError, PachnerError, Triangulation,
+                       TriangulationError, format_gluing_file, orbits,
+                       pachner_23, parse_gluing_file)
 from .isosig import IsoSigError, decode_isosig, encode_isosig
 from .homology import (H1Summary, IntMatrix, boundary_matrices, format_h1,
                        h1, h1_from_matrices, parse_h1, smith_normal_form)
@@ -23,11 +23,11 @@ from .fixtures import fixture, fixture_gluing_text, fixture_isosig, fixture_name
 
 __all__ = [
     "CycNumber", "cyclotomic_polynomial",
-    "SymbolTables", "admissible", "global_dim", "global_dim_f",
+    "admissible", "global_dim", "global_dim_f",
     "qdim", "qdim_f", "quantum_factorial", "quantum_integer",
     "quantum_integer_f", "tet_symbol", "tet_symbol_f", "theta", "theta_f",
     "verify_identities",
-    "GluingParseError", "PachnerError", "Tetrahedron", "Triangulation",
+    "GluingParseError", "PachnerError", "Triangulation",
     "TriangulationError", "format_gluing_file", "orbits", "pachner_23",
     "parse_gluing_file",
     "IsoSigError", "decode_isosig", "encode_isosig",

@@ -266,11 +266,12 @@ def cmd_verify(args, out) -> int:
 
 
 def _provenance(args) -> dict:
-    p = {"tool": "tvgenus", "version": __version__, "r": args.r,
-         "mode": args.mode}
-    threshold = getattr(args, "threshold", None)  # screen only
-    if threshold is not None:
-        p["threshold"] = threshold
+    p = {"tool": "tvgenus", "version": __version__, "r": args.r}
+    # mode: compute and screen only; threshold: screen only
+    for key in ("mode", "threshold"):
+        value = getattr(args, key, None)
+        if value is not None:
+            p[key] = value
     return p
 
 
@@ -302,19 +303,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "census screening for closed 3-manifold triangulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, run, about, with_input=False):
-        p = sub.add_parser(name, help=about)
+    def add_command(name, run, about, level=True, search=False,
+                    with_input=False):
+        # no abbreviations: verify's --r-max must not take --r
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.set_defaults(run=run)
-        p.add_argument("--r", type=_LEVEL, default=5, help="level r >= 3")
-        p.add_argument("--mode", choices=("exact", "float", "both"),
-                       default="float")
+        if level:
+            p.add_argument("--r", type=_LEVEL, default=5, help="level r >= 3")
         p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
                        default="text")
-        p.add_argument("--threads", type=int, choices=(1,), default=1,
-                       help="must be 1: the search is serial")
-        p.add_argument("--max-states", type=_POSITIVE, default=1e9)
-        p.add_argument("--force", action="store_true",
-                       help="ignore the search-volume guard")
+        if search:
+            p.add_argument("--mode", choices=("exact", "float", "both"),
+                           default="float")
+            p.add_argument("--threads", type=int, choices=(1,), default=1,
+                           help="must be 1: the search is serial")
+            p.add_argument("--max-states", type=_POSITIVE, default=1e9)
+            p.add_argument("--force", action="store_true",
+                           help="ignore the search-volume guard")
         if with_input:
             source = p.add_mutually_exclusive_group(required=True)
             source.add_argument("--input", dest="input_path",
@@ -326,9 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="built-in fixture")
         return p
 
-    add_command("compute", cmd_compute, with_input=True,
+    add_command("compute", cmd_compute, search=True, with_input=True,
                 about="Turaev-Viro invariant of one triangulation")
-    p_screen = add_command("screen", cmd_screen, about="screen a census file")
+    p_screen = add_command("screen", cmd_screen, search=True,
+                           about="screen a census file")
     p_screen.add_argument("--census", required=True,
                           help="census file: 'name ; isosig' per line")
     p_screen.add_argument("--threshold", type=_POSITIVE, default=None)
@@ -336,9 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="r=5, threshold 7.235, flag column")
     add_command("homology", cmd_homology, with_input=True,
                 about="first homology")
-    p_verify = add_command("verify", cmd_verify,
+    p_verify = add_command("verify", cmd_verify, level=False,
                            about="self-verification suite")
-    p_verify.add_argument("--r-max", dest="r_max", type=int, default=5)
+    p_verify.add_argument("--r-max", dest="r_max", type=_LEVEL, default=5)
     return parser
 
 

@@ -82,24 +82,6 @@ class GluingParseError(TriangulationError):
 
 
 @dataclass(frozen=True)
-class Tetrahedron:
-    """Gluings of one tetrahedron: entry k is (target tet, vertex permutation)."""
-
-    gluings: tuple[tuple[int, Perm], ...]
-
-    def __post_init__(self):
-        if len(self.gluings) != 4:
-            raise TriangulationError("tetrahedron needs exactly 4 gluings")
-        for entry in self.gluings:
-            if entry is None:
-                raise TriangulationError(
-                    "missing gluing: complex is not closed")
-            t, p = entry
-            if sorted(p) != [0, 1, 2, 3]:
-                raise TriangulationError(f"not a vertex permutation: {p}")
-
-
-@dataclass(frozen=True)
 class EdgeOrbit:
     """One edge class: members are (tet, edge index, sign) with sign the
     orientation of that slot relative to the representative members[0], the
@@ -125,32 +107,21 @@ class FaceOrbit:
 class Triangulation:
     """Immutable validated triangulation of a connected closed 3-manifold."""
 
-    def __init__(self, tetrahedra: list[Tetrahedron] | list[list[tuple[int, Perm]]],
+    def __init__(self, tetrahedra: list[list[tuple[int, Perm]]],
                  name: str | None = None):
-        tets = []
-        for t in tetrahedra:
-            if isinstance(t, Tetrahedron):
-                tets.append(t)
-            else:
-                tets.append(Tetrahedron(tuple(
-                    None if g is None else (int(g[0]), tuple(g[1]))
-                    for g in t)))
-        self.tetrahedra: tuple[Tetrahedron, ...] = tuple(tets)
         self.name = name
-        if not self.tetrahedra:
-            raise TriangulationError("empty triangulation")
-        self._validate_gluings()
+        self._validate_gluings(tetrahedra)
         self._compute_orbits()
         self._validate_manifold()
-        self.orientable = self._orientability()
 
     # -- basic accessors ----------------------------------------------------
     @property
     def size(self) -> int:
-        return len(self.tetrahedra)
+        return len(self._gluings)
 
     def gluing(self, t: int, f: int) -> tuple[int, Perm]:
-        return self.tetrahedra[t].gluings[f]
+        """(target tetrahedron, vertex permutation) of face f of t."""
+        return self._gluings[t][f]
 
     @property
     def euler_characteristic(self) -> int:
@@ -163,8 +134,30 @@ class Triangulation:
                 len(self.face_orbits), self.size)
 
     # -- validation ----------------------------------------------------------
-    def _validate_gluings(self):
+    def _validate_gluings(self, tetrahedra):
+        """Store the gluings and check them: 4 per tetrahedron, each a
+        vertex permutation into an existing tetrahedron, involutive and no
+        face glued to itself; then one walk over the face gluings checks
+        connectivity and orients the tetrahedra, which records
+        orientability."""
+        rows = []
+        for row in tetrahedra:
+            if len(row) != 4:
+                raise TriangulationError("tetrahedron needs exactly 4 gluings")
+            gluings = []
+            for g in row:
+                if g is None:
+                    raise TriangulationError(
+                        "missing gluing: complex is not closed")
+                t, p = int(g[0]), tuple(g[1])
+                if sorted(p) != [0, 1, 2, 3]:
+                    raise TriangulationError(f"not a vertex permutation: {p}")
+                gluings.append((t, p))
+            rows.append(tuple(gluings))
+        self._gluings = tuple(rows)
         n = self.size
+        if not n:
+            raise TriangulationError("empty triangulation")
         for t in range(n):
             for f in range(4):
                 t2, p = self.gluing(t, f)
@@ -182,17 +175,23 @@ class Triangulation:
                     raise TriangulationError(
                         f"gluing of face {f} of tetrahedron {t} is not "
                         "involutive", tet=t)
-        # connectivity
-        seen = {0}
+        # orientations +-1 along a spanning tree of the dual graph; a gluing
+        # whose two sides disagree makes the complex non-orientable
+        ori = [0] * n
+        ori[0] = 1
         stack = [0]
+        self.orientable = True
         while stack:
             t = stack.pop()
             for f in range(4):
-                t2, _ = self.gluing(t, f)
-                if t2 not in seen:
-                    seen.add(t2)
+                t2, p = self.gluing(t, f)
+                want = -ori[t] * perm_sign(p)
+                if not ori[t2]:
+                    ori[t2] = want
                     stack.append(t2)
-        if len(seen) != n:
+                elif ori[t2] != want:
+                    self.orientable = False
+        if not all(ori):
             raise TriangulationError("triangulation is not connected")
 
     def _compute_orbits(self):
@@ -312,22 +311,6 @@ class Triangulation:
                     "not a closed 3-manifold")
         if self.euler_characteristic != 0:
             raise TriangulationError("Euler characteristic is nonzero")
-
-    def _orientability(self) -> bool:
-        ori = [0] * self.size
-        ori[0] = 1
-        stack = [0]
-        while stack:
-            t = stack.pop()
-            for f in range(4):
-                t2, p = self.gluing(t, f)
-                want = -ori[t] * perm_sign(p)
-                if ori[t2] == 0:
-                    ori[t2] = want
-                    stack.append(t2)
-                elif ori[t2] != want:
-                    return False
-        return True
 
     # -- derived views used by statesum and homology ------------------------
     def face_edge_orbits(self) -> list[tuple[int, int, int]]:

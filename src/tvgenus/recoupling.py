@@ -14,7 +14,8 @@ exact carrier is CycNumber; it also caches 1/[n]! for n < r, each inverted
 once, so Tet and theta are built by multiplication and addition only.  The
 float carrier evaluates the same expressions in doubles at
 zeta = e^(i*pi/r).  The public *_f functions are the float wrappers of the
-same formulas.  SymbolTables memoizes either carrier.
+same formulas.  tables(r, mode) is the one carrier object of a level, with
+the state sum's dense 1/theta table and Tet memo.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclotomic import CycNumber
 
@@ -35,7 +36,8 @@ from .cyclotomic import CycNumber
 
 class _Carrier:
     """[n] and [n]! for n < 2r ([n] has period 2r; [n]! = 0 from n = r on,
-    as [r] = 0), delta_i and D, in one carrier."""
+    as [r] = 0), delta_i and D, in one carrier, and the memoized symbols
+    of the state sum.  Entries are never mutated once written."""
 
     def __init__(self, r: int, qint: list, zero, one):
         self.r, self.zero, self.one, self.qint = r, zero, one, qint
@@ -44,6 +46,30 @@ class _Carrier:
         self.delta = [-d if i % 2 else d for i, d in enumerate(qint[1:r])]
         # d ** 2, not d * d: for doubles the two can differ in the last bit
         self.dim = sum((d ** 2 for d in self.delta), zero)
+        self._tet_memo: dict = {}
+
+    @cached_property
+    def theta_inv(self) -> list:
+        """theta_inv[a][b][c] = 1/theta(a, b, c), None where the triple is
+        inadmissible.  Each value is computed once, at the sorted triple,
+        and shared by its permutations."""
+        cols = range(self.r - 1)
+        table = [[[None] * len(cols) for _ in cols] for _ in cols]
+        for key in itertools.combinations_with_replacement(cols, 3):
+            if admissible(*key, self.r):
+                val = self.inverse(_theta(self, *key))
+                for a, b, c in itertools.permutations(key):
+                    table[a][b][c] = val
+        return table
+
+    def tet(self, A: int, B: int, C: int, D: int, E: int, F: int):
+        """Tet[A B E; C D F], filled on first use: the state sum touches
+        only the tuples that occur."""
+        key = (A, B, C, D, E, F)
+        val = self._tet_memo.get(key)
+        if val is None:
+            val = self._tet_memo[key] = _tet(self, key)
+        return val
 
 
 class _Exact(_Carrier):
@@ -229,53 +255,14 @@ def tet_symbol_f(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> floa
 
 
 # --------------------------------------------------------------------------
-# memoized tables for the state sum
+# the tables of the state sum
 # --------------------------------------------------------------------------
 
-class SymbolTables:
-    """Per-level caches of delta, 1/theta and Tet in one carrier (CycNumber
-    in exact mode, floats in float mode), with that carrier's zero, one and
-    global dimension D (dim).
-
-    Values are filled on first use: for the state sum the lazy fill touches
-    exactly the tuples that occur, which keeps small runs fast while still
-    evaluating each symbol once.  Entries are never mutated once written.
-    """
-
-    def __init__(self, r: int, mode: str = "exact"):
-        if mode not in ("exact", "float"):
-            raise ValueError("mode must be 'exact' or 'float'")
-        self._lv = lv = _at(r, mode == "exact")
-        self.r = r
-        self.mode = mode
-        self.adm = [[[admissible(a, b, c, r) for c in range(r - 1)]
-                     for b in range(r - 1)] for a in range(r - 1)]
-        self.delta = list(lv.delta)
-        self.zero, self.one, self.dim = lv.zero, lv.one, lv.dim
-        self._theta_inv: dict = {}
-        self._tet: dict = {}
-
-    def theta_inv(self, a: int, b: int, c: int):
-        key = (a, b, c) if a <= b <= c else tuple(sorted((a, b, c)))
-        val = self._theta_inv.get(key)
-        if val is None:
-            val = self._lv.inverse(_theta(self._lv, *key))
-            self._theta_inv[key] = val
-        return val
-
-    def tet(self, A: int, B: int, C: int, D: int, E: int, F: int):
-        key = (A, B, C, D, E, F)
-        val = self._tet.get(key)
-        if val is None:
-            val = _tet(self._lv, key)
-            self._tet[key] = val
-        return val
-
-
-@lru_cache(maxsize=32)
-def tables(r: int, mode: str) -> SymbolTables:
-    """Shared memoized tables; keyed by (r, mode)."""
-    return SymbolTables(r, mode)
+def tables(r: int, mode: str) -> _Carrier:
+    """The shared carrier of level r: CycNumber ('exact') or float."""
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
+    return _at(r, mode == "exact")
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +291,7 @@ class IdentityReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_identities(r: int, tables_override: SymbolTables | None = None) -> IdentityReport:
+def verify_identities(r: int, tables_override=None) -> IdentityReport:
     """Exhaustive exact checks of the recoupling identities at one level.
 
     Checks, over all admissible tuples:
@@ -321,28 +308,31 @@ def verify_identities(r: int, tables_override: SymbolTables | None = None) -> Id
           sum_z N[a b x; c y z] N[a z y; d t v] N[b c z; d v w]
           = N[x c y; d t w] N[a b x; w t v].
 
-    The sums run on the exact tables; orthogonality is checked with both
-    sides multiplied by delta_i (nonzero for every color).
+    The sums run on the exact tables (or a substitute with their zero,
+    delta, theta_inv and tet); orthogonality is checked with both sides
+    multiplied by delta_i (nonzero for every color).
     Failures are reported with the first counterexample tuple.
     """
-    tab = tables_override if tables_override is not None else SymbolTables(r, "exact")
+    tab = tables_override if tables_override is not None else tables(r, "exact")
     report = IdentityReport(r=r)
     cols = list(range(r - 1))
-    zero = tab.zero
-    adm = tab.adm
+    zero, delta, inv, tet = tab.zero, tab.delta, tab.theta_inv, tab.tet
+
+    def adm(*triples):
+        return all(inv[a][b][c] is not None for a, b, c in triples)
 
     def orthogonality_failures():
         for a, b, c, d in itertools.product(cols, repeat=4):
-            i_vals = [i for i in cols if adm[a][b][i] and adm[c][d][i]]
-            j_vals = [j for j in cols if adm[a][d][j] and adm[b][c][j]]
+            i_vals = [i for i in cols if adm((a, b, i), (c, d, i))]
+            j_vals = [j for j in cols if adm((a, d, j), (b, c, j))]
             for i, i2 in itertools.product(i_vals, repeat=2):
                 acc = zero
                 for j in j_vals:
-                    acc = acc + (tab.delta[j] * tab.tet(a, b, c, d, i, j)
-                                 * tab.tet(a, b, c, d, i2, j)
-                                 * tab.theta_inv(a, d, j) * tab.theta_inv(b, c, j))
+                    acc = acc + (delta[j] * tet(a, b, c, d, i, j)
+                                 * tet(a, b, c, d, i2, j)
+                                 * inv[a][d][j] * inv[b][c][j])
                 if i == i2:
-                    ok = (acc * tab.delta[i]
+                    ok = (acc * delta[i]
                           == theta(a, b, i, r) * theta(c, d, i, r))
                 else:
                     ok = acc.is_zero()
@@ -350,26 +340,25 @@ def verify_identities(r: int, tables_override: SymbolTables | None = None) -> Id
                     yield (a, b, c, d, i, i2)
 
     def N(a, b, i, c, d, j):
-        return (tab.delta[j] * tab.tet(a, b, c, d, i, j)
-                * tab.theta_inv(a, d, j) * tab.theta_inv(b, c, j))
+        return delta[j] * tet(a, b, c, d, i, j) * inv[a][d][j] * inv[b][c][j]
 
     def pentagon_failures():
         for a, b, c, d, t in itertools.product(cols, repeat=5):
             for x in cols:
-                if not adm[a][b][x]:
+                if not adm((a, b, x)):
                     continue
                 for y in cols:
-                    if not (adm[x][c][y] and adm[y][d][t]):
+                    if not adm((x, c, y), (y, d, t)):
                         continue
                     for w in cols:
-                        if not (adm[c][d][w] and adm[x][w][t]):
+                        if not adm((c, d, w), (x, w, t)):
                             continue
                         for v in cols:
-                            if not (adm[b][w][v] and adm[a][v][t]):
+                            if not adm((b, w, v), (a, v, t)):
                                 continue
                             lhs = zero
                             for z in cols:
-                                if adm[b][c][z] and adm[a][z][y] and adm[z][d][v]:
+                                if adm((b, c, z), (a, z, y), (z, d, v)):
                                     lhs = lhs + (N(a, b, x, c, y, z)
                                                  * N(a, z, y, d, t, v)
                                                  * N(b, c, z, d, v, w))
@@ -379,11 +368,11 @@ def verify_identities(r: int, tables_override: SymbolTables | None = None) -> Id
 
     checks = (
         ("theta(a,a,0) = delta_a",
-         ((a,) for a in cols if not tab.delta[a] == theta(a, a, 0, r))),
+         ((a,) for a in cols if not delta[a] == theta(a, a, 0, r))),
         ("tetrahedral symmetry of Tet",
          ((tup, sigma) for tup in _admissible_tet_tuples(r)
           for sigma in itertools.permutations((1, 2, 3, 4))
-          if not tab.tet(*_relabel_tet(tup, sigma)) == tab.tet(*tup))),
+          if not tet(*_relabel_tet(tup, sigma)) == tet(*tup))),
         ("orthogonality", orthogonality_failures()),
         ("Biedenharn-Elliott (pentagon)", pentagon_failures()),
     )

@@ -80,7 +80,7 @@ def _make_plan(tri: Triangulation) -> list[tuple[list, list]]:
         pos = (position[x], position[y], position[z])
         plan[max(pos)][0].append(pos)
     # a tetrahedron completes when the last of its 6 edge orbits is colored;
-    # store the positions in the argument order of SymbolTables.tet:
+    # store the positions in the argument order of the tables' tet:
     # (A,B,C,D,E,F) = (c01, c02, c23, c13, c12, c03)
     for tet_edges in tri.tet_edge_orbits():
         e01, e02, e03, e12, e13, e23 = tet_edges
@@ -139,15 +139,15 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
 def _run(tri: Triangulation, r: int, carrier: str):
     """The state sum divided by D^V, and the (visited, admissible) counts;
     the same code for both carriers (a zero float sum gives +0.0)."""
-    tab = tables(r, carrier)
-    adm, delta, theta_inv, tet = tab.adm, tab.delta, tab.theta_inv, tab.tet
+    lv = tables(r, carrier)
+    delta, theta_inv, tet = lv.delta, lv.theta_inv, lv.tet
     plan = _make_plan(tri)
     last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
     ncolors = len(delta)
     colors = [0] * len(plan)
     next_color = [0] * len(plan)
-    weights = [tab.one] * len(plan)  # weights[k]: product before position k
-    branch = [tab.zero] * ncolors  # partial sums by first-edge color
+    weights = [lv.one] * len(plan)  # weights[k]: product before position k
+    branch = [lv.zero] * ncolors  # partial sums by first-edge color
     visited = leaves = 0
     k = 0
     while k >= 0:
@@ -161,12 +161,12 @@ def _run(tri: Triangulation, r: int, carrier: str):
         visited += 1
         faces, tets = plan[k]
         for (px, py, pz) in faces:
-            if not adm[colors[px]][colors[py]][colors[pz]]:
-                break  # prune
+            if theta_inv[colors[px]][colors[py]][colors[pz]] is None:
+                break  # prune: the face triple is inadmissible
         else:
             w = weights[k] * delta[c]
             for (px, py, pz) in faces:
-                w = w * theta_inv(colors[px], colors[py], colors[pz])
+                w = w * theta_inv[colors[px]][colors[py]][colors[pz]]
             for (p0, p1, p2, p3, p4, p5) in tets:
                 w = w * tet(colors[p0], colors[p1], colors[p2], colors[p3],
                             colors[p4], colors[p5])
@@ -176,10 +176,10 @@ def _run(tri: Triangulation, r: int, carrier: str):
             else:
                 weights[k + 1] = w
                 k += 1
-    total = tab.zero
+    total = lv.zero
     for part in branch:  # ascending color order: deterministic floats
         total += part
-    return total / tab.dim ** len(tri.vertex_orbits), visited, leaves
+    return total / lv.dim ** len(tri.vertex_orbits), visited, leaves
 
 
 @dataclass

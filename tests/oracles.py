@@ -14,6 +14,8 @@ formulas or search machinery:
   link vertices counted as classes of edge ends under a dictionary
   union-find that knows nothing of orbit signs or edge numbering, which
   also tells whether some edge is identified with itself in reverse;
+* orientability of a face gluing as the disconnectedness of its
+  orientation double cover, with permutation parity from cycle counts;
 * a naive Turaev-Viro evaluator: full (r-1)^E enumeration with an
   independently coded weight formula and no pruning or tables;
 * Fraction-coefficient arithmetic in Q(zeta_2r) (FracCyc: convolution
@@ -580,6 +582,38 @@ def vertex_links(rows) -> tuple[list[int], bool]:
                         for t in range(n) for u in range(4) for v in range(u))
     return (sorted(len(ends[x]) - 3 * c // 2 + c for x, c in corners.items()),
             reversed_edge)
+
+
+def orientable(rows) -> bool:
+    """Whether a connected closed face gluing is orientable: its orientation
+    double cover, with sheets (t, +1) and (t, -1), is disconnected.
+
+    A gluing of face f of t by the vertex permutation p keeps the sheet
+    when p is odd and swaps it when p is even, since the glued faces must
+    carry opposite induced orientations; the parity of p is read off its
+    cycle count."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for t, row in enumerate(rows):
+        for t2, p in row:
+            seen, cycles = set(), 0
+            for start in range(4):
+                if start not in seen:
+                    cycles += 1
+                    while start not in seen:
+                        seen.add(start)
+                        start = p[start]
+            swap = cycles % 2 == 0  # 4 - cycles even: p is even
+            for s in (1, -1):
+                a, b = find((t, s)), find((t2, -s if swap else s))
+                if a != b:
+                    parent[a] = b
+    return find((0, 1)) != find((0, -1))
 
 
 # --------------------------------------------------------------------------

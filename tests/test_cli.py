@@ -58,6 +58,16 @@ USAGE_ERRORS = [
     pytest.param(["screen", "--census", "c.txt", "--threshold", "-1"],
                  "argument --threshold: must be a positive number",
                  id="threshold-negative"),
+    pytest.param(["homology", "--fixture", "rp3", "--mode", "exact"],
+                 "unrecognized arguments: --mode exact", id="homology-mode"),
+    pytest.param(["homology", "--fixture", "rp3", "--threads", "1"],
+                 "unrecognized arguments: --threads 1",
+                 id="homology-threads"),
+    pytest.param(["verify", "--r", "5"], "unrecognized arguments: --r 5",
+                 id="verify-r"),
+    pytest.param(["verify", "--r-max", "2"],
+                 "argument --r-max: must be an integer at least 3",
+                 id="verify-r-max-too-small"),
 ]
 
 

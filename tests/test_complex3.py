@@ -187,9 +187,11 @@ def test_random_gluings_match_link_oracle():
     is accepted exactly when no edge is identified with itself in reverse
     and every vertex link has chi = 2 (tests/oracles.py counts the link
     vertices as edge-end classes), each rejection names the first defect,
-    and every accepted one has the H_1 of the minors oracle."""
+    and every accepted one has the H_1 of the minors oracle and the
+    orientability of the double-cover oracle."""
     rng = random.Random(2026)
     outcomes = {}
+    orientations = set()
     for _ in range(2000):
         rows = _random_gluing(rng, rng.randint(1, 4))
         chis, reversed_edge = oracles.vertex_links(rows)
@@ -212,9 +214,12 @@ def test_random_gluings_match_link_oracle():
             got = h1(tri)
             assert (got.free_rank, got.torsion) == \
                    oracles.h1_via_minors(d1.entries, d2.entries), rows
+            assert tri.orientable == oracles.orientable(rows), rows
+            orientations.add(tri.orientable)
         outcomes[want] = outcomes.get(want, 0) + 1
     # every branch is exercised
     assert len(outcomes) == 4 and min(outcomes.values()) >= 50, outcomes
+    assert orientations == {True, False}
 
 
 def test_format_roundtrip():

@@ -4,13 +4,14 @@ import hashlib
 import itertools
 import math
 import random
+import types
 
 import pytest
 
-from tvgenus.recoupling import (SymbolTables, admissible, global_dim,
-                                global_dim_f, qdim, qdim_f, quantum_factorial,
-                                quantum_integer, quantum_integer_f,
-                                tet_symbol, tet_symbol_f, theta, theta_f,
+from tvgenus.recoupling import (admissible, global_dim, global_dim_f, qdim,
+                                qdim_f, quantum_factorial, quantum_integer,
+                                quantum_integer_f, tables, tet_symbol,
+                                tet_symbol_f, theta, theta_f,
                                 verify_identities, _admissible_tet_tuples,
                                 _carrier)
 
@@ -224,15 +225,33 @@ def test_exact_tables_match_fraction_oracle():
     """Every admissible Tet and 1/theta at r=3..6, against the Fraction
     formulas with Euclid division (oracles.FracCyc)."""
     for r in range(3, 7):
-        tab = SymbolTables(r, "exact")
+        tab = tables(r, "exact")
         for tup in _admissible_tet_tuples(r):
             want = oracles.tet_exact(*tup, r).coeffs
             assert tab.tet(*tup).coeffs == want, (r, tup)
-        for tri in oracles.admissible_triples(r):
-            want = oracles.theta_exact(*tri, r).inverse().coeffs
-            assert tab.theta_inv(*tri).coeffs == want, (r, tri)
+        for a, b, c in oracles.admissible_triples(r):
+            want = oracles.theta_exact(a, b, c, r).inverse().coeffs
+            assert tab.theta_inv[a][b][c].coeffs == want, (r, (a, b, c))
         assert [d.coeffs for d in tab.delta] == [
             oracles.theta_exact(a, a, 0, r).coeffs for a in range(r - 1)]
+
+
+def test_theta_inv_table_is_one_dense_table_per_level():
+    """1/theta is None exactly at the inadmissible triples, and the
+    permutations of a triple share one object; tables(r, mode) is one
+    object per level and carrier, and rejects any other mode."""
+    for r in range(3, 10):
+        for mode in ("exact", "float"):
+            tab = tables(r, mode)
+            assert tables(r, mode) is tab
+            cols = range(r - 1)
+            for key in itertools.product(cols, repeat=3):
+                val = tab.theta_inv[key[0]][key[1]][key[2]]
+                assert (val is None) == (not admissible(*key, r)), (r, key)
+                for a, b, c in itertools.permutations(key):
+                    assert tab.theta_inv[a][b][c] is val, (r, mode, key)
+    with pytest.raises(ValueError):
+        tables(5, "fast")
 
 
 _SYMBOLS = {
@@ -264,12 +283,12 @@ def test_negative_index_rejected_in_both_carriers():
 
 
 def _float_table_values(r):
-    tab = SymbolTables(r, "float")
+    tab = tables(r, "float")
     yield from (quantum_integer_f(n, r) for n in range(2 * r))
     yield from tab.delta
     yield global_dim_f(r)
     cols = range(r - 1)
-    yield from (tab.theta_inv(a, b, c) for a in cols for b in cols for c in cols
+    yield from (tab.theta_inv[a][b][c] for a in cols for b in cols for c in cols
                 if a <= b <= c and admissible(a, b, c, r))
     yield from (tab.tet(*tup) for tup in _admissible_tet_tuples(r))
 
@@ -303,17 +322,18 @@ def test_verify_identities_pass(r):
     assert report.all_passed, [c for c in report.checks if not c.passed]
 
 
-class _CorruptedTables(SymbolTables):
-    """Tables with a deliberately wrong sign on one quantum dimension."""
-
-    def __init__(self, r):
-        super().__init__(r, "exact")
-        self.delta = list(self.delta)
-        self.delta[1] = -self.delta[1]
+def _corrupted_tables(r):
+    """The exact tables with a deliberately wrong sign on one quantum
+    dimension."""
+    tab = tables(r, "exact")
+    delta = list(tab.delta)
+    delta[1] = -delta[1]
+    return types.SimpleNamespace(zero=tab.zero, delta=delta,
+                                 theta_inv=tab.theta_inv, tet=tab.tet)
 
 
 def test_corrupted_sign_breaks_orthogonality():
-    report = verify_identities(5, tables_override=_CorruptedTables(5))
+    report = verify_identities(5, tables_override=_corrupted_tables(5))
     by_name = {c.name: c for c in report.checks}
     orth = by_name["orthogonality"]
     assert not orth.passed

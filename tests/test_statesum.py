@@ -8,7 +8,7 @@ from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.homology import h1
-from tvgenus.recoupling import SymbolTables, global_dim
+from tvgenus.recoupling import global_dim, tables
 from tvgenus.statesum import (SearchLimits, SearchVolumeError,
                               tv_anchor_checks, tv_invariant)
 
@@ -280,7 +280,7 @@ def test_level_below_three_rejected():
     with pytest.raises(ValueError):
         tv_invariant(fixture("s3"), 2)
     with pytest.raises(ValueError):
-        SymbolTables(2, "float")
+        tables(2, "float")
 
 
 def test_result_counters():

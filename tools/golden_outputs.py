@@ -14,7 +14,9 @@ file in OUTDIR:
   triangulations plus one bad line, and ``screen`` over a census of bad
   lines only;
 - ``compute --format json --force`` on every fixture, in float mode at
-  r=5..7 and in exact mode at r=5..6;
+  r=5..7 and in exact mode at r=5..6, and in float mode at r=8 on the
+  fixtures with at most 8 edge classes and on ``t3`` at r=9 (the levels of
+  the deep-search workload);
 - ``compute`` at r=5 in text (float, both, exact) and in CSV (float,
   exact) on a few fixtures;
 - ``homology`` on every fixture in text, CSV and JSON;
@@ -57,6 +59,10 @@ USAGE_ERRORS = (
     ("screen-threshold-0", ["screen", "--census", CENSUS, "--threshold", "0"]),
     ("screen-threshold-neg", ["screen", "--census", CENSUS,
                               "--threshold", "-1"]),
+    ("homology-mode", ["homology", "--fixture", "rp3", "--mode", "exact"]),
+    ("homology-threads", ["homology", "--fixture", "rp3", "--threads", "1"]),
+    ("verify-r", ["verify", "--r", "5"]),
+    ("verify-r-max-2", ["verify", "--r-max", "2"]),
 )
 
 # (file stem, argv) of commands that fail while running
@@ -74,8 +80,10 @@ def census_starts() -> list[str]:
                 if not line.startswith("#") and ".v" not in line]
 
 
-def commands(fixture_names, tmpdir: str) -> list[tuple[str, list[str]]]:
-    """(file name, argv) for every command of the output set."""
+def commands(fixture_names, small_fixtures,
+             tmpdir: str) -> list[tuple[str, list[str]]]:
+    """(file name, argv) for every command of the output set;
+    small_fixtures are the fixtures with at most 8 edge classes."""
     starts = os.path.join(tmpdir, "starts.txt")
     with open(starts, "w", encoding="utf-8") as fh:
         fh.writelines(census_starts() + ["bad ; zzz\n"])
@@ -96,6 +104,11 @@ def commands(fixture_names, tmpdir: str) -> list[tuple[str, list[str]]]:
                 out.append((f"compute-{mode}-r{r}-{name}.json",
                             ["compute", "--fixture", name, "--r", str(r),
                              "--mode", mode, "--format", "json", "--force"]))
+    for r, names in ((8, small_fixtures), (9, ["t3"])):
+        for name in names:
+            out.append((f"compute-float-r{r}-{name}.json",
+                        ["compute", "--fixture", name, "--r", str(r),
+                         "--format", "json", "--force"]))
     for name in ("s3", "rp3", "t3"):
         for mode, fmt in (("float", "text"), ("both", "text"),
                           ("exact", "text"), ("float", "csv"),
@@ -121,12 +134,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from tvgenus import cli
-    from tvgenus.fixtures import fixture_names
+    from tvgenus.fixtures import fixture, fixture_names
 
+    small = [name for name in fixture_names()
+             if len(fixture(name).edge_orbits) <= 8]
     os.makedirs(args.outdir, exist_ok=True)
     codes = []
     with tempfile.TemporaryDirectory() as tmpdir:
-        for filename, cmd in commands(fixture_names(), tmpdir):
+        for filename, cmd in commands(fixture_names(), small, tmpdir):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), \
                     contextlib.redirect_stderr(io.StringIO()):
