@@ -5,13 +5,12 @@ screening for rank-versus-genus counterexample candidates."""
 __version__ = "0.1.0"
 
 from .cyclotomic import CycNumber, cyclotomic_polynomial
-from .recoupling import (admissible, global_dim, global_dim_f, qdim, qdim_f,
-                         quantum_factorial, quantum_integer, quantum_integer_f,
-                         tet_symbol, tet_symbol_f, theta, theta_f,
-                         verify_identities)
+from .recoupling import (admissible, global_dim, qdim, quantum_factorial,
+                         quantum_integer, tet_symbol, tet_symbol_f, theta,
+                         theta_f, verify_identities)
 from .complex3 import (GluingParseError, PachnerError, Triangulation,
-                       TriangulationError, format_gluing_file, orbits,
-                       pachner_23, parse_gluing_file)
+                       TriangulationError, format_gluing_file, pachner_23,
+                       parse_gluing_file)
 from .isosig import IsoSigError, decode_isosig, encode_isosig
 from .homology import (H1Summary, IntMatrix, boundary_matrices, format_h1,
                        h1, h1_from_matrices, parse_h1, smith_normal_form)
@@ -23,12 +22,11 @@ from .fixtures import fixture, fixture_gluing_text, fixture_isosig, fixture_name
 
 __all__ = [
     "CycNumber", "cyclotomic_polynomial",
-    "admissible", "global_dim", "global_dim_f",
-    "qdim", "qdim_f", "quantum_factorial", "quantum_integer",
-    "quantum_integer_f", "tet_symbol", "tet_symbol_f", "theta", "theta_f",
+    "admissible", "global_dim", "qdim", "quantum_factorial",
+    "quantum_integer", "tet_symbol", "tet_symbol_f", "theta", "theta_f",
     "verify_identities",
     "GluingParseError", "PachnerError", "Triangulation",
-    "TriangulationError", "format_gluing_file", "orbits", "pachner_23",
+    "TriangulationError", "format_gluing_file", "pachner_23",
     "parse_gluing_file",
     "IsoSigError", "decode_isosig", "encode_isosig",
     "H1Summary", "IntMatrix", "boundary_matrices", "format_h1", "h1",

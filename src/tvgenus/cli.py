@@ -1,7 +1,8 @@
 """Command-line interface: compute, screen, homology, verify.
 
-Exit codes: 0 success, 1 any check or record failure, 2 usage error, for
-which argparse prints the usage line.  ``--paper-mode`` overrides ``--r``.
+Exit codes: 0 success, 1 any check or record failure (or output closed by
+its reader, which prints nothing), 2 usage error, for which argparse prints
+the usage line.  ``--paper-mode`` overrides ``--r``.
 All commands are deterministic for a fixed configuration.  Census files
 are plain text, one record per line, ``name ; isosig``; lines that fail to
 parse or compute are reported in the record notes and never abort a batch.
@@ -303,15 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "census screening for closed 3-manifold triangulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, run, about, level=True, search=False,
+    def add_command(name, run, about, report=True, search=False,
                     with_input=False):
         # no abbreviations: verify's --r-max must not take --r
         p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.set_defaults(run=run)
-        if level:
+        if report:  # a report of one level, in a chosen format
             p.add_argument("--r", type=_LEVEL, default=5, help="level r >= 3")
-        p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                       default="text")
+            p.add_argument("--format", dest="fmt",
+                           choices=("text", "csv", "json"), default="text")
         if search:
             p.add_argument("--mode", choices=("exact", "float", "both"),
                            default="float")
@@ -342,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="r=5, threshold 7.235, flag column")
     add_command("homology", cmd_homology, with_input=True,
                 about="first homology")
-    p_verify = add_command("verify", cmd_verify, level=False,
+    p_verify = add_command("verify", cmd_verify, report=False,
                            about="self-verification suite")
     p_verify.add_argument("--r-max", dest="r_max", type=_LEVEL, default=5)
     return parser
@@ -355,6 +356,11 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.run(args, sys.stdout)
+    except BrokenPipeError:
+        # the reader has gone: report nothing, and let what stdout still
+        # holds go to devnull, so that its flush at exit cannot fail too
+        sys.stdout = open(os.devnull, "w")
+        return 1
     except (SearchVolumeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,18 +3,25 @@
 A triangulation is a list of tetrahedra; face k of a tetrahedron is the one
 opposite vertex k, and a gluing of face k of tetrahedron t is a pair
 (t', p) with p a permutation of {0,1,2,3} carrying the vertices of t into
-the vertices of t' (so the target face is p[k]).  Construction eagerly
-computes vertex/edge/face orbits with orientation data and validates that
-the complex is a connected closed 3-manifold: gluings involutive and free of
-face self-identifications, no edge identified with itself in reverse, every
-vertex link a 2-sphere.  Non-orientable inputs are accepted (the state sum
-is defined for them); orientability is recorded on the triangulation.
+the vertices of t' (so the target face is p[k]).  Construction validates
+that the complex is a connected closed 3-manifold: gluings involutive and
+free of face self-identifications, no edge identified with itself in
+reverse, every vertex link a 2-sphere.  Non-orientable inputs are accepted
+(the state sum is defined for them); orientability is recorded on the
+triangulation.
 
-Edge orbits come from one union-find over the 6n edge slots that carries
-each slot's orientation relative to its root.  Each slot lies in exactly two
-faces, so every orbit is one circle around its edge (the edge link); an
-orbit lists its slots in ascending order.  The two ends of each edge orbit
-are the vertices of the vertex links.
+Construction is one pass over the face slots (t, f) in order.  Every slot is
+checked on its own; at the lower slot of each glued pair, the pair becomes a
+face orbit and joins its two tetrahedra, three vertex pairs and three edge
+pairs in one union-find that carries each element's sign relative to its
+root.  The tetrahedron signs are orientations (a conflict makes the complex
+non-orientable), vertex signs are all +1, and edge signs are directions (a
+conflict is an edge identified with itself in reverse).  Vertex, edge and
+face orbits are numbered in order of their lowest slot; an edge orbit lists
+its slots in ascending order with signs relative to the first.  Each edge
+slot lies in exactly two faces, so every edge orbit is one circle around its
+edge (the edge link), and the two ends of each edge orbit are the vertices
+of the vertex links.
 
 The 6 edges of a tetrahedron are indexed by vertex pairs in lexicographic
 order: 01, 02, 03, 12, 13, 23.  Opposite edge pairs are (01,23), (02,13),
@@ -91,10 +98,6 @@ class EdgeOrbit:
     index: int
     members: tuple[tuple[int, int, int], ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class FaceOrbit:
@@ -110,9 +113,130 @@ class Triangulation:
     def __init__(self, tetrahedra: list[list[tuple[int, Perm]]],
                  name: str | None = None):
         self.name = name
-        self._validate_gluings(tetrahedra)
-        self._compute_orbits()
-        self._validate_manifold()
+        rows = []
+        for row in tetrahedra:
+            if len(row) != 4:
+                raise TriangulationError("tetrahedron needs exactly 4 gluings")
+            gluings = []
+            for g in row:
+                if g is None:
+                    raise TriangulationError(
+                        "missing gluing: complex is not closed")
+                t, p = int(g[0]), tuple(g[1])
+                if sorted(p) != [0, 1, 2, 3]:
+                    raise TriangulationError(f"not a vertex permutation: {p}")
+                gluings.append((t, p))
+            rows.append(tuple(gluings))
+        self._gluings = tuple(rows)
+        n = self.size
+        if not n:
+            raise TriangulationError("empty triangulation")
+
+        # one union-find over tetrahedra (t), vertex slots (V + 4t + v) and
+        # edge slots (E + 6t + e); sign[x] is x's sign relative to parent[x]
+        V, E = n, 5 * n
+        parent = list(range(11 * n))
+        sign = [1] * (11 * n)
+
+        def find(x):
+            s = 1
+            while parent[x] != x:
+                s *= sign[x]
+                x = parent[x]
+            return x, s
+
+        def union(a, b, rel):
+            """Join a and b with sign(b) = rel * sign(a); False if they are
+            already joined with the opposite relative sign."""
+            ra, sa = find(a)
+            rb, sb = find(b)
+            if ra == rb:
+                return sa * sb == rel
+            parent[ra] = rb
+            sign[ra] = sa * sb * rel
+            return True
+
+        self.orientable = True
+        reversed_edge = False
+        self.face_orbits = []
+        for t, row in enumerate(rows):
+            for f, (t2, p) in enumerate(row):
+                if not 0 <= t2 < n:
+                    raise TriangulationError(
+                        f"face {f} of tetrahedron {t} glued to missing "
+                        f"tetrahedron {t2} (dangling gluing)", tet=t)
+                f2 = p[f]
+                if (t2, f2) == (t, f):
+                    raise TriangulationError(
+                        f"invalid self-gluing: face {f} of tetrahedron {t} "
+                        "glued to itself", tet=t)
+                t3, p2 = rows[t2][f2]
+                if t3 != t or perm_compose(p2, p) != IDENTITY_PERM:
+                    raise TriangulationError(
+                        f"gluing of face {f} of tetrahedron {t} is not "
+                        "involutive", tet=t)
+                if 4 * t2 + f2 < 4 * t + f:
+                    continue  # the pair was joined at its lower slot
+                self.face_orbits.append(
+                    FaceOrbit(len(self.face_orbits), ((t, f), (t2, f2))))
+                # orientations of t and t2 agree across the face iff p is odd
+                if not union(t, t2, -perm_sign(p)):
+                    self.orientable = False
+                vs = FACE_VERTS[f]
+                for v in vs:
+                    union(V + 4 * t + v, V + 4 * t2 + p[v], 1)
+                for (u, v) in ((vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])):
+                    rel = 1 if (u < v) == (p[u] < p[v]) else -1
+                    if not union(E + 6 * t + EDGE_INDEX[(u, v)],
+                                 E + 6 * t2 + EDGE_INDEX[(p[u], p[v])], rel):
+                        reversed_edge = True
+        root = find(0)[0]
+        if any(find(t)[0] != root for t in range(n)):
+            raise TriangulationError("triangulation is not connected")
+        if reversed_edge:
+            raise TriangulationError(
+                "edge identified with itself in reverse (non-manifold)")
+
+        def number(base, count):
+            """Orbit index of each slot base + i, orbits numbered in order of
+            their lowest slot, and its sign relative to that slot."""
+            roots: dict[int, int] = {}
+            index, rel, first = [], [], []
+            for x in range(base, base + count):
+                root, s = find(x)
+                o = roots.setdefault(root, len(first))
+                if o == len(first):
+                    first.append(s)
+                index.append(o)
+                rel.append(s * first[o])
+            return index, rel, len(first)
+
+        self.vertex_orbit_index, _, nv = number(V, 4 * n)
+        self.vertex_orbits = [[] for _ in range(nv)]
+        for x, o in enumerate(self.vertex_orbit_index):
+            self.vertex_orbits[o].append(divmod(x, 4))
+        self.edge_orbit_index, self.edge_orbit_sign, ne = number(E, 6 * n)
+        members: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
+        for x, o in enumerate(self.edge_orbit_index):
+            members[o].append((x // 6, x % 6, self.edge_orbit_sign[x]))
+        self.edge_orbits = [EdgeOrbit(o, tuple(m)) for o, m in enumerate(members)]
+
+        # each vertex link is connected (it is one orbit) and must have
+        # chi = 2; its vertices are the ends of the edge orbits, two per
+        # orbit and never the same one, as no edge is reversed
+        link_vertices = [0] * nv
+        for orbit in self.edge_orbits:
+            t, e, _sign = orbit.members[0]
+            for v in EDGES[e]:
+                link_vertices[self.vertex_orbit_index[4 * t + v]] += 1
+        for o, corners in enumerate(map(len, self.vertex_orbits)):
+            chi = link_vertices[o] - (3 * corners) // 2 + corners
+            if chi != 2:
+                raise TriangulationError(
+                    f"link of vertex orbit {o} is not a sphere (chi={chi}); "
+                    "not a closed 3-manifold")
+        if self.euler_characteristic != 0:
+            raise TriangulationError("Euler characteristic is nonzero")
 
     # -- basic accessors ----------------------------------------------------
     @property
@@ -132,185 +256,6 @@ class Triangulation:
         """(vertices, edges, faces, tetrahedra) of the orbit CW structure."""
         return (len(self.vertex_orbits), len(self.edge_orbits),
                 len(self.face_orbits), self.size)
-
-    # -- validation ----------------------------------------------------------
-    def _validate_gluings(self, tetrahedra):
-        """Store the gluings and check them: 4 per tetrahedron, each a
-        vertex permutation into an existing tetrahedron, involutive and no
-        face glued to itself; then one walk over the face gluings checks
-        connectivity and orients the tetrahedra, which records
-        orientability."""
-        rows = []
-        for row in tetrahedra:
-            if len(row) != 4:
-                raise TriangulationError("tetrahedron needs exactly 4 gluings")
-            gluings = []
-            for g in row:
-                if g is None:
-                    raise TriangulationError(
-                        "missing gluing: complex is not closed")
-                t, p = int(g[0]), tuple(g[1])
-                if sorted(p) != [0, 1, 2, 3]:
-                    raise TriangulationError(f"not a vertex permutation: {p}")
-                gluings.append((t, p))
-            rows.append(tuple(gluings))
-        self._gluings = tuple(rows)
-        n = self.size
-        if not n:
-            raise TriangulationError("empty triangulation")
-        for t in range(n):
-            for f in range(4):
-                t2, p = self.gluing(t, f)
-                if not 0 <= t2 < n:
-                    raise TriangulationError(
-                        f"face {f} of tetrahedron {t} glued to missing "
-                        f"tetrahedron {t2} (dangling gluing)", tet=t)
-                f2 = p[f]
-                if (t2, f2) == (t, f):
-                    raise TriangulationError(
-                        f"invalid self-gluing: face {f} of tetrahedron {t} "
-                        "glued to itself", tet=t)
-                t3, p2 = self.gluing(t2, f2)
-                if t3 != t or perm_compose(p2, p) != IDENTITY_PERM:
-                    raise TriangulationError(
-                        f"gluing of face {f} of tetrahedron {t} is not "
-                        "involutive", tet=t)
-        # orientations +-1 along a spanning tree of the dual graph; a gluing
-        # whose two sides disagree makes the complex non-orientable
-        ori = [0] * n
-        ori[0] = 1
-        stack = [0]
-        self.orientable = True
-        while stack:
-            t = stack.pop()
-            for f in range(4):
-                t2, p = self.gluing(t, f)
-                want = -ori[t] * perm_sign(p)
-                if not ori[t2]:
-                    ori[t2] = want
-                    stack.append(t2)
-                elif ori[t2] != want:
-                    self.orientable = False
-        if not all(ori):
-            raise TriangulationError("triangulation is not connected")
-
-    def _compute_orbits(self):
-        n = self.size
-        # vertices: plain union-find over slots 4*t + v
-        vparent = list(range(4 * n))
-
-        def vfind(x):
-            root = x
-            while vparent[root] != root:
-                root = vparent[root]
-            while vparent[x] != root:
-                vparent[x], x = root, vparent[x]
-            return root
-
-        # edges: union-find with relative orientation sign
-        eparent = list(range(6 * n))
-        esign = [1] * (6 * n)
-
-        def efind(x):
-            sign = 1
-            root = x
-            while eparent[root] != root:
-                sign *= esign[root]
-                root = eparent[root]
-            return root, sign
-
-        def eunion(a, b, rel):
-            ra, sa = efind(a)
-            rb, sb = efind(b)
-            if ra == rb:
-                if sa * sb != rel:
-                    raise TriangulationError(
-                        "edge identified with itself in reverse (non-manifold)")
-                return
-            eparent[ra] = rb
-            esign[ra] = sa * sb * rel
-
-        for t in range(n):
-            for f in range(4):
-                t2, p = self.gluing(t, f)
-                vs = FACE_VERTS[f]
-                for v in vs:
-                    ra, rb = vfind(4 * t + v), vfind(4 * t2 + p[v])
-                    if ra != rb:
-                        vparent[ra] = rb
-                for (u, v) in ((vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])):
-                    rel = 1 if (u < v) == (p[u] < p[v]) else -1
-                    eunion(6 * t + EDGE_INDEX[(u, v)],
-                           6 * t2 + EDGE_INDEX[(p[u], p[v])], rel)
-
-        vroots: dict[int, int] = {}
-        self.vertex_orbit_index = [0] * (4 * n)
-        for x in range(4 * n):
-            rt = vfind(x)
-            if rt not in vroots:
-                vroots[rt] = len(vroots)
-            self.vertex_orbit_index[x] = vroots[rt]
-        self.vertex_orbits = [[] for _ in range(len(vroots))]
-        for t in range(n):
-            for v in range(4):
-                self.vertex_orbits[self.vertex_orbit_index[4 * t + v]].append((t, v))
-
-        # edge orbits in order of their lowest slot, signs relative to it;
-        # members are listed in ascending slot order
-        eroots: dict[int, int] = {}
-        first_sign: list[int] = []
-        members: list[list[tuple[int, int, int]]] = []
-        self.edge_orbit_index = [0] * (6 * n)
-        self.edge_orbit_sign = [1] * (6 * n)
-        for x in range(6 * n):
-            rt, sg = efind(x)
-            o = eroots.get(rt)
-            if o is None:
-                o = eroots[rt] = len(members)
-                first_sign.append(sg)
-                members.append([])
-            sg *= first_sign[o]
-            self.edge_orbit_index[x] = o
-            self.edge_orbit_sign[x] = sg
-            members[o].append((x // 6, x % 6, sg))
-        self.edge_orbits = [EdgeOrbit(o, tuple(m)) for o, m in enumerate(members)]
-
-        # face orbits: paired slots
-        self.face_orbit_index = [[-1] * 4 for _ in range(n)]
-        face_orbits: list[FaceOrbit] = []
-        for t in range(n):
-            for f in range(4):
-                if self.face_orbit_index[t][f] >= 0:
-                    continue
-                t2, p = self.gluing(t, f)
-                f2 = p[f]
-                idx = len(face_orbits)
-                face_orbits.append(FaceOrbit(idx, ((t, f), (t2, f2))))
-                self.face_orbit_index[t][f] = idx
-                self.face_orbit_index[t2][f2] = idx
-        self.face_orbits = face_orbits
-
-    def _validate_manifold(self):
-        """Vertex links must be 2-spheres: connected (automatic for an orbit,
-        via the face gluings used to build it) with Euler characteristic 2.
-
-        The link vertices are the ends of the edge orbits, two per orbit and
-        never the same one, since no edge is identified with itself in
-        reverse."""
-        link_vertices = [0] * len(self.vertex_orbits)
-        for orbit in self.edge_orbits:
-            t, e, _sign = orbit.members[0]
-            for v in EDGES[e]:
-                link_vertices[self.vertex_orbit_index[4 * t + v]] += 1
-        corners = [len(m) for m in self.vertex_orbits]
-        for o, c in enumerate(corners):
-            chi = link_vertices[o] - (3 * c) // 2 + c
-            if chi != 2:
-                raise TriangulationError(
-                    f"link of vertex orbit {o} is not a sphere (chi={chi}); "
-                    "not a closed 3-manifold")
-        if self.euler_characteristic != 0:
-            raise TriangulationError("Euler characteristic is nonzero")
 
     # -- derived views used by statesum and homology ------------------------
     def face_edge_orbits(self) -> list[tuple[int, int, int]]:
@@ -349,15 +294,6 @@ class Triangulation:
         nm = f" {self.name!r}" if self.name else ""
         v, e, f, t = self.counts()
         return f"<Triangulation{nm}: {t} tet, V={v} E={e} F={f}>"
-
-
-def orbits(tri: Triangulation):
-    """(vertex, edge, face) orbit structures of a triangulation.
-
-    Vertex orbits are lists of (tet, vertex) slots; edge orbits list their
-    slots in ascending order with per-slot orientation signs; face orbits
-    pair the two glued slots."""
-    return tri.vertex_orbits, tri.edge_orbits, tri.face_orbits
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ of factorial products, division by one factorial, and an inverse).  The
 exact carrier is CycNumber; it also caches 1/[n]! for n < r, each inverted
 once, so Tet and theta are built by multiplication and addition only.  The
 float carrier evaluates the same expressions in doubles at
-zeta = e^(i*pi/r).  The public *_f functions are the float wrappers of the
+zeta = e^(i*pi/r); theta_f and tet_symbol_f are the float wrappers of the
 same formulas.  tables(r, mode) is the one carrier object of a level, with
 the state sum's dense 1/theta table and Tet memo.
 """
@@ -152,12 +152,6 @@ def admissible(i: int, j: int, k: int, r: int) -> bool:
             and i + j + k <= 2 * r - 4)
 
 
-def _qdim(lv: _Carrier, i: int):
-    if not 0 <= i <= lv.r - 2:
-        raise ValueError(f"color {i} out of range 0..{lv.r - 2}")
-    return lv.delta[i]
-
-
 def _theta(lv: _Carrier, a: int, b: int, c: int):
     """theta(a, b, c) = (-1)^(m+n+p) [m+n+p+1]! [m]! [n]! [p]!
     / ([m+n]! [n+p]! [m+p]!)."""
@@ -211,7 +205,10 @@ def quantum_factorial(n: int, r: int) -> CycNumber:
 
 def qdim(i: int, r: int) -> CycNumber:
     """Signed quantum dimension delta_i = (-1)^i [i+1]."""
-    return _qdim(_at(r, True), i)
+    lv = _at(r, True)
+    if not 0 <= i <= r - 2:
+        raise ValueError(f"color {i} out of range 0..{r - 2}")
+    return lv.delta[i]
 
 
 def global_dim(r: int) -> CycNumber:
@@ -232,18 +229,6 @@ def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> CycNum
     the tetrahedron acting on the edge labels.
     """
     return _tet(_at(r, True), (A, B, C, D, E, F))
-
-
-def quantum_integer_f(n: int, r: int) -> float:
-    return _at(r, False, n).qint[n % (2 * r)]
-
-
-def qdim_f(i: int, r: int) -> float:
-    return _qdim(_at(r, False), i)
-
-
-def global_dim_f(r: int) -> float:
-    return _at(r, False).dim
 
 
 def theta_f(a: int, b: int, c: int, r: int) -> float:

@@ -68,6 +68,8 @@ USAGE_ERRORS = [
     pytest.param(["verify", "--r-max", "2"],
                  "argument --r-max: must be an integer at least 3",
                  id="verify-r-max-too-small"),
+    pytest.param(["verify", "--format", "json"],
+                 "unrecognized arguments: --format json", id="verify-format"),
 ]
 
 
@@ -194,6 +196,25 @@ def test_unreadable_input_is_an_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_closed_stdout_exits_quietly(monkeypatch, capsys):
+    """A reader that closes the pipe early (``tvgenus ... | head``) ends the
+    command with exit 1 and nothing on stderr."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["homology", "--fixture", "s3"])
+    assert not isinstance(sys.stdout, ClosedPipe)
+    sys.stdout.write("dropped\n")  # later output and the exit flush are inert
+    sys.stdout.flush()
+    sys.stdout.close()
+    assert code == 1 and capsys.readouterr().err == ""
 
 
 def test_summary_counts_only_failed_records(tmp_path, capsys):

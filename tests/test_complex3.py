@@ -53,6 +53,7 @@ def test_edge_cycles_cover_orbits():
             assert [s for (t, e, s) in orbit.members] == \
                    [tri.edge_orbit_sign[6 * t + e] for (t, e) in slots]
             assert orbit.members[0][2] == 1
+        assert sum(len(o.members) for o in tri.edge_orbits) == 6 * tri.size
 
 
 def test_face_orbits_pair_two_slots():
@@ -182,6 +183,22 @@ def _connected(rows):
     return len(seen) == len(rows)
 
 
+def _assert_orbits_by_lowest_slot(tri):
+    """Vertex, edge and face orbits are numbered in order of their lowest
+    slot (the search plan breaks ties by that order), and each face orbit is
+    (lower slot, partner)."""
+    for index in (tri.vertex_orbit_index, tri.edge_orbit_index):
+        firsts = [index.index(o) for o in range(max(index) + 1)]
+        assert firsts == sorted(firsts), index
+    lowest = [fo.slots[0] for fo in tri.face_orbits]
+    assert lowest == sorted(lowest)
+    for i, fo in enumerate(tri.face_orbits):
+        assert fo.index == i
+        (t, f), partner = fo.slots
+        t2, p = tri.gluing(t, f)
+        assert partner == (t2, p[f]) and (t, f) < partner, fo
+
+
 def test_random_gluings_match_link_oracle():
     """2,000 seeded random closed gluings of 1-4 tetrahedra: a connected one
     is accepted exactly when no edge is identified with itself in reverse
@@ -215,6 +232,7 @@ def test_random_gluings_match_link_oracle():
             assert (got.free_rank, got.torsion) == \
                    oracles.h1_via_minors(d1.entries, d2.entries), rows
             assert tri.orientable == oracles.orientable(rows), rows
+            _assert_orbits_by_lowest_slot(tri)
             orientations.add(tri.orientable)
         outcomes[want] = outcomes.get(want, 0) + 1
     # every branch is exercised
@@ -333,11 +351,3 @@ def test_random_move_sequences_preserve_invariants():
                 got = tv_invariant(tri, r, mode="exact").value_exact
                 assert got == want[r], (name, step, r)
         assert tri.size == base.size + 3
-
-
-def test_orbits_accessor():
-    from tvgenus.complex3 import orbits
-    tri = fixture("t3")
-    vertices, edges, faces = orbits(tri)
-    assert len(vertices) == 1 and len(edges) == 7 and len(faces) == 12
-    assert sum(orbit.degree for orbit in edges) == 6 * tri.size

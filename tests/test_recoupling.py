@@ -8,10 +8,9 @@ import types
 
 import pytest
 
-from tvgenus.recoupling import (admissible, global_dim, global_dim_f, qdim,
-                                qdim_f, quantum_factorial, quantum_integer,
-                                quantum_integer_f, tables, tet_symbol,
-                                tet_symbol_f, theta, theta_f,
+from tvgenus.recoupling import (admissible, global_dim, qdim,
+                                quantum_factorial, quantum_integer, tables,
+                                tet_symbol, tet_symbol_f, theta, theta_f,
                                 verify_identities, _admissible_tet_tuples,
                                 _carrier)
 
@@ -80,7 +79,7 @@ def test_global_dim_closed_form(r):
     # total dimension equals r / (2 sin^2(pi/r))
     want = r / (2 * math.sin(math.pi / r) ** 2)
     assert abs(global_dim(r).to_float() - want) < 1e-12
-    assert abs(global_dim_f(r) - want) < 1e-12
+    assert abs(tables(r, "float").dim - want) < 1e-12
 
 
 # --- admissibility ------------------------------------------------------------
@@ -191,12 +190,12 @@ def test_tet_inadmissible_face_raises():
 
 @pytest.mark.parametrize("r", range(3, 10))
 def test_exact_float_agreement(r):
+    fl = tables(r, "float")
     for n in range(0, r + 2):
-        assert abs(quantum_integer(n, r).to_float()
-                   - quantum_integer_f(n, r)) <= 1e-9
+        assert abs(quantum_integer(n, r).to_float() - fl.qint[n]) <= 1e-9
     for i in range(r - 1):
-        assert abs(qdim(i, r).to_float() - qdim_f(i, r)) <= 1e-9
-    assert abs(global_dim(r).to_float() - global_dim_f(r)) <= 1e-9
+        assert abs(qdim(i, r).to_float() - fl.delta[i]) <= 1e-9
+    assert abs(global_dim(r).to_float() - fl.dim) <= 1e-9
     for (a, b, c) in oracles.admissible_triples(r):
         assert abs(theta(a, b, c, r).to_float() - theta_f(a, b, c, r)) <= 1e-9
     tuples = list(_admissible_tet_tuples(r))
@@ -261,9 +260,10 @@ _SYMBOLS = {
     "global_dim": global_dim,
     "theta": lambda r: theta(0, 0, 0, r),
     "tet_symbol": lambda r: tet_symbol(0, 0, 0, 0, 0, 0, r),
-    "quantum_integer_f": lambda r: quantum_integer_f(1, r),
-    "qdim_f": lambda r: qdim_f(0, r),
-    "global_dim_f": global_dim_f,
+    # the float [n], delta and D are read off the float carrier
+    "quantum_integer_f": lambda r: tables(r, "float").qint[1],
+    "qdim_f": lambda r: tables(r, "float").delta[0],
+    "global_dim_f": lambda r: tables(r, "float").dim,
     "theta_f": lambda r: theta_f(0, 0, 0, r),
     "tet_symbol_f": lambda r: tet_symbol_f(0, 0, 0, 0, 0, 0, r),
 }
@@ -277,16 +277,19 @@ def test_level_below_three_rejected_by_every_symbol(name, r):
 
 
 def test_negative_index_rejected_in_both_carriers():
-    for fn in (quantum_integer, quantum_integer_f, quantum_factorial):
+    for fn in (quantum_integer, quantum_factorial):
         with pytest.raises(ValueError):
             fn(-1, 5)
+    # the float carrier is indexed by colors, and a negative one is refused
+    with pytest.raises(ValueError):
+        theta_f(-1, 1, 0, 5)
 
 
 def _float_table_values(r):
     tab = tables(r, "float")
-    yield from (quantum_integer_f(n, r) for n in range(2 * r))
+    yield from (tab.qint[n] for n in range(2 * r))
     yield from tab.delta
-    yield global_dim_f(r)
+    yield tab.dim
     cols = range(r - 1)
     yield from (tab.theta_inv[a][b][c] for a in cols for b in cols for c in cols
                 if a <= b <= c and admissible(a, b, c, r))

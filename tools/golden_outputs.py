@@ -63,6 +63,7 @@ USAGE_ERRORS = (
     ("homology-threads", ["homology", "--fixture", "rp3", "--threads", "1"]),
     ("verify-r", ["verify", "--r", "5"]),
     ("verify-r-max-2", ["verify", "--r-max", "2"]),
+    ("verify-format-json", ["verify", "--format", "json"]),
 )
 
 # (file stem, argv) of commands that fail while running
