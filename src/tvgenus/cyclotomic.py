@@ -124,9 +124,10 @@ class CycNumber:
 
     Immutable by convention: every operation returns a new element.
     Supports +, -, *, /, ** and exact equality (also with ints and
-    Fractions, which rational elements hash like); * and / also take int
-    and Fraction scalars.  Division by zero (the only non-invertible
-    element, Phi_{2r} being irreducible) raises ZeroDivisionError.
+    Fractions, which rational elements hash like, and between rational
+    elements of different levels); * and / also take int and Fraction
+    scalars.  Division by zero (the only non-invertible element, Phi_{2r}
+    being irreducible) raises ZeroDivisionError.
     """
 
     __slots__ = ("f", "num", "den")
@@ -296,7 +297,9 @@ class CycNumber:
         if not isinstance(other, CycNumber):
             return NotImplemented
         if other.f is not self.f:
-            return False
+            # a rational element is the same number at every level
+            return not any(self.num[1:]) and not any(other.num[1:]) and \
+                self.num[0] * other.den == other.num[0] * self.den
         a, b = self.normalized(), other.normalized()
         return a.num == b.num and a.den == b.den
 

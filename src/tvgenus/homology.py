@@ -3,7 +3,8 @@
 H_1 is ker d1 / im d2 of the orbit CW structure.  Since im d1 is free,
 Z^E / im d2 (the cokernel of d2) is H_1 + im d1, so no kernel basis is
 needed: the torsion of H_1 is the invariant factors of d2 greater than 1,
-and its free rank is E - rank d1 - rank d2.  All arithmetic is exact
+and its free rank is E - rank d1 - rank d2 = E - (V - 1) - rank d2, as d1
+is the boundary map of a connected complex.  All arithmetic is exact
 (Python integers), since intermediate entries blow up well before
 census-sized matrices become large.
 """
@@ -27,18 +28,6 @@ class IntMatrix:
                 raise ValueError("ragged matrix")
         self.entries = [[int(x) for x in row] for row in entries]
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.entries[i][j] = int(v)
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
 
@@ -46,20 +35,13 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """diagonal holds the invariant factors d_1 | d_2 | ... (nonnegative,
-    padded with zeros up to min(rows, cols))."""
+def smith_normal_form(mat: IntMatrix | list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of an integer matrix over Z:
+    nonnegative, zeros last, padded to min(rows, cols).
 
-    diagonal: tuple[int, ...]
-
-
-def smith_normal_form(mat: IntMatrix | list[list[int]]) -> SnfResult:
-    """Smith normal form over Z.
-
-    Row/column reduction with smallest-pivot selection; the diagonal left by
-    it is then folded pairwise into (gcd, lcm) until d_i | d_{i+1}, with
-    zeros last and all factors nonnegative.
+    Row/column reduction with smallest-pivot selection (the first unit met
+    is taken); the diagonal left by it is then folded pairwise into
+    (gcd, lcm) until d_i | d_{i+1}.
     """
     if not isinstance(mat, IntMatrix):
         mat = IntMatrix(mat)
@@ -75,13 +57,17 @@ def smith_normal_form(mat: IntMatrix | list[list[int]]) -> SnfResult:
         best = None
         for i in range(pivot, R):
             for j in range(pivot, C):
-                v = m[i][j]
-                if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+                v = abs(m[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+                    if v == 1:      # nothing undercuts a unit
+                        break
+            if best and best[0] == 1:
+                break
         if best is None:
             break
-        m[pivot], m[best[0]] = m[best[0]], m[pivot]
-        col_swap(pivot, best[1])
+        m[pivot], m[best[1]] = m[best[1]], m[pivot]
+        col_swap(pivot, best[2])
         while True:
             dirty = False
             for i in range(pivot + 1, R):
@@ -111,7 +97,7 @@ def smith_normal_form(mat: IntMatrix | list[list[int]]) -> SnfResult:
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return SnfResult(tuple(diag) + (0,) * (size - len(diag)))
+    return tuple(diag) + (0,) * (size - len(diag))
 
 
 @dataclass(frozen=True)
@@ -191,38 +177,41 @@ def boundary_matrices(tri: Triangulation) -> tuple[IntMatrix, IntMatrix]:
     """(d1, d2) of the orbit CW chain complex: d1 maps edges to vertices,
     d2 maps faces to edges.  Orientations come from the per-incidence signs
     recorded on the orbits; H_1 does not depend on the choices."""
-    nv = len(tri.vertex_orbits)
     ne = len(tri.edge_orbits)
     nf = len(tri.face_orbits)
-    d1 = IntMatrix.zeros(nv, ne)
+    d1 = [[0] * ne for _ in tri.vertex_orbits]
     for orbit in tri.edge_orbits:
         t, e, sign = orbit.members[0]
         u, v = EDGES[e]
         if sign < 0:
             u, v = v, u
-        d1[tri.vertex_orbit_index[4 * t + v], orbit.index] += 1
-        d1[tri.vertex_orbit_index[4 * t + u], orbit.index] -= 1
-    d2 = IntMatrix.zeros(ne, nf)
+        d1[tri.vertex_orbit_index[4 * t + v]][orbit.index] += 1
+        d1[tri.vertex_orbit_index[4 * t + u]][orbit.index] -= 1
+    d2 = [[0] * nf for _ in range(ne)]
     for fo in tri.face_orbits:
         t, f = fo.slots[0]
         a, b, c = FACE_VERTS[f]
         for (u, v, s) in ((b, c, 1), (a, c, -1), (a, b, 1)):
             slot = 6 * t + EDGE_INDEX[(u, v)]
-            d2[tri.edge_orbit_index[slot], fo.index] += s * tri.edge_orbit_sign[slot]
-    return d1, d2
+            d2[tri.edge_orbit_index[slot]][fo.index] += s * tri.edge_orbit_sign[slot]
+    return IntMatrix(d1), IntMatrix(d2)
 
 
 def h1_from_matrices(d1: IntMatrix, d2: IntMatrix) -> H1Summary:
-    """ker d1 / im d2 in invariant-factor form (requires d1 @ d2 = 0)."""
-    for row in d1.entries:
-        for c in range(d2.cols):
-            if sum(row[k] * d2.entries[k][c] for k in range(d1.cols)):
-                raise ValueError("d1 @ d2 != 0: inconsistent boundary maps")
-    rank1 = sum(1 for d in smith_normal_form(d1).diagonal if d)
-    snf2 = smith_normal_form(d2).diagonal
+    """ker d1 / im d2 in invariant-factor form.
+
+    d1 and d2 must be the boundary maps of a connected complex: then
+    rank d1 = V - 1, and only d2 needs a Smith form.  d1 @ d2 = 0 is
+    checked, one face column (at most three nonzeros in a triangulation)
+    at a time."""
+    for col in zip(*d2.entries):
+        nonzero = [(k, v) for k, v in enumerate(col) if v]
+        if any(sum(row[k] * v for k, v in nonzero) for row in d1.entries):
+            raise ValueError("d1 @ d2 != 0: inconsistent boundary maps")
+    snf2 = smith_normal_form(d2)
     rank2 = sum(1 for d in snf2 if d)
     torsion = tuple(d for d in snf2 if d > 1)
-    return H1Summary(d1.cols - rank1 - rank2, torsion)
+    return H1Summary(d1.cols - (d1.rows - 1) - rank2, torsion)
 
 
 def h1(tri: Triangulation) -> H1Summary:

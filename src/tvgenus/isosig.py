@@ -152,13 +152,13 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
 
     # Infer the number of type-2 joins from the total length: with t1 = n-1
     # (connected traversal) and A = t0 + t1 + t2 actions packed 3 per char,
-    # the remaining length is ceil(A/3) + t2*(nchars+1).
+    # the remaining length is ceil(A/3) + t2*(nchars+1).  t0 >= 0 bounds t2
+    # by n + 1, and the join data alone by remaining // (nchars + 1), which
+    # keeps a size header claiming a huge n from stalling the loop.
     remaining = len(sig) - pos
     counts = None
-    for t2 in range(0, 2 * n + 1):
+    for t2 in range(min(n + 1, remaining // (nchars + 1)) + 1):
         t0 = 4 * n - 2 * (n - 1) - 2 * t2
-        if t0 < 0:
-            continue
         actions_total = t0 + (n - 1) + t2
         if (actions_total + 2) // 3 + t2 * (nchars + 1) == remaining:
             counts = (t0, t2, actions_total)

@@ -22,6 +22,7 @@ order, so float results are bit-identical across runs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -90,7 +91,11 @@ def _make_plan(tri: Triangulation) -> list[tuple[list, list]]:
 
 
 def estimated_states(tri: Triangulation, r: int) -> float:
-    return float(r - 1) ** len(tri.edge_orbits)
+    """(r-1)^E, or inf once that passes the float range."""
+    try:
+        return float(r - 1) ** len(tri.edge_orbits)
+    except OverflowError:
+        return math.inf
 
 
 def tv_invariant(tri: Triangulation, r: int, mode: str = "float",

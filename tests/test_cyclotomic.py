@@ -102,7 +102,10 @@ def test_mixed_levels_rejected():
     for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
         with pytest.raises(ValueError):
             op()
-    assert a != b
+    # non-rational elements of different levels stay unequal, even where
+    # they embed as the same complex number (i at r=6 and at r=8)
+    assert CycNumber.zeta_power(5, 1) != CycNumber.zeta_power(7, 1)
+    assert CycNumber.zeta_power(6, 3) != CycNumber.zeta_power(8, 4)
     with pytest.raises(TypeError):
         a + 1
 
@@ -175,4 +178,9 @@ def test_rational_elements_hash_and_compare_like_fractions():
         assert CycNumber.one(r) != Fraction(1, 2)
         assert CycNumber.zeta_power(r, 1) != 1
     assert len({CycNumber.one(5), 1}) == 1
+    # equality stays transitive across levels, so no set order splits 1
+    one5, one6 = CycNumber.one(5), CycNumber.one(6)
+    assert one5 == one6 and CycNumber.zeta_power(5, 5) == -1 == -one6
+    assert len({1, one5, one6}) == 1 and len({one5, one6, 1}) == 1
+    assert CycNumber.from_rational(5, Fraction(1, 2)) != one6
     assert CycNumber.one(5) == Fraction(1)

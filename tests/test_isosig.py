@@ -2,14 +2,18 @@
 
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 
+from tvgenus.cli import load_census
 from tvgenus.fixtures import fixture, fixture_isosig, fixture_names
 from tvgenus.homology import format_h1, h1
 from tvgenus.isosig import IsoSigError, decode_isosig, encode_isosig
 
 PERMS = list(itertools.permutations(range(4)))
+CENSUS = Path(__file__).parents[1] / "perfbench" / "data" / "census.txt"
 
 
 def test_roundtrip_all_fixtures():
@@ -78,6 +82,24 @@ def test_malformed_signatures_rejected():
     sig = fixture_isosig("t3")
     with pytest.raises(IsoSigError, match="permutation"):
         decode_isosig(sig[:-1] + "8")  # gluing character with index >= 24
+
+
+@pytest.mark.parametrize("sig", ("-ezzzzabc", "-f-----aabc"))
+def test_huge_size_header_rejected_quickly(sig):
+    # size headers claiming about 6.6e6 and 1.1e9 tetrahedra in front of a
+    # few characters of data: the length check must not walk every
+    # candidate join count up to 2n
+    t0 = time.perf_counter()
+    with pytest.raises(IsoSigError, match="length"):
+        decode_isosig(sig)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_census_pool_decodes():
+    entries = load_census(str(CENSUS))
+    assert len(entries) == 1379
+    for name, sig in entries:
+        assert decode_isosig(sig).size >= 2, name
 
 
 def test_boundary_facets_rejected():

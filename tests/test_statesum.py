@@ -1,6 +1,7 @@
 """State-sum engine: anchors, oracles, move invariance, determinism."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,8 @@ from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.homology import h1
 from tvgenus.recoupling import global_dim, tables
 from tvgenus.statesum import (SearchLimits, SearchVolumeError,
-                              tv_anchor_checks, tv_invariant)
+                              estimated_states, tv_anchor_checks,
+                              tv_invariant)
 
 import oracles
 
@@ -263,6 +265,15 @@ def test_search_volume_guard():
     res = tv_invariant(fixture("rp3#rp3"), 7,
                        limits=SearchLimits(max_states=1e11))
     assert res.value_float is not None
+
+
+def test_search_volume_guard_past_float_range():
+    # 8^400 overflows a float: the estimate is inf and the guard names
+    # the cap instead of raising OverflowError
+    huge = SimpleNamespace(edge_orbits=range(400))
+    assert estimated_states(huge, 9) == math.inf
+    with pytest.raises(SearchVolumeError, match="inf exceeds cap 1e"):
+        tv_invariant(huge, 9)
 
 
 def test_nonorientable_warning():

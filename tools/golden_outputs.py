@@ -69,6 +69,9 @@ USAGE_ERRORS = (
 # (file stem, argv) of commands that fail while running
 RUNTIME_ERRORS = (
     ("compute-guard", ["compute", "--fixture", "rp3#rp3", "--r", "7"]),
+    # a size header claiming millions of tetrahedra before 3 characters
+    # ("=" keeps argparse from reading the leading "-" as an option)
+    ("compute-huge-size-header", ["compute", "--isosig=-ezzzzabc"]),
     ("screen-missing-census", ["screen", "--census",
                                os.path.join(ROOT, "no-such-census.txt")]),
 )
@@ -90,7 +93,7 @@ def commands(fixture_names, small_fixtures,
         fh.writelines(census_starts() + ["bad ; zzz\n"])
     all_bad = os.path.join(tmpdir, "all-bad.txt")
     with open(all_bad, "w", encoding="utf-8") as fh:
-        fh.write("a ; zzz\nb ; !!!\nno-separator\n")
+        fh.write("a ; zzz\nb ; !!!\nno-separator\nc ; -ezzzzabc\n")
     screen = ["screen", "--census", CENSUS]
     out = [("screen-r5.csv", screen + ["--r", "5", "--format", "csv"]),
            ("screen-r5.txt", screen + ["--r", "5"]),
