@@ -349,7 +349,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_isosig(argv: list[str]) -> list[str]:
+    """argv with ``--isosig -SIG`` written ``--isosig=-SIG``: every signature
+    of 63 or more tetrahedra starts with '-', which argparse would read as
+    an option."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] == "--isosig" and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] = "--isosig=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _attach_isosig(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors return 2 to callers of main()

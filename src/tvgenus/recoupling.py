@@ -15,7 +15,8 @@ once, so Tet and theta are built by multiplication and addition only.  The
 float carrier evaluates the same expressions in doubles at
 zeta = e^(i*pi/r); theta_f and tet_symbol_f are the float wrappers of the
 same formulas.  tables(r, mode) is the one carrier object of a level, with
-the state sum's dense 1/theta table and Tet memo.
+the state sum's dense 1/theta table theta_inv, the table third of the
+colors each pair admits, read off theta_inv, and the Tet memo tet_memo.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class _Carrier:
         self.delta = [-d if i % 2 else d for i, d in enumerate(qint[1:r])]
         # d ** 2, not d * d: for doubles the two can differ in the last bit
         self.dim = sum((d ** 2 for d in self.delta), zero)
-        self._tet_memo: dict = {}
+        self.tet_memo: dict = {}
 
     @cached_property
     def theta_inv(self) -> list:
@@ -62,13 +63,20 @@ class _Carrier:
                     table[a][b][c] = val
         return table
 
+    @cached_property
+    def third(self) -> list:
+        """third[a][b] = the ascending tuple of colors c for which
+        theta_inv[a][b][c] is not None."""
+        return [[tuple(c for c, val in enumerate(row) if val is not None)
+                 for row in plane] for plane in self.theta_inv]
+
     def tet(self, A: int, B: int, C: int, D: int, E: int, F: int):
-        """Tet[A B E; C D F], filled on first use: the state sum touches
-        only the tuples that occur."""
+        """Tet[A B E; C D F], filled into tet_memo on first use: the state
+        sum touches only the tuples that occur."""
         key = (A, B, C, D, E, F)
-        val = self._tet_memo.get(key)
+        val = self.tet_memo.get(key)
         if val is None:
-            val = self._tet_memo[key] = _tet(self, key)
+            val = self.tet_memo[key] = _tet(self, key)
         return val
 
 

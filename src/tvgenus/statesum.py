@@ -14,7 +14,13 @@ equal to the unitarized-6j formulation.
 Enumeration is one iterative depth-first search over edge orbits in a
 static most-constrained-first order (descending face-incidence degree, ties
 by index), colors ascending, pruning as soon as a completed face triple is
-inadmissible.  Weights are accumulated incrementally along the search path.
+inadmissible.  A step whose first face has its two other edges colored
+walks only the third colors that face admits (the carrier's table third);
+other steps walk every color.  One pass over a step's faces checks each and
+multiplies its 1/theta into the weight, which is accumulated incrementally
+along the search path.  states_visited still counts every color of each
+entered step, as a search that tries them all would, so the counters
+compare across versions of the search.
 The weight of each complete coloring is added to the partial sum of its
 first edge's color, and those partial sums are added in ascending color
 order, so float results are bit-identical across runs.
@@ -62,10 +68,14 @@ class TvResult:
     warnings: tuple[str, ...] = ()
 
 
-def _make_plan(tri: Triangulation) -> list[tuple[list, list]]:
-    """Static search schedule: one (faces, tets) step per position of the
-    assignment order, listing the face triples and the Tet arguments that
-    the edge at that position completes.  Both name edges by position."""
+def _make_plan(tri: Triangulation) -> list[tuple[list, list, tuple | None]]:
+    """Static search schedule: one (faces, tets, pair) step per position of
+    the assignment order.  faces and tets list the face triples and the Tet
+    arguments that the edge at that position completes; pair holds the two
+    other positions of the first face when both come earlier, so that the
+    step's colors are those the first face admits, and is None otherwise
+    (no face, or a first face that repeats the step's edge).  All name
+    edges by position."""
     ne = len(tri.edge_orbits)
     face_triples = tri.face_edge_orbits()
     degree = [0] * ne
@@ -76,17 +86,23 @@ def _make_plan(tri: Triangulation) -> list[tuple[list, list]]:
     position = [0] * ne
     for k, e in enumerate(order):
         position[e] = k
-    plan: list[tuple[list, list]] = [([], []) for _ in range(ne)]
+    faces: list[list] = [[] for _ in range(ne)]
+    tets: list[list] = [[] for _ in range(ne)]
     for (x, y, z) in face_triples:
         pos = (position[x], position[y], position[z])
-        plan[max(pos)][0].append(pos)
+        faces[max(pos)].append(pos)
     # a tetrahedron completes when the last of its 6 edge orbits is colored;
     # store the positions in the argument order of the tables' tet:
     # (A,B,C,D,E,F) = (c01, c02, c23, c13, c12, c03)
     for tet_edges in tri.tet_edge_orbits():
         e01, e02, e03, e12, e13, e23 = tet_edges
         arg_pos = tuple(position[e] for e in (e01, e02, e23, e13, e12, e03))
-        plan[max(arg_pos)][1].append(arg_pos)
+        tets[max(arg_pos)].append(arg_pos)
+    plan = []
+    for k in range(ne):
+        others = [p for p in faces[k][0] if p != k] if faces[k] else []
+        pair = tuple(others) if len(others) == 2 else None
+        plan.append((faces[k], tets[k], pair))
     return plan
 
 
@@ -145,45 +161,52 @@ def _run(tri: Triangulation, r: int, carrier: str):
     """The state sum divided by D^V, and the (visited, admissible) counts;
     the same code for both carriers (a zero float sum gives +0.0)."""
     lv = tables(r, carrier)
-    delta, theta_inv, tet = lv.delta, lv.theta_inv, lv.tet
+    delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
+    memo, fill = lv.tet_memo.get, lv.tet
     plan = _make_plan(tri)
     last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
-    ncolors = len(delta)
+    every = range(len(delta))
     colors = [0] * len(plan)
-    next_color = [0] * len(plan)
     weights = [lv.one] * len(plan)  # weights[k]: product before position k
-    branch = [lv.zero] * ncolors  # partial sums by first-edge color
-    visited = leaves = 0
+    untried = [iter(every)] + [None] * last  # colors left at each position
+    branch = [lv.zero] * len(delta)  # partial sums by first-edge color
+    entered = leaves = 0
     k = 0
     while k >= 0:
-        c = next_color[k]
-        if c == ncolors:
-            next_color[k] = 0
-            k -= 1
-            continue
-        next_color[k] = c + 1
-        colors[k] = c
-        visited += 1
-        faces, tets = plan[k]
-        for (px, py, pz) in faces:
-            if theta_inv[colors[px]][colors[py]][colors[pz]] is None:
-                break  # prune: the face triple is inadmissible
-        else:
-            w = weights[k] * delta[c]
+        faces, tets, _ = plan[k]
+        before = weights[k]
+        for c in untried[k]:
+            colors[k] = c
+            w = before * delta[c]
             for (px, py, pz) in faces:
-                w = w * theta_inv[colors[px]][colors[py]][colors[pz]]
-            for (p0, p1, p2, p3, p4, p5) in tets:
-                w = w * tet(colors[p0], colors[p1], colors[p2], colors[p3],
-                            colors[p4], colors[p5])
-            if k == last:
-                leaves += 1
-                branch[colors[0]] += w
+                inv = theta_inv[colors[px]][colors[py]][colors[pz]]
+                if inv is None:
+                    break  # prune: the face triple is inadmissible
+                w = w * inv
             else:
-                weights[k + 1] = w
-                k += 1
+                for (p0, p1, p2, p3, p4, p5) in tets:
+                    key = (colors[p0], colors[p1], colors[p2], colors[p3],
+                           colors[p4], colors[p5])
+                    val = memo(key)
+                    w = w * (fill(*key) if val is None else val)
+                if k == last:
+                    leaves += 1
+                    branch[colors[0]] += w
+                else:
+                    weights[k + 1] = w
+                    k += 1
+                    entered += 1
+                    pair = plan[k][2]
+                    untried[k] = iter(every if pair is None else
+                                      third[colors[pair[0]]][colors[pair[1]]])
+                    break
+        else:
+            k -= 1
     total = lv.zero
     for part in branch:  # ascending color order: deterministic floats
         total += part
+    # r-1 colors per entered position, position 0 included
+    visited = len(delta) * (entered + 1)
     return total / lv.dim ** len(tri.vertex_orbits), visited, leaves
 
 

@@ -89,6 +89,42 @@ def test_compute_isosig_t3(capsys):
     assert "h1=3 Z" in out
 
 
+def _sphere_of_64_tetrahedra():
+    # the triangulation of test_isosig's multibyte size header test
+    from tvgenus.complex3 import pachner_23
+    tri = fixture("s3")
+    while tri.size < 64:
+        face = next(f.index for f in tri.face_orbits
+                    if f.slots[0][0] != f.slots[1][0])
+        tri = pachner_23(tri, face)
+    return tri
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("compute", ["--r", "3", "--force"]),
+    ("homology", []),
+])
+def test_isosig_with_leading_dash(capsys, command, extra):
+    # signatures of 63 or more tetrahedra start with "-"; the spaced form
+    # takes them as the value of --isosig, like the "=" form
+    sig = encode_isosig(_sphere_of_64_tetrahedra())
+    assert sig.startswith("-")
+    spaced = run_cli(capsys, command, "--isosig", sig, *extra)
+    joined = run_cli(capsys, command, f"--isosig={sig}", *extra)
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert spaced == joined
+    if command == "compute":
+        assert "tv=0.5 " in spaced[1] and "h1=0 " in spaced[1]
+    else:
+        assert spaced[1] == "0\n"
+
+
+def test_isosig_followed_by_an_option_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compute", "--isosig", "--r", "5")
+    assert code == 2 and out == ""
+    assert "argument --isosig: expected one argument" in err
+
+
 def test_compute_from_gluing_file(tmp_path, capsys):
     path = tmp_path / "rp3.tri"
     path.write_text(fixture_gluing_text("rp3"))

@@ -1,5 +1,6 @@
 """State-sum engine: anchors, oracles, move invariance, determinism."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -9,8 +10,8 @@ from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.homology import h1
-from tvgenus.recoupling import global_dim, tables
-from tvgenus.statesum import (SearchLimits, SearchVolumeError,
+from tvgenus.recoupling import admissible, global_dim, tables
+from tvgenus.statesum import (SearchLimits, SearchVolumeError, _make_plan,
                               estimated_states, tv_anchor_checks,
                               tv_invariant)
 
@@ -76,7 +77,6 @@ def test_small_fixtures_against_naive_enumeration(name):
 # --- enumeration --------------------------------------------------------------
 
 def _naive_admissible_count(tri, r):
-    import itertools
     faces = tri.face_edge_orbits()
     ne = len(tri.edge_orbits)
     count = 0
@@ -255,6 +255,88 @@ def test_search_counters_pinned(r):
         res = tv_invariant(fixture(name), r, limits=FORCE)
         got[name] = (res.states_visited, res.states_admissible)
     assert got == PINNED_COUNTERS[r]
+
+
+# --- candidate colors and the all-colors fallback ----------------------------
+
+def _walk(name, moves):
+    """The fixture after 2-3 moves on the given face indices, in turn."""
+    tri = fixture(name)
+    for face in moves:
+        tri = pachner_23(tri, face)
+    return tri
+
+
+# (start fixture, 2-3 moves) whose plans hold steps that walk every color:
+# a first face that repeats the step's edge orbit (at position 0 in l31
+# and s3, at position 2 in the walks of q8 and s2xs1, at position 1 in
+# rp3#l31 and its walk), and steps with no face (all but l31 and s3)
+FALLBACK_CASES = {"l31": ("l31", ()), "s3": ("s3", ()),
+                  "q8+2": ("q8", (0, 0)), "s2xs1+2": ("s2xs1", (1, 0)),
+                  "rp3#l31": ("rp3#l31", ()), "rp3#l31+1": ("rp3#l31", (0,))}
+
+
+@pytest.mark.parametrize("label", FALLBACK_CASES)
+def test_fallback_cases_have_fallback_steps(label):
+    # a step walks the colors its first face admits unless that face
+    # names the step's own position twice
+    plan = _make_plan(_walk(*FALLBACK_CASES[label]))
+    repeats = [k for k, (faces, _, _) in enumerate(plan)
+               if faces and faces[0].count(k) >= 2]
+    assert repeats
+    for k, (faces, _, pair) in enumerate(plan):
+        assert (pair is None) == (not faces or k in repeats)
+    if label not in ("l31", "s3"):
+        assert max(repeats) > 0 and any(not faces for faces, _, _ in plan)
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+@pytest.mark.parametrize("label", ("l31", "s3", "q8+2", "s2xs1+2"))
+def test_fallback_steps_against_naive_enumeration(label, r):
+    tri = _walk(*FALLBACK_CASES[label])
+    got = tv_invariant(tri, r).value_float
+    assert abs(got - oracles.naive_tv(tri, r)) <= 1e-9
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+@pytest.mark.parametrize("label", ("rp3#l31", "rp3#l31+1"))
+def test_fallback_steps_connected_sum(label, r):
+    # the naive sum runs over (r-1)^E colorings with E >= 13: at r=3 it
+    # runs on the whole manifold, above on the summands, through
+    # TV(A # B) = D * TV(A) * TV(B)
+    tri = _walk(*FALLBACK_CASES[label])
+    got = tv_invariant(tri, r, limits=FORCE).value_float
+    if r == 3:
+        want = oracles.naive_tv(tri, r)
+    else:
+        want = (global_dim(r).to_float() * oracles.naive_tv(fixture("rp3"), r)
+                * oracles.naive_tv(fixture("l31"), r))
+    assert abs(got - want) <= 1e-9
+
+
+@pytest.mark.parametrize("label", FALLBACK_CASES)
+def test_fallback_steps_exact_strings(label):
+    start, moves = FALLBACK_CASES[label]
+    res = tv_invariant(_walk(start, moves), 5, mode="exact", limits=FORCE)
+    assert str(res.value_exact) == PINNED_EXACT_R5[start]
+
+
+def test_states_visited_counts_every_color_of_each_entered_step():
+    # states_visited = (r-1) * (1 + the admissible partial colorings that
+    # are not leaves): every color of position 0 and of each position
+    # entered below an admissible prefix counts, whichever the search tries
+    r = 5
+    tri = _walk("q8", (0, 0))
+    plan = _make_plan(tri)
+    inner = 0
+    for m in range(1, len(plan)):
+        faces = [f for faces, _, _ in plan[:m] for f in faces]
+        inner += sum(all(admissible(cols[x], cols[y], cols[z], r)
+                         for x, y, z in faces)
+                     for cols in itertools.product(range(r - 1), repeat=m))
+    res = tv_invariant(tri, r)
+    assert res.states_visited == (r - 1) * (1 + inner)
+    assert res.states_admissible == _naive_admissible_count(tri, r)
 
 
 def test_search_volume_guard():

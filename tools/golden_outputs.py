@@ -25,7 +25,11 @@ file in OUTDIR:
   and ``RUNTIME_ERRORS``.
 
 ``exit_codes.txt`` lists each file with its command's exit code; standard
-error is not kept, since argparse's usage text may change.  To check a
+error is not kept, since argparse's usage text may change.
+``search_counters.txt`` holds the float search's ``states_visited`` and
+``states_admissible``, from ``tvgenus.statesum.tv_invariant`` with default
+limits, for every fixture at r=3..8 (``refused`` where the search-volume
+guard refuses it), ``t3`` at r=9 and every census start at r=5.  To check a
 change, write the set from the parent's ``src`` and from the change's, then
 ``diff -r`` the two directories: the diff must be empty.
 """
@@ -70,7 +74,6 @@ USAGE_ERRORS = (
 RUNTIME_ERRORS = (
     ("compute-guard", ["compute", "--fixture", "rp3#rp3", "--r", "7"]),
     # a size header claiming millions of tetrahedra before 3 characters
-    # ("=" keeps argparse from reading the leading "-" as an option)
     ("compute-huge-size-header", ["compute", "--isosig=-ezzzzabc"]),
     ("screen-missing-census", ["screen", "--census",
                                os.path.join(ROOT, "no-such-census.txt")]),
@@ -130,6 +133,22 @@ def commands(fixture_names, small_fixtures,
     return out
 
 
+def search_counters(triangulations) -> list[str]:
+    """One line per (name, triangulation, r): its float search counters,
+    or ``refused`` when the default search-volume guard refuses it."""
+    from tvgenus.statesum import SearchVolumeError, tv_invariant
+
+    lines = []
+    for name, tri, r in triangulations:
+        try:
+            res = tv_invariant(tri, r)
+            counts = f"{res.states_visited} {res.states_admissible}"
+        except SearchVolumeError:
+            counts = "refused"
+        lines.append(f"{name} r={r} {counts}\n")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir")
@@ -139,6 +158,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from tvgenus import cli
     from tvgenus.fixtures import fixture, fixture_names
+    from tvgenus.isosig import decode_isosig
 
     small = [name for name in fixture_names()
              if len(fixture(name).edge_orbits) <= 8]
@@ -157,6 +177,15 @@ def main(argv=None) -> int:
     with open(os.path.join(args.outdir, "exit_codes.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(codes)
+    runs = [(name, fixture(name), r) for name in fixture_names()
+            for r in range(3, 9)]
+    runs.append(("t3", fixture("t3"), 9))
+    for line in census_starts():
+        name, _, sig = line.partition(";")
+        runs.append((name.strip(), decode_isosig(sig.strip()), 5))
+    with open(os.path.join(args.outdir, "search_counters.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(search_counters(runs))
     return 0
 
 
