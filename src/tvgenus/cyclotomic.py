@@ -318,6 +318,13 @@ class CycNumber:
         """Exact test: fixed by complex conjugation."""
         return self == self.conjugate()
 
+    def to_rational(self) -> Fraction:
+        """The rational number this element is; ValueError if it is not
+        rational."""
+        if any(self.num[1:]):
+            raise ValueError("element is not rational")
+        return Fraction(self.num[0], self.den)
+
     def to_complex(self) -> complex:
         z = self.f.zeta_complex
         out = 0j

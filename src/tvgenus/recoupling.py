@@ -17,6 +17,8 @@ zeta = e^(i*pi/r); theta_f and tet_symbol_f are the float wrappers of the
 same formulas.  tables(r, mode) is the one carrier object of a level, with
 the state sum's dense 1/theta table theta_inv, the table third of the
 colors each pair admits, read off theta_inv, and the Tet memo tet_memo.
+D', the even colors' share of D, normalizes the even-color state sum at
+odd r.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .cyclotomic import CycNumber
 
 class _Carrier:
     """[n] and [n]! for n < 2r ([n] has period 2r; [n]! = 0 from n = r on,
-    as [r] = 0), delta_i and D, in one carrier, and the memoized symbols
+    as [r] = 0), delta_i, D and D', in one carrier, and the memoized symbols
     of the state sum.  Entries are never mutated once written."""
 
     def __init__(self, r: int, qint: list, zero, one):
@@ -48,6 +50,12 @@ class _Carrier:
         # d ** 2, not d * d: for doubles the two can differ in the last bit
         self.dim = sum((d ** 2 for d in self.delta), zero)
         self.tet_memo: dict = {}
+
+    @cached_property
+    def dim_even(self):
+        """D' = the sum of delta_c^2 over the even colors c; at odd r it
+        normalizes the even-color state sum, and D = 2 D'."""
+        return sum((d ** 2 for d in self.delta[::2]), self.zero)
 
     @cached_property
     def theta_inv(self) -> list:

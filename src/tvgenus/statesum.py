@@ -14,13 +14,26 @@ equal to the unitarized-6j formulation.
 Enumeration is one iterative depth-first search over edge orbits in a
 static most-constrained-first order (descending face-incidence degree, ties
 by index), colors ascending, pruning as soon as a completed face triple is
-inadmissible.  A step whose first face has its two other edges colored
-walks only the third colors that face admits (the carrier's table third);
-other steps walk every color.  One pass over a step's faces checks each and
-multiplies its 1/theta into the weight, which is accumulated incrementally
-along the search path.  states_visited still counts every color of each
-entered step, as a search that tries them all would, so the counters
-compare across versions of the search.
+inadmissible.  It walks a color set: every color, or the even ones.  A step
+whose first face has its two other edges colored walks only the third
+colors that face admits (the carrier's table third; two even colors admit
+only even ones, by parity); other steps walk the color set.  One pass over
+a step's faces checks each and multiplies its 1/theta into the weight,
+which is accumulated incrementally along the search path.  states_visited
+still counts every color of the set at each entered step, as a search that
+tries them all would, so the counters compare across versions of the
+search.
+
+In exact mode at odd r >= 5 the invariant factors as TV_r = TV_3 * TV'_r
+(Detcherry-Kalfagianni-Yang, arXiv:1701.07818, Thm 2.9), where TV'_r is
+the sum over even colorings normalized by D'^(-V), D' the sum of delta_c^2
+over the even colors (D = 2 D').  TV_3 is searched first; it is real in
+Q(zeta_6), hence rational.  If it is 0 the result is the zero of level r;
+otherwise the even-color search runs and the result is their product.
+states_visited and states_admissible then add up both searches, and the
+guard estimates 2^E + ((r-1)/2)^E colorings.  Float mode, even r and r = 3
+run the full search; in 'both' mode the full float sum is checked against
+the split exact value.
 The weight of each complete coloring is added to the partial sum of its
 first edge's color, and those partial sums are added in ascending color
 order, so float results are bit-identical across runs.
@@ -106,10 +119,20 @@ def _make_plan(tri: Triangulation) -> list[tuple[list, list, tuple | None]]:
     return plan
 
 
-def estimated_states(tri: Triangulation, r: int) -> float:
-    """(r-1)^E, or inf once that passes the float range."""
+def _splits(r: int, carrier: str) -> bool:
+    """Whether the carrier's TV_r is computed as TV_3 * TV'_r."""
+    return carrier == "exact" and r % 2 == 1 and r > 3
+
+
+def estimated_states(tri: Triangulation, r: int, mode: str = "float") -> float:
+    """The colorings the searches of the mode may walk: (r-1)^E, or
+    2^E + ((r-1)/2)^E where exact mode splits off TV_3; inf once that
+    passes the float range."""
+    ne = len(tri.edge_orbits)
     try:
-        return float(r - 1) ** len(tri.edge_orbits)
+        if _splits(r, mode):
+            return 2.0 ** ne + float((r - 1) // 2) ** ne
+        return float(r - 1) ** ne
     except OverflowError:
         return math.inf
 
@@ -125,7 +148,7 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
     if mode not in ("float", "exact", "both"):
         raise ValueError("mode must be 'float', 'exact' or 'both'")
     limits = limits or SearchLimits()
-    estimate = estimated_states(tri, r)
+    estimate = estimated_states(tri, r, mode)
     if estimate > limits.max_states and not limits.force:
         raise SearchVolumeError(estimate, limits.max_states)
 
@@ -141,7 +164,8 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
         result.states_visited = visited
         result.states_admissible = leaves
     if mode in ("exact", "both"):
-        value_e, visited, leaves = _run(tri, r, "exact")
+        value_e, visited, leaves = (_run_split(tri, r) if _splits(r, "exact")
+                                    else _run(tri, r, "exact"))
         result.value_exact = value_e
         result.states_visited = visited
         result.states_admissible = leaves
@@ -157,15 +181,29 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
     return result
 
 
-def _run(tri: Triangulation, r: int, carrier: str):
+def _run_split(tri: Triangulation, r: int):
+    """Exact TV_r at odd r >= 5 as TV_3 * TV'_r, and the counts of both
+    searches.  TV_3 is real in Q(zeta_6), hence rational; when it is 0 the
+    even-color search is skipped and the result is the zero of level r."""
+    tv3, visited, leaves = _run(tri, 3, "exact")
+    if tv3.is_zero():
+        return CycNumber.zero(r), visited, leaves
+    tv_even, visited_e, leaves_e = _run(tri, r, "exact", even=True)
+    return tv_even * tv3.to_rational(), visited + visited_e, leaves + leaves_e
+
+
+def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
     """The state sum divided by D^V, and the (visited, admissible) counts;
-    the same code for both carriers (a zero float sum gives +0.0)."""
+    the same code for both carriers (a zero float sum gives +0.0).  With
+    even, only the even colors are walked and the sum is divided by D'^V."""
     lv = tables(r, carrier)
     delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
     memo, fill = lv.tet_memo.get, lv.tet
     plan = _make_plan(tri)
     last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
-    every = range(len(delta))
+    # the color set; a paired step whose pair is even admits only even
+    # colors, by parity, so third needs no filter
+    every = range(0, len(delta), 2 if even else 1)
     colors = [0] * len(plan)
     weights = [lv.one] * len(plan)  # weights[k]: product before position k
     untried = [iter(every)] + [None] * last  # colors left at each position
@@ -205,9 +243,10 @@ def _run(tri: Triangulation, r: int, carrier: str):
     total = lv.zero
     for part in branch:  # ascending color order: deterministic floats
         total += part
-    # r-1 colors per entered position, position 0 included
-    visited = len(delta) * (entered + 1)
-    return total / lv.dim ** len(tri.vertex_orbits), visited, leaves
+    # every color of the set per entered position, position 0 included
+    visited = len(every) * (entered + 1)
+    dim = lv.dim_even if even else lv.dim
+    return total / dim ** len(tri.vertex_orbits), visited, leaves
 
 
 @dataclass

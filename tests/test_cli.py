@@ -143,6 +143,19 @@ def test_compute_guard_exit(capsys):
     assert code == 0
 
 
+def test_compute_guard_estimates_the_split_search(capsys):
+    # exact mode at odd r >= 5 walks 2^E + ((r-1)/2)^E colorings, 1.6e6 for
+    # rp3#rp3 (E=13) at r=7, under the default cap; float walks 6^13
+    code, out, _ = run_cli(capsys, "compute", "--fixture", "rp3#rp3",
+                           "--r", "7", "--mode", "exact", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["records"][0]["tv_exact"] == "0"
+    code, _, err = run_cli(capsys, "compute", "--fixture", "rp3#rp3",
+                           "--r", "7", "--mode", "both")
+    assert code == 1
+    assert "estimated search volume 1.31e+10" in err
+
+
 def test_homology_command(capsys):
     for name, want in (("rp3", "Z_2"), ("t3", "3 Z"), ("s3", "0")):
         code, out, _ = run_cli(capsys, "homology", "--fixture", name)

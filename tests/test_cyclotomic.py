@@ -172,9 +172,13 @@ def test_rational_elements_hash_and_compare_like_fractions():
             assert x == value and x == Fraction(value)
             assert hash(x) == hash(value) == hash(Fraction(value))
             assert len({x, value, Fraction(value)}) == 1
+            assert x.to_rational() == value
         # an unreduced representation of 2 hashes like 2 too
         two = _make(_field(r), (6,) + (0,) * (_field(r).degree - 1), 3)
         assert two == 2 and hash(two) == hash(2)
+        assert two.to_rational() == 2
+        with pytest.raises(ValueError, match="not rational"):
+            CycNumber.zeta_power(r, 1).to_rational()
         assert CycNumber.one(r) != Fraction(1, 2)
         assert CycNumber.zeta_power(r, 1) != 1
     assert len({CycNumber.one(5), 1}) == 1

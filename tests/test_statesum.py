@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,9 +11,10 @@ from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.homology import h1
+from tvgenus.isosig import decode_isosig
 from tvgenus.recoupling import admissible, global_dim, tables
 from tvgenus.statesum import (SearchLimits, SearchVolumeError, _make_plan,
-                              estimated_states, tv_anchor_checks,
+                              _run, estimated_states, tv_anchor_checks,
                               tv_invariant)
 
 import oracles
@@ -255,6 +257,106 @@ def test_search_counters_pinned(r):
         res = tv_invariant(fixture(name), r, limits=FORCE)
         got[name] = (res.states_visited, res.states_admissible)
     assert got == PINNED_COUNTERS[r]
+
+
+# --- odd levels: TV_r = TV_3 * TV'_r in exact mode ------------------------------
+
+SPLIT_CASES = [(name, r) for r in (5, 7) for name in fixture_names()
+               if (name, r) != ("rp3#rp3", 7)]  # 35 s; criterion 6 covers it
+
+
+@pytest.mark.parametrize("name, r", SPLIT_CASES)
+def test_full_sum_equals_split(name, r):
+    # the oracle: the search core over every color against the split
+    tri = fixture(name)
+    full, visited, leaves = _run(tri, r, "exact")
+    tv3, visited3, leaves3 = _run(tri, 3, "exact")
+    even, visited_e, leaves_e = _run(tri, r, "exact", even=True)
+    assert full == even * tv3.to_rational()
+    res = tv_invariant(tri, r, mode="exact", limits=FORCE)
+    assert res.value_exact == full
+    assert res.value_exact.level == r
+    if tv3.is_zero():
+        assert (res.states_visited, res.states_admissible) == (visited3,
+                                                                leaves3)
+    else:
+        assert res.states_visited == visited3 + visited_e
+        assert res.states_admissible == leaves3 + leaves_e
+    if r == 5:
+        assert (visited, leaves) == PINNED_COUNTERS[r][name]
+
+
+@pytest.mark.parametrize("r", (3, 4))
+def test_exact_search_is_split_only_at_odd_levels_from_5(r):
+    # r = 3 and even r run the one full search, with the float counters
+    for name in fixture_names():
+        res = tv_invariant(fixture(name), r, mode="exact", limits=FORCE)
+        assert (res.states_visited,
+                res.states_admissible) == PINNED_COUNTERS[r][name]
+    assert estimated_states(fixture("t3"), r, "exact") == float(r - 1) ** 7
+
+
+def test_even_search_walks_only_even_colors():
+    # visited counts (r-1)/2 colors per entered step; every leaf of the
+    # even search is an admissible even coloring
+    tri = fixture("t3")
+    _, visited, leaves = _run(tri, 7, "exact", even=True)
+    assert visited % 3 == 0
+    faces = tri.face_edge_orbits()
+    want = sum(all(admissible(c[x], c[y], c[z], 7) for x, y, z in faces)
+               for c in itertools.product((0, 2, 4), repeat=7))
+    assert leaves == want
+
+
+@pytest.mark.parametrize("r", (5, 7))
+@pytest.mark.parametrize("name", ("rp3#rp3", "rp3#l31"))
+def test_even_sum_pachner_invariance(name, r):
+    # TV_3 = 0 on these, so criterion 4 compares two zeros at odd r; the
+    # even-color sum TV'_r alone is an invariant too
+    tri = fixture(name)
+    face = next(f.index for f in tri.face_orbits
+                if f.slots[0][0] != f.slots[1][0])
+    moved = pachner_23(tri, face)
+    a = _run(tri, r, "exact", even=True)[0]
+    b = _run(moved, r, "exact", even=True)[0]
+    assert not a.is_zero()
+    assert a == b
+
+
+@pytest.mark.parametrize("r", (5, 7, 9, 11))
+def test_global_dim_is_twice_the_even_share(r):
+    lv = tables(r, "exact")
+    assert lv.dim == 2 * lv.dim_even
+
+
+def _census_starts():
+    path = (Path(__file__).parent.parent / "perfbench" / "data"
+            / "census.txt")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line.partition(";")[2].strip() for line in lines
+            if line and not line.startswith("#") and ".v" not in line]
+
+
+def test_tv3_is_rational():
+    # a real element of Q(zeta_6) is rational, so the split lifts TV_3 to
+    # any level as a rational number
+    tris = [fixture(name) for name in fixture_names()]
+    starts = _census_starts()
+    assert len(starts) == 19
+    tris += [decode_isosig(sig) for sig in starts]
+    for tri in tris:
+        tv3 = tv_invariant(tri, 3, mode="exact", limits=FORCE).value_exact
+        assert tv3.level == 3
+        assert CycNumber.from_rational(3, tv3.to_rational()) == tv3
+
+
+def test_guard_estimates_the_exact_split():
+    tri = fixture("rp3#rp3")
+    assert estimated_states(tri, 7, "exact") == 2.0 ** 13 + 3.0 ** 13
+    assert estimated_states(tri, 7, "both") == 6.0 ** 13
+    assert estimated_states(tri, 7) == 6.0 ** 13
+    huge = SimpleNamespace(edge_orbits=range(2000))
+    assert estimated_states(huge, 9, "exact") == math.inf
 
 
 # --- candidate colors and the all-colors fallback ----------------------------

@@ -14,9 +14,10 @@ file in OUTDIR:
   triangulations plus one bad line, and ``screen`` over a census of bad
   lines only;
 - ``compute --format json --force`` on every fixture, in float mode at
-  r=5..7 and in exact mode at r=5..6, and in float mode at r=8 on the
-  fixtures with at most 8 edge classes and on ``t3`` at r=9 (the levels of
-  the deep-search workload);
+  r=5..7 and in exact mode at r=5..6; on the fixtures with at most 8 edge
+  classes (``t3`` among them) in exact mode at r=7, where exact mode splits
+  off TV_3 (zero for ``rp3``, nonzero for ``t3``), and in float mode at
+  r=8; and on ``t3`` at r=9 (the levels of the deep-search workload);
 - ``compute`` at r=5 in text (float, both, exact) and in CSV (float,
   exact) on a few fixtures;
 - ``homology`` on every fixture in text, CSV and JSON;
@@ -111,11 +112,12 @@ def commands(fixture_names, small_fixtures,
                 out.append((f"compute-{mode}-r{r}-{name}.json",
                             ["compute", "--fixture", name, "--r", str(r),
                              "--mode", mode, "--format", "json", "--force"]))
-    for r, names in ((8, small_fixtures), (9, ["t3"])):
+    for mode, r, names in (("exact", 7, small_fixtures),
+                           ("float", 8, small_fixtures), ("float", 9, ["t3"])):
         for name in names:
-            out.append((f"compute-float-r{r}-{name}.json",
+            out.append((f"compute-{mode}-r{r}-{name}.json",
                         ["compute", "--fixture", name, "--r", str(r),
-                         "--format", "json", "--force"]))
+                         "--mode", mode, "--format", "json", "--force"]))
     for name in ("s3", "rp3", "t3"):
         for mode, fmt in (("float", "text"), ("both", "text"),
                           ("exact", "text"), ("float", "csv"),
