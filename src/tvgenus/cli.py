@@ -167,7 +167,8 @@ def load_census(path: str) -> list[tuple[str, str]]:
     """Parse ``name ; isosig`` lines.
 
     A line whose first non-blank character is '#' is a comment, and so is
-    a '#' after the signature; a '#' inside the name is kept, as in
+    the rest of a line from its first '#' after its first ';', which may
+    hold further ';'; a '#' inside the name is kept, as in
     ``rp3#rp3 ; <sig>`` or ``L(3,1) # RP3 ; <sig>``.
     """
     entries = []
@@ -176,11 +177,12 @@ def load_census(path: str) -> list[tuple[str, str]]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            name, sep, sig = line.rpartition(";")
+            head, sep, rest = line.partition(";")
+            name, sep, sig = (head + sep + rest.split("#", 1)[0]).rpartition(";")
             if not sep:
                 entries.append((line, ""))  # malformed: surfaces as failure
             else:
-                entries.append((name.strip(), sig.split("#", 1)[0].strip()))
+                entries.append((name.strip(), sig.strip()))
     return entries
 
 

@@ -24,13 +24,16 @@ edge (the edge link), and the two ends of each edge orbit are the vertices
 of the vertex links.
 
 The 6 edges of a tetrahedron are indexed by vertex pairs in lexicographic
-order: 01, 02, 03, 12, 13, 23.  Opposite edge pairs are (01,23), (02,13),
-(03,12); the state sum relies on this convention, as does the codec in
-isosig.
+order: 01, 02, 03, 12, 13, 23 (EDGES).  Opposite edge pairs are (01,23),
+(02,13), (03,12); the state sum relies on this convention, as does the
+codec in isosig.  The sides of face f with vertices a < b < c are ab, ac,
+bc, with signs +1, -1, +1 in its boundary (FACE_SIDES); the validation
+here, the state sum's face triples and d2 of homology all read them there.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 # edge index <-> vertex pair tables
@@ -41,6 +44,11 @@ for _i, (_u, _v) in enumerate(EDGES):
     EDGE_INDEX[(_v, _u)] = _i
 FACE_VERTS: tuple[tuple[int, int, int], ...] = tuple(
     tuple(v for v in range(4) if v != f) for f in range(4))
+# the sides ab, ac, bc of face f with vertices a < b < c: (edge index, sign
+# in the boundary b c - a c + a b of the face a b c)
+FACE_SIDES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    ((EDGE_INDEX[a, b], 1), (EDGE_INDEX[a, c], -1), (EDGE_INDEX[b, c], 1))
+    for a, b, c in FACE_VERTS)
 
 Perm = tuple[int, int, int, int]
 IDENTITY_PERM: Perm = (0, 1, 2, 3)
@@ -122,7 +130,12 @@ class Triangulation:
                 if g is None:
                     raise TriangulationError(
                         "missing gluing: complex is not closed")
-                t, p = int(g[0]), tuple(g[1])
+                try:
+                    t, p = operator.index(g[0]), tuple(map(operator.index, g[1]))
+                except TypeError:
+                    raise TriangulationError(
+                        f"gluing {g!r} is not an integer target and "
+                        "permutation") from None
                 if sorted(p) != [0, 1, 2, 3]:
                     raise TriangulationError(f"not a vertex permutation: {p}")
                 gluings.append((t, p))
@@ -182,13 +195,13 @@ class Triangulation:
                 # orientations of t and t2 agree across the face iff p is odd
                 if not union(t, t2, -perm_sign(p)):
                     self.orientable = False
-                vs = FACE_VERTS[f]
-                for v in vs:
+                for v in FACE_VERTS[f]:
                     union(V + 4 * t + v, V + 4 * t2 + p[v], 1)
-                for (u, v) in ((vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])):
-                    rel = 1 if (u < v) == (p[u] < p[v]) else -1
-                    if not union(E + 6 * t + EDGE_INDEX[(u, v)],
-                                 E + 6 * t2 + EDGE_INDEX[(p[u], p[v])], rel):
+                for e, _ in FACE_SIDES[f]:
+                    u, v = EDGES[e]
+                    if not union(E + 6 * t + e,
+                                 E + 6 * t2 + EDGE_INDEX[(p[u], p[v])],
+                                 1 if p[u] < p[v] else -1):
                         reversed_edge = True
         root = find(0)[0]
         if any(find(t)[0] != root for t in range(n)):
@@ -259,15 +272,13 @@ class Triangulation:
 
     # -- derived views used by statesum and homology ------------------------
     def face_edge_orbits(self) -> list[tuple[int, int, int]]:
-        """For each face orbit, the edge orbits of its three sides (at the
-        representative slot, sides ordered 01, 02, 12 of the face chart)."""
-        out = []
+        """For each face orbit, the edge orbits of its three sides at the
+        representative slot, in the order of FACE_SIDES."""
+        index, out = self.edge_orbit_index, []
         for fo in self.face_orbits:
             t, f = fo.slots[0]
-            a, b, c = FACE_VERTS[f]
-            out.append((self.edge_orbit_index[6 * t + EDGE_INDEX[(a, b)]],
-                        self.edge_orbit_index[6 * t + EDGE_INDEX[(a, c)]],
-                        self.edge_orbit_index[6 * t + EDGE_INDEX[(b, c)]]))
+            (x, _), (y, _), (z, _) = FACE_SIDES[f]
+            out.append((index[6 * t + x], index[6 * t + y], index[6 * t + z]))
         return out
 
     def tet_edge_orbits(self) -> list[tuple[int, ...]]:
@@ -409,70 +420,41 @@ def pachner_23(tri: Triangulation, face_orbit: int) -> Triangulation:
             f"face orbit {face_orbit} is shared by a single tetrahedron")
     p = tri.gluing(ta, fa)[1]  # ta -> tb, p[fa] = fb
     bases = FACE_VERTS[fa]
-
-    # local charts: new tetrahedron N_i has vertices
-    #   0 = apex of ta (vertex fa), 1 = apex of tb (vertex fb),
-    #   2, 3 = the two base vertices other than bases[i], in base order.
-    corr_a = []  # N_i local -> vertex of ta
-    corr_b = []  # N_i local -> vertex of tb
-    for i in range(3):
-        j, k = [m for m in range(3) if m != i]
-        corr_a.append((fa, bases[i], bases[j], bases[k]))
-        corr_b.append((p[bases[i]], fb, p[bases[j]], p[bases[k]]))
-
     survivors = [t for t in range(tri.size) if t not in (ta, tb)]
-    remap = {t: i for i, t in enumerate(survivors)}
     base_idx = len(survivors)
 
-    # old boundary slot -> (new tet, new face, local chart of the new tet)
-    slot_map: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
-    for i in range(3):
-        slot_map[(ta, bases[i])] = (base_idx + i, 1, corr_a[i])
-        slot_map[(tb, p[bases[i]])] = (base_idx + i, 0, corr_b[i])
-
-    rows: list[list] = [[None] * 4 for _ in range(base_idx + 3)]
-
-    # survivors keep their gluings, re-targeted where they met ta/tb
-    for t in survivors:
-        for f in range(4):
-            t2, q = tri.gluing(t, f)
-            tgt = slot_map.get((t2, q[f]))
-            if tgt is None:
-                rows[remap[t]][f] = (remap[t2], q)
-            else:
-                nt, nf, corr = tgt
-                corr_inv = {v: l for l, v in enumerate(corr)}
-                rows[remap[t]][f] = (nt, tuple(corr_inv[q[v]] for v in range(4)))
-
-    # external faces of the three new tetrahedra
-    for i in range(3):
-        for (src_t, src_f, my_face, corr_src) in (
-                (ta, bases[i], 1, corr_a[i]),
-                (tb, p[bases[i]], 0, corr_b[i])):
-            t2, q = tri.gluing(src_t, src_f)
-            tgt = slot_map.get((t2, q[src_f]))
-            if tgt is None:
-                rows[base_idx + i][my_face] = (
-                    remap[t2], tuple(q[corr_src[l]] for l in range(4)))
-            else:
-                nt, nf, corr_t = tgt
-                corr_inv = {v: l for l, v in enumerate(corr_t)}
-                rows[base_idx + i][my_face] = (
-                    nt, tuple(corr_inv[q[corr_src[l]]] for l in range(4)))
-
-    # internal faces around the new central edge (apex-apex)
+    # where[(t, f)] = (new tet, new face, chart from the new tet's vertices
+    # to t's) for every old face slot but the shared pair.  New tetrahedron
+    # N_i has vertices 0 = apex of ta (vertex fa), 1 = apex of tb (vertex
+    # fb), and 2, 3 = the base vertices other than bases[i], in base order;
+    # its face 1 is ta's face bases[i] and its face 0 is tb's face
+    # p[bases[i]].  Survivors keep their vertices.
+    where = {(t, f): (i, f, IDENTITY_PERM)
+             for i, t in enumerate(survivors) for f in range(4)}
+    labels = []  # per N_i: apex a, apex b, and the base indices it keeps
     for i in range(3):
         j, k = [m for m in range(3) if m != i]
-        for m in (j, k):
-            c = next(x for x in range(3) if x not in (i, m))
-            li_m = 2 if m == min(j, k) else 3
-            li_c = 5 - li_m
-            jm, km = [x for x in range(3) if x != m]
-            lm_i = 2 if i == min(jm, km) else 3
-            lm_c = 5 - lm_i
-            q = [0, 1, 0, 0]
-            q[li_c] = lm_c
-            q[li_m] = lm_i
-            rows[base_idx + i][li_m] = (base_idx + m, tuple(q))
+        labels.append(("a", "b", j, k))
+        where[(ta, bases[i])] = (base_idx + i, 1,
+                                 (fa, bases[i], bases[j], bases[k]))
+        where[(tb, p[bases[i]])] = (base_idx + i, 0,
+                                    (p[bases[i]], fb, p[bases[j]], p[bases[k]]))
+
+    rows: list[list] = [[None] * 4 for _ in range(base_idx + 3)]
+    for (t, f), (nt, nf, chart) in where.items():
+        t2, q = tri.gluing(t, f)
+        nt2, _, chart2 = where[(t2, q[f])]
+        rows[nt][nf] = (nt2, perm_compose(perm_inverse(chart2),
+                                          perm_compose(q, chart)))
+
+    # the faces around the new edge: face l of N_i (opposite base index m)
+    # is N_m's face opposite base index i; the apexes and the base vertex
+    # both keep match by label, and N_i's vertex l goes to N_m's base i
+    for i in range(3):
+        for l in (2, 3):
+            m = labels[i][l]
+            rows[base_idx + i][l] = (base_idx + m, tuple(
+                labels[m].index(i if x == l else labels[i][x])
+                for x in range(4)))
 
     return Triangulation(rows, name=tri.name)

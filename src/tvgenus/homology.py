@@ -11,10 +11,11 @@ census-sized matrices become large.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .complex3 import EDGES, EDGE_INDEX, FACE_VERTS, Triangulation
+from .complex3 import EDGES, FACE_SIDES, Triangulation
 
 
 class IntMatrix:
@@ -26,7 +27,10 @@ class IntMatrix:
         for row in entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
-        self.entries = [[int(x) for x in row] for row in entries]
+        try:
+            self.entries = [[operator.index(x) for x in row] for row in entries]
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -181,18 +185,15 @@ def boundary_matrices(tri: Triangulation) -> tuple[IntMatrix, IntMatrix]:
     nf = len(tri.face_orbits)
     d1 = [[0] * ne for _ in tri.vertex_orbits]
     for orbit in tri.edge_orbits:
-        t, e, sign = orbit.members[0]
+        t, e, _ = orbit.members[0]  # the orbit's reference slot: sign +1
         u, v = EDGES[e]
-        if sign < 0:
-            u, v = v, u
         d1[tri.vertex_orbit_index[4 * t + v]][orbit.index] += 1
         d1[tri.vertex_orbit_index[4 * t + u]][orbit.index] -= 1
     d2 = [[0] * nf for _ in range(ne)]
     for fo in tri.face_orbits:
         t, f = fo.slots[0]
-        a, b, c = FACE_VERTS[f]
-        for (u, v, s) in ((b, c, 1), (a, c, -1), (a, b, 1)):
-            slot = 6 * t + EDGE_INDEX[(u, v)]
+        for e, s in FACE_SIDES[f]:
+            slot = 6 * t + e
             d2[tri.edge_orbit_index[slot]][fo.index] += s * tri.edge_orbit_sign[slot]
     return IntMatrix(d1), IntMatrix(d2)
 

@@ -18,7 +18,9 @@ same formulas.  tables(r, mode) is the one carrier object of a level, with
 the state sum's dense 1/theta table theta_inv, the table third of the
 colors each pair admits, read off theta_inv, and the Tet memo tet_memo.
 D', the even colors' share of D, normalizes the even-color state sum at
-odd r.
+odd r.  TET_ARG_EDGES places the arguments A..F of Tet on the edges 01,
+02, 23, 13, 12, 03 of a tetrahedron; the state sum's plan and the symmetry
+check of verify_identities both read it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from .complex3 import EDGE_INDEX, EDGES
 from .cyclotomic import CycNumber
 
 
@@ -182,6 +185,9 @@ def _theta(lv: _Carrier, a: int, b: int, c: int):
 
 # faces of Tet[A B E; C D F]; opposite edge pairs are (A,C), (B,D), (E,F)
 _TET_FACES = ((0, 1, 4), (2, 3, 4), (0, 3, 5), (1, 2, 5))
+# the tetrahedron edge of each argument A..F of Tet, as an index into
+# complex3.EDGES: A, B, C, D, E, F = 01, 02, 23, 13, 12, 03
+TET_ARG_EDGES = (0, 1, 5, 4, 3, 2)
 
 
 def _tet(lv: _Carrier, labels: tuple[int, ...]):
@@ -269,11 +275,6 @@ def tables(r: int, mode: str) -> _Carrier:
 # --------------------------------------------------------------------------
 # identity self-verification
 # --------------------------------------------------------------------------
-
-# the 6 edges of the reference tetrahedron as vertex pairs, in the argument
-# order (A, B, C, D, E, F) of tet_symbol
-_EDGE_OF_ARG = ((1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4))
-
 
 @dataclass
 class IdentityCheck:
@@ -372,7 +373,7 @@ def verify_identities(r: int, tables_override=None) -> IdentityReport:
          ((a,) for a in cols if not delta[a] == theta(a, a, 0, r))),
         ("tetrahedral symmetry of Tet",
          ((tup, sigma) for tup in _admissible_tet_tuples(r)
-          for sigma in itertools.permutations((1, 2, 3, 4))
+          for sigma in itertools.permutations(range(4))
           if not tet(*_relabel_tet(tup, sigma)) == tet(*tup))),
         ("orthogonality", orthogonality_failures()),
         ("Biedenharn-Elliott (pentagon)", pentagon_failures()),
@@ -397,11 +398,7 @@ def _admissible_tet_tuples(r: int):
 
 
 def _relabel_tet(tup, sigma):
-    """Edge labels after the vertex permutation sigma of {1,2,3,4}."""
-    lookup = {}
-    for idx, (u, v) in enumerate(_EDGE_OF_ARG):
-        lookup[frozenset((u, v))] = tup[idx]
-    out = []
-    for (u, v) in _EDGE_OF_ARG:
-        out.append(lookup[frozenset((sigma[u - 1], sigma[v - 1]))])
-    return tuple(out)
+    """Edge labels after the vertex permutation sigma of {0,1,2,3}."""
+    label = dict(zip(TET_ARG_EDGES, tup))  # EDGES index -> label
+    return tuple(label[EDGE_INDEX[sigma[u], sigma[v]]]
+                 for u, v in (EDGES[e] for e in TET_ARG_EDGES))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .complex3 import Triangulation
 from .cyclotomic import CycNumber
-from .recoupling import tables
+from .recoupling import TET_ARG_EDGES, tables
 
 
 class SearchVolumeError(RuntimeError):
@@ -69,7 +69,10 @@ class SearchLimits:
 
 @dataclass
 class TvResult:
-    """Outcome of one invariant computation."""
+    """Outcome of one invariant computation.  states_visited and
+    states_admissible add up every search the mode ran: in 'both' mode the
+    float search and the exact one (or two, where exact mode splits off
+    TV_3)."""
 
     r: int
     mode: str
@@ -105,11 +108,9 @@ def _make_plan(tri: Triangulation) -> list[tuple[list, list, tuple | None]]:
         pos = (position[x], position[y], position[z])
         faces[max(pos)].append(pos)
     # a tetrahedron completes when the last of its 6 edge orbits is colored;
-    # store the positions in the argument order of the tables' tet:
-    # (A,B,C,D,E,F) = (c01, c02, c23, c13, c12, c03)
+    # store the positions in the argument order A..F of the tables' tet
     for tet_edges in tri.tet_edge_orbits():
-        e01, e02, e03, e12, e13, e23 = tet_edges
-        arg_pos = tuple(position[e] for e in (e01, e02, e23, e13, e12, e03))
+        arg_pos = tuple(position[tet_edges[e]] for e in TET_ARG_EDGES)
         tets[max(arg_pos)].append(arg_pos)
     plan = []
     for k in range(ne):
@@ -167,8 +168,8 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
         value_e, visited, leaves = (_run_split(tri, r) if _splits(r, "exact")
                                     else _run(tri, r, "exact"))
         result.value_exact = value_e
-        result.states_visited = visited
-        result.states_admissible = leaves
+        result.states_visited += visited
+        result.states_admissible += leaves
         if not value_e.is_real():
             raise AssertionError("state sum produced a non-real exact value")
         if mode == "exact":

@@ -204,11 +204,13 @@ def test_load_census_comments_and_hash_in_names(tmp_path):
         f"rp3#rp3 ; {sig}",
         f"L(3,1) # RP3 ; {fixture_isosig('t3')}",
         f"sum ; {sig}   # trailing comment",
+        "s3 ; cMcabbgqs # from the census; see notes",
     ])
     assert load_census(path) == [
         ("rp3#rp3", sig),
         ("L(3,1) # RP3", fixture_isosig("t3")),
         ("sum", sig),
+        ("s3", "cMcabbgqs"),
     ]
 
 

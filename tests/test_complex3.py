@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from tvgenus.complex3 import (FACE_VERTS, GluingParseError, PachnerError,
-                              Triangulation, TriangulationError,
+from tvgenus.complex3 import (EDGES, FACE_SIDES, FACE_VERTS, GluingParseError,
+                              PachnerError, Triangulation, TriangulationError,
                               format_gluing_file, pachner_23,
                               parse_gluing_file, perm_inverse)
 from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_names
 from tvgenus.homology import boundary_matrices, h1
+from tvgenus.isosig import encode_isosig
 
 import oracles
 
@@ -143,6 +144,16 @@ def test_disconnected_rejected():
 def test_missing_gluing_rejected():
     rows = [[(1, (0, 1, 2, 3))] * 4, [(0, (0, 1, 2, 3))] * 3 + [None]]
     with pytest.raises(TriangulationError, match="not closed"):
+        Triangulation(rows)
+
+
+@pytest.mark.parametrize("gluing", [(1.9, (0, 1, 2, 3)), (1.0, (0, 1, 2, 3)),
+                                     (1, (0.0, 1, 2, 3)), ("1", (0, 1, 2, 3))])
+def test_non_integer_gluing_rejected(gluing):
+    # a float would otherwise be truncated (1.9 -> 1) or pass the
+    # permutation check and fail later with a bare TypeError
+    rows = [[(1, (0, 1, 2, 3))] * 4, [(0, (0, 1, 2, 3))] * 3 + [gluing]]
+    with pytest.raises(TriangulationError, match="not an integer"):
         Triangulation(rows)
 
 
@@ -296,6 +307,51 @@ def test_pachner_twice_still_valid():
         tri = pachner_23(tri, fo)
     assert tri.size == 4
     assert tri.euler_characteristic == 0
+
+
+# isosigs along seeded 8-step walks, choosing among the face orbits that
+# join two distinct tetrahedra as perfbench/make_census.py does: the choice
+# reads orbit indices, so these pin the labels that pachner_23 produces
+PINNED_WALKS = {
+    "s3": ["dLQbcccaacr", "eLAkbccddahgto", "fLAMcbccdeeaegtaf",
+           "gLLAQcceeeffqfleeaf", "hLLMAkccdfefggdwvqiwxg",
+           "iLLAzQccddefgghhhsvaoggig", "jLLLMAQbcgghhfgiilsmajjsvqv",
+           "kLLLMzQkadeffgjjiijbamgwoacwjk"],
+    "rp3": ["dLQbcccaicj", "eLAkbccddpenqv", "fLAMcbccdeeepbaab",
+            "gLLAQbcedfefevpvakv", "hLLMAkbcedffgglspnabuc",
+            "iLLLAQccefdfgghhaulglffdj", "jLLALPQccedghhhiiubaffddqio",
+            "kLLPLzQkbcdehihijijpkfpaapqqjo"],
+    "t3": ["hvLPQkcedgffggnnclmeiw", "iLvLQQcbdhghgfghafhxsjfoo",
+           "jLvLQMQcfgehgihiiaiaxenirht", "kvLALMQkceffgijhijjnvqmmwokgco",
+           "lLvLLAQQccfehihkhjjkkaiurbrhwnghd",
+           "mLLvLAQPQcdhgfikhjllklarovfrivoelqr",
+           "nLvAwLMPQkcdfeikhljkmlmmavalipbdknwsgs",
+           "oLvAwLzMQQccdfeiklmjmlnnmnavalihhakwrnnnk"],
+}
+
+
+def test_pachner_walk_pinned():
+    for name, want in PINNED_WALKS.items():
+        rng = random.Random(f"walk:{name}")
+        tri = fixture(name)
+        got = []
+        for _ in want:
+            faces = [fo.index for fo in tri.face_orbits
+                     if fo.slots[0][0] != fo.slots[1][0]]
+            tri = pachner_23(tri, rng.choice(faces))
+            got.append(encode_isosig(tri))
+        assert got == want, name
+
+
+def test_face_sides_are_the_oriented_boundary():
+    for f, sides in enumerate(FACE_SIDES):
+        assert {v for e, _ in sides for v in EDGES[e]} == set(FACE_VERTS[f])
+        tally = [0] * 4  # the boundary of the boundary of the face is 0
+        for e, s in sides:
+            u, v = EDGES[e]
+            tally[v] += s
+            tally[u] -= s
+        assert tally == [0] * 4
 
 
 def test_perm_inverse():

@@ -27,6 +27,13 @@ def test_snf_single_entry():
     assert smith_normal_form([[-6]]) == (6,)
 
 
+@pytest.mark.parametrize("entries", [[[2.5, 0], [0, 3.9]], [[2.0]], [["2"]]])
+def test_non_integer_entries_rejected(entries):
+    # truncating [[2.5, 0], [0, 3.9]] would give the Smith form (1, 6)
+    with pytest.raises(ValueError, match="integers"):
+        smith_normal_form(entries)
+
+
 def test_snf_worked_example():
     # d1 = gcd of entries = 2, d1*d2 = |det| = 8, so diag(2, 4);
     # cross-checked by the determinantal-divisor oracle

@@ -8,11 +8,12 @@ import types
 
 import pytest
 
-from tvgenus.recoupling import (admissible, global_dim, qdim,
+from tvgenus.complex3 import EDGES
+from tvgenus.recoupling import (TET_ARG_EDGES, admissible, global_dim, qdim,
                                 quantum_factorial, quantum_integer, tables,
                                 tet_symbol, tet_symbol_f, theta, theta_f,
                                 verify_identities, _admissible_tet_tuples,
-                                _carrier)
+                                _carrier, _relabel_tet, _TET_FACES)
 
 import oracles
 
@@ -179,6 +180,25 @@ def test_tet_against_diagram_algebra_sampled_r6():
         got = tet_symbol(*tup, 6).to_float()
         want = oracles.tet_net(*tup, 6)
         assert abs(got - want) < 1e-7 * max(1.0, abs(want)), tup
+
+
+def test_tet_arg_edges_match_the_tet_faces():
+    # each admissible triple of Tet is a face of the tetrahedron, and the
+    # opposite argument pairs (A,C), (B,D), (E,F) are opposite edges
+    edges = [EDGES[e] for e in TET_ARG_EDGES]
+    assert sorted(TET_ARG_EDGES) == list(range(6))
+    for face in _TET_FACES:
+        assert len({v for i in face for v in edges[i]}) == 3
+    for i, j in ((0, 2), (1, 3), (4, 5)):
+        assert not set(edges[i]) & set(edges[j])
+
+
+def test_relabel_tet_acts_as_the_tetrahedral_group():
+    labels = tuple(range(6))
+    images = {_relabel_tet(labels, sigma)
+              for sigma in itertools.permutations(range(4))}
+    assert len(images) == 24
+    assert _relabel_tet(labels, (0, 1, 2, 3)) == labels
 
 
 def test_tet_inadmissible_face_raises():

@@ -296,6 +296,18 @@ def test_exact_search_is_split_only_at_odd_levels_from_5(r):
     assert estimated_states(fixture("t3"), r, "exact") == float(r - 1) ** 7
 
 
+@pytest.mark.parametrize("name, r", (("t3", 7), ("rp3", 4)))
+def test_both_mode_adds_the_counters_of_both_carriers(name, r):
+    flt, ext, both = (tv_invariant(fixture(name), r, mode=mode, limits=FORCE)
+                      for mode in ("float", "exact", "both"))
+    assert both.states_visited == flt.states_visited + ext.states_visited
+    assert both.states_admissible == (flt.states_admissible
+                                      + ext.states_admissible)
+    if name == "t3":
+        assert (both.states_visited, both.states_admissible) == (
+            17394 + 961, 1280 + 168)
+
+
 def test_even_search_walks_only_even_colors():
     # visited counts (r-1)/2 colors per entered step; every leaf of the
     # even search is an admissible even coloring

@@ -30,9 +30,13 @@ error is not kept, since argparse's usage text may change.
 ``search_counters.txt`` holds the float search's ``states_visited`` and
 ``states_admissible``, from ``tvgenus.statesum.tv_invariant`` with default
 limits, for every fixture at r=3..8 (``refused`` where the search-volume
-guard refuses it), ``t3`` at r=9 and every census start at r=5.  To check a
-change, write the set from the parent's ``src`` and from the change's, then
-``diff -r`` the two directories: the diff must be empty.
+guard refuses it), ``t3`` at r=9 and every census start at r=5.
+``pachner_moves.txt`` holds ``format_gluing_file`` of ``pachner_23`` at
+every face orbit that joins two distinct tetrahedra, on every triangulation
+of a seeded 12-step walk of 2-3 moves from each fixture (the fixture
+itself first).  To check a change, write the set from the parent's ``src``
+and from the change's, then ``diff -r`` the two directories: the diff must
+be empty.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import argparse
 import contextlib
 import io
 import os
+import random
 import sys
 import tempfile
 
@@ -151,6 +156,24 @@ def search_counters(triangulations) -> list[str]:
     return lines
 
 
+def pachner_moves(fixtures) -> list[str]:
+    """The gluing file of the 2-3 move at every eligible face of each
+    triangulation along a 12-step walk from each (name, triangulation),
+    seeded by the name, the start first."""
+    from tvgenus.complex3 import format_gluing_file, pachner_23
+
+    out = []
+    for name, tri in fixtures:
+        rng = random.Random(name)
+        for step in range(13):
+            moves = [pachner_23(tri, fo.index) for fo in tri.face_orbits
+                     if fo.slots[0][0] != fo.slots[1][0]]
+            out += [format_gluing_file(moved, f"{name} step {step} move {i}")
+                    for i, moved in enumerate(moves)]
+            tri = rng.choice(moves)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir")
@@ -188,6 +211,10 @@ def main(argv=None) -> int:
     with open(os.path.join(args.outdir, "search_counters.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(search_counters(runs))
+    with open(os.path.join(args.outdir, "pachner_moves.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(pachner_moves((name, fixture(name))
+                                    for name in fixture_names()))
     return 0
 
 

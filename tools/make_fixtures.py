@@ -23,7 +23,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from tvgenus.complex3 import (FACE_VERTS, EDGE_INDEX, Triangulation,
+from tvgenus.complex3 import (FACE_VERTS, Triangulation,
                               TriangulationError, format_gluing_file,
                               perm_inverse)
 from tvgenus.fixtures import _GLUING_FIXTURES, _ISOSIG_FIXTURES
@@ -170,18 +170,12 @@ def embedded_face(tri: Triangulation):
     """A face orbit joining two distinct tetrahedra whose three vertices lie
     in three distinct vertex orbits and whose three edges lie in three
     distinct edge orbits; cutting along such a face removes an open ball."""
-    for fo in tri.face_orbits:
+    for fo, sides in zip(tri.face_orbits, tri.face_edge_orbits()):
         (ta, fa), (tb, fb) = fo.slots
         if ta == tb:
             continue
-        vs = FACE_VERTS[fa]
-        vorbs = {tri.vertex_orbit_index[4 * ta + v] for v in vs}
-        if len(vorbs) != 3:
-            continue
-        eorbs = {tri.edge_orbit_index[6 * ta + EDGE_INDEX[(vs[0], vs[1])]],
-                 tri.edge_orbit_index[6 * ta + EDGE_INDEX[(vs[0], vs[2])]],
-                 tri.edge_orbit_index[6 * ta + EDGE_INDEX[(vs[1], vs[2])]]}
-        if len(eorbs) == 3:
+        vorbs = {tri.vertex_orbit_index[4 * ta + v] for v in FACE_VERTS[fa]}
+        if len(vorbs) == 3 and len(set(sides)) == 3:
             return fo.index
     return None
 
