@@ -11,18 +11,35 @@ convention of the recoupling module.  Each face of a closed complex lies in
 exactly two tetrahedra, which is what makes this square-root-free grouping
 equal to the unitarized-6j formulation.
 
-Enumeration is one iterative depth-first search over edge orbits in a
-static most-constrained-first order (descending face-incidence degree, ties
-by index), colors ascending, pruning as soon as a completed face triple is
-inadmissible.  It walks a color set: every color, or the even ones.  A step
-whose first face has its two other edges colored walks only the third
-colors that face admits (the carrier's table third; two even colors admit
-only even ones, by parity); other steps walk the color set.  One pass over
-a step's faces checks each and multiplies its 1/theta into the weight,
-which is accumulated incrementally along the search path.  states_visited
-still counts every color of the set at each entered step, as a search that
-tries them all would, so the counters compare across versions of the
-search.
+Both engines walk one static plan over edge orbits: a most-constrained-first
+order (descending face-incidence degree, ties by index), each step listing
+the face triples and Tet arguments that its edge completes.  Colors come
+from a color set, every color or the even ones.  A step whose first face has
+its two other edges colored takes only the third colors that face admits
+(the carrier's table third; two even colors admit only even ones, by
+parity); other steps take the color set.  A prefix is pruned as soon as a
+completed face triple is inadmissible.
+
+The float carrier sums by depth-first search (the backtracker), colors
+ascending, accumulating the weight along the path: one pass over a step's
+faces checks each and multiplies its 1/theta in.  Each complete coloring's
+weight goes into the partial sum of its first edge's color, and those are
+added in ascending color order.  That order fixes every bit of the float
+values, and with them the sign of the rounding noise of a TV that is exactly
+0, which visible outputs read; so float keeps the backtracker until those
+bits are pinned anew.  The exact carrier, where order cannot change a value,
+sums over the frontier: after each step, one state per coloring of the
+positions a later step still reads, holding the summed weight of the
+admissible prefixes that agree there and their number.  A step's factor is
+computed once per coloring of the positions the step reads, after all its
+faces pass, so each state costs one multiplication per admissible color;
+the backtracker multiplies every factor into every admissible prefix.
+Every state is the image of an admissible prefix, so the frontier holds no
+more states than the backtracker visits, and the guard bounds both.  The
+engines report the same counters: states_admissible counts the complete
+admissible colorings, and states_visited every color of the set at each
+entered step (position 0, and the next position after each admissible
+proper prefix), as a search that tries them all would.
 
 In exact mode at odd r >= 5 the invariant factors as TV_r = TV_3 * TV'_r
 (Detcherry-Kalfagianni-Yang, arXiv:1701.07818, Thm 2.9), where TV'_r is
@@ -34,14 +51,13 @@ states_visited and states_admissible then add up both searches, and the
 guard estimates 2^E + ((r-1)/2)^E colorings.  Float mode, even r and r = 3
 run the full search; in 'both' mode the full float sum is checked against
 the split exact value.
-The weight of each complete coloring is added to the partial sum of its
-first edge's color, and those partial sums are added in ascending color
-order, so float results are bit-identical across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -194,17 +210,32 @@ def _run_split(tri: Triangulation, r: int):
 
 
 def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
-    """The state sum divided by D^V, and the (visited, admissible) counts;
-    the same code for both carriers (a zero float sum gives +0.0).  With
-    even, only the even colors are walked and the sum is divided by D'^V."""
+    """The state sum divided by D^V, and the (visited, admissible) counts
+    (a zero float sum gives +0.0).  With even, only the even colors are
+    walked and the sum is divided by D'^V."""
     lv = tables(r, carrier)
-    delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
-    memo, fill = lv.tet_memo.get, lv.tet
     plan = _make_plan(tri)
-    last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
     # the color set; a paired step whose pair is even admits only even
     # colors, by parity, so third needs no filter
-    every = range(0, len(delta), 2 if even else 1)
+    every = range(0, len(lv.delta), 2 if even else 1)
+    # Exact sums run over the frontier, one multiplication per state.  The
+    # float carrier keeps the backtracker: its summation order fixes every
+    # float bit, and with them the pinned float values and the sign of the
+    # rounding noise of a TV that is exactly 0, which visible outputs read.
+    search = _frontier_sum if carrier == "exact" else _backtrack_sum
+    total, entered, leaves = search(lv, plan, every)
+    # every color of the set per entered position, position 0 included
+    visited = len(every) * (entered + 1)
+    dim = lv.dim_even if even else lv.dim
+    return total / dim ** len(tri.vertex_orbits), visited, leaves
+
+
+def _backtrack_sum(lv, plan, every):
+    """The sum over the colorings by depth-first search, and the numbers of
+    entered positions and of leaves."""
+    delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
+    memo, fill = lv.tet_memo.get, lv.tet
+    last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
     colors = [0] * len(plan)
     weights = [lv.one] * len(plan)  # weights[k]: product before position k
     untried = [iter(every)] + [None] * last  # colors left at each position
@@ -244,10 +275,91 @@ def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
     total = lv.zero
     for part in branch:  # ascending color order: deterministic floats
         total += part
-    # every color of the set per entered position, position 0 included
-    visited = len(every) * (entered + 1)
-    dim = lv.dim_even if even else lv.dim
-    return total / dim ** len(tri.vertex_orbits), visited, leaves
+    return total, entered, leaves
+
+
+def _frontier_sum(lv, plan, every):
+    """The same sum and counts as _backtrack_sum, step by step over the
+    plan.  After step k one state stands for each coloring of the frontier
+    (the positions up to k that a later step reads): the sum of the weights
+    of the admissible prefixes that agree with it there, and their number.
+    A step's factor delta_c * prod 1/theta * prod Tet depends only on the
+    colors of the positions the step reads, so it is computed once per
+    coloring of those, all faces checked before any multiplication; each
+    state then costs one multiplication per admissible color."""
+    last = len(plan) - 1
+    last_read = list(range(len(plan)))  # the last step reading a position
+    for k, (faces, tets, _) in enumerate(plan):
+        for p in itertools.chain(*faces, *tets):
+            last_read[p] = k  # steps run in order and read no later position
+    live: list[int] = []  # the frontier; a state's key holds their colors
+    states = {(): [lv.one, 1]}
+    entered = 0
+    for k, (faces, tets, pair) in enumerate(plan):
+        # a state's key plus the color of position k, indexed by position
+        at = {p: i for i, p in enumerate(live + [k])}
+        faces = [tuple(at[p] for p in face) for face in faces]
+        tets = [tuple(at[p] for p in tet) for tet in tets]
+        reads = _picker(sorted({at[k], *itertools.chain(*faces, *tets)}))
+        live = [p for p in live + [k] if last_read[p] > k]
+        project = _picker([at[p] for p in live])
+        if pair is not None:
+            x, y = at[pair[0]], at[pair[1]]
+        factors: dict = {}
+        following: dict = {}
+        admitted = 0
+        for key, (part, count) in states.items():
+            for c in every if pair is None else lv.third[key[x]][key[y]]:
+                cols = key + (c,)
+                read = reads(cols)
+                f = factors.get(read, _UNSEEN)
+                if f is _UNSEEN:
+                    f = factors[read] = _factor(lv, cols, faces, tets)
+                if f is None:
+                    continue  # prune: a face triple is inadmissible
+                admitted += count
+                w = part * f
+                nxt = project(cols)
+                slot = following.get(nxt)
+                if slot is None:
+                    following[nxt] = [w, count]
+                else:
+                    slot[0] += w
+                    slot[1] += count
+        states = following
+        if k < last:
+            entered += admitted
+    # nothing is read after the last step, so one state at most remains
+    total, leaves = states.get((), (lv.zero, 0))
+    return total, entered, leaves
+
+
+_UNSEEN = object()
+
+
+def _picker(indices):
+    """The function taking a tuple to the tuple of its entries at indices."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda t: (t[i],)
+    return operator.itemgetter(*indices) if indices else lambda t: ()
+
+
+def _factor(lv, cols, faces, tets):
+    """delta of the last color times the 1/theta of faces and the Tet of
+    tets, all indices into cols; None if a face triple is inadmissible."""
+    invs = []
+    for (x, y, z) in faces:
+        inv = lv.theta_inv[cols[x]][cols[y]][cols[z]]
+        if inv is None:
+            return None
+        invs.append(inv)
+    w = lv.delta[cols[-1]]
+    for inv in invs:
+        w = w * inv
+    for tet in tets:
+        w = w * lv.tet(*(cols[i] for i in tet))
+    return w
 
 
 @dataclass

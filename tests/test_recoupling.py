@@ -8,6 +8,7 @@ import types
 
 import pytest
 
+from tvgenus import recoupling
 from tvgenus.complex3 import EDGES
 from tvgenus.recoupling import (TET_ARG_EDGES, admissible, global_dim, qdim,
                                 quantum_factorial, quantum_integer, tables,
@@ -343,6 +344,17 @@ def test_float_symbol_bits_pinned():
 def test_verify_identities_pass(r):
     report = verify_identities(r)
     assert report.all_passed, [c for c in report.checks if not c.passed]
+
+
+def test_asymmetric_tet_breaks_tetrahedral_symmetry(monkeypatch):
+    # the exact carrier fills Tet once per symmetry orbit, so the check
+    # must compare the formula at every tuple, not the table with itself
+    formula = recoupling._tet
+    monkeypatch.setattr(recoupling, "_tet", lambda lv, labels: formula(
+        lv, labels) * (labels[0] + 1))
+    report = verify_identities(4, tables_override=recoupling._Exact(4))
+    by_name = {c.name: c for c in report.checks}
+    assert not by_name["tetrahedral symmetry of Tet"].passed
 
 
 def _corrupted_tables(r):

@@ -7,13 +7,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from tvgenus import recoupling, statesum
 from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.homology import h1
 from tvgenus.isosig import decode_isosig
-from tvgenus.recoupling import admissible, global_dim, tables
-from tvgenus.statesum import (SearchLimits, SearchVolumeError, _make_plan,
+from tvgenus.recoupling import admissible, global_dim, tables, tet_symbol
+from tvgenus.statesum import (SearchLimits, SearchVolumeError,
+                              _backtrack_sum, _frontier_sum, _make_plan,
                               _run, estimated_states, tv_anchor_checks,
                               tv_invariant)
 
@@ -172,10 +174,14 @@ def test_exact_values_are_real():
 
 
 def test_exact_float_agreement_fixtures():
-    for name in fixture_names():
-        r = 4 if "#" in name else 5
-        res = tv_invariant(fixture(name), r, mode="both", limits=FORCE)
-        assert abs(res.value_exact.to_float() - res.value_float) <= 1e-9
+    # tv_invariant asserts that the exact frontier sum and the float
+    # backtracker agree within 1e-9
+    tris = [fixture(name) for name in fixture_names()]
+    tris += [_walk(*case) for case in FALLBACK_CASES.values()]
+    for r in range(3, 7):
+        for tri in tris:
+            res = tv_invariant(tri, r, mode="both", limits=FORCE)
+            assert abs(res.value_exact.to_float() - res.value_float) <= 1e-9
 
 
 def test_determinism_bit_identical():
@@ -261,8 +267,7 @@ def test_search_counters_pinned(r):
 
 # --- odd levels: TV_r = TV_3 * TV'_r in exact mode ------------------------------
 
-SPLIT_CASES = [(name, r) for r in (5, 7) for name in fixture_names()
-               if (name, r) != ("rp3#rp3", 7)]  # 35 s; criterion 6 covers it
+SPLIT_CASES = [(name, r) for r in (5, 7) for name in fixture_names()]
 
 
 @pytest.mark.parametrize("name, r", SPLIT_CASES)
@@ -286,14 +291,48 @@ def test_full_sum_equals_split(name, r):
         assert (visited, leaves) == PINNED_COUNTERS[r][name]
 
 
-@pytest.mark.parametrize("r", (3, 4))
+@pytest.mark.parametrize("r", (3, 4, 6))
 def test_exact_search_is_split_only_at_odd_levels_from_5(r):
-    # r = 3 and even r run the one full search, with the float counters
+    # r = 3 and even r run the one full search, with the float counters:
+    # the exact frontier sum counts what the float backtracker counts
     for name in fixture_names():
         res = tv_invariant(fixture(name), r, mode="exact", limits=FORCE)
         assert (res.states_visited,
                 res.states_admissible) == PINNED_COUNTERS[r][name]
     assert estimated_states(fixture("t3"), r, "exact") == float(r - 1) ** 7
+
+
+@pytest.mark.parametrize("r", (4, 5))
+def test_frontier_sum_equals_backtracker_exactly(r):
+    # the two engines over the exact carrier: the same CycNumber and the
+    # same counts, on every plan shape the fixtures and fallback walks hold
+    lv = tables(r, "exact")
+    tris = [fixture(name) for name in fixture_names()]
+    tris += [_walk(*case) for case in FALLBACK_CASES.values()]
+    for tri in tris:
+        plan = _make_plan(tri)
+        for every in (range(r - 1), range(0, r - 1, 2)):
+            assert (_frontier_sum(lv, plan, every)
+                    == _backtrack_sum(lv, plan, every))
+
+
+def test_exact_tet_is_filled_once_per_symmetry_orbit(monkeypatch):
+    # t3 at r=6 meets 329 Tet tuples in 40 orbits of the 24 relabelings;
+    # a fresh exact carrier fills each orbit once, at its least tuple
+    lv = recoupling._Exact(6)
+    fills = []
+    formula = recoupling._tet
+
+    def counted(carrier, labels):
+        fills.append(labels)
+        return formula(carrier, labels)
+
+    monkeypatch.setattr(recoupling, "_tet", counted)
+    monkeypatch.setattr(statesum, "tables", lambda r, mode: lv)
+    _run(fixture("t3"), 6, "exact")
+    monkeypatch.undo()
+    assert (len(fills), len(lv.tet_memo)) == (40, 329)
+    assert all(val == tet_symbol(*key, 6) for key, val in lv.tet_memo.items())
 
 
 @pytest.mark.parametrize("name, r", (("t3", 7), ("rp3", 4)))

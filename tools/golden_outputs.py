@@ -30,7 +30,8 @@ error is not kept, since argparse's usage text may change.
 ``search_counters.txt`` holds the float search's ``states_visited`` and
 ``states_admissible``, from ``tvgenus.statesum.tv_invariant`` with default
 limits, for every fixture at r=3..8 (``refused`` where the search-volume
-guard refuses it), ``t3`` at r=9 and every census start at r=5.
+guard refuses it), ``t3`` at r=9 and every census start at r=5; then the
+exact search's, marked ``exact``, for every fixture at r=3..7.
 ``pachner_moves.txt`` holds ``format_gluing_file`` of ``pachner_23`` at
 every face orbit that joins two distinct tetrahedra, on every triangulation
 of a seeded 12-step walk of 2-3 moves from each fixture (the fixture
@@ -140,19 +141,21 @@ def commands(fixture_names, small_fixtures,
     return out
 
 
-def search_counters(triangulations) -> list[str]:
-    """One line per (name, triangulation, r): its float search counters,
-    or ``refused`` when the default search-volume guard refuses it."""
+def search_counters(triangulations, mode: str = "float") -> list[str]:
+    """One line per (name, triangulation, r): its search counters in the
+    mode, or ``refused`` when the default search-volume guard refuses it;
+    exact lines are marked ``exact``."""
     from tvgenus.statesum import SearchVolumeError, tv_invariant
 
+    mark = " exact" if mode == "exact" else ""
     lines = []
     for name, tri, r in triangulations:
         try:
-            res = tv_invariant(tri, r)
+            res = tv_invariant(tri, r, mode=mode)
             counts = f"{res.states_visited} {res.states_admissible}"
         except SearchVolumeError:
             counts = "refused"
-        lines.append(f"{name} r={r} {counts}\n")
+        lines.append(f"{name} r={r}{mark} {counts}\n")
     return lines
 
 
@@ -211,6 +214,9 @@ def main(argv=None) -> int:
     with open(os.path.join(args.outdir, "search_counters.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(search_counters(runs))
+        fh.writelines(search_counters(
+            [(name, fixture(name), r) for name in fixture_names()
+             for r in range(3, 8)], mode="exact"))
     with open(os.path.join(args.outdir, "pachner_moves.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(pachner_moves((name, fixture(name))
