@@ -11,12 +11,11 @@ parse or compute are reported in the record notes and never abort a batch.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .complex3 import parse_gluing_file
@@ -25,18 +24,16 @@ from .genus import (ScreenRecord, build_record, screen, trivial_exclusions,
                     PAPER_MODE_R, PAPER_MODE_THRESHOLD)
 from .homology import format_h1, h1, parse_h1
 from .isosig import decode_isosig
-from .recoupling import verify_identities
-from .statesum import SearchLimits, SearchVolumeError, tv_invariant, tv_anchor_checks
+from .statesum import SearchLimits, SearchVolumeError, tv_invariant
 
 CSV_COLUMNS = ("name", "isosig", "r", "tv_float", "tv_exact", "genus_lb",
                "h1", "min_gens", "flagged", "notes")
 NOTE_SEP = " | "
 
 
-@dataclass
-class Report:
-    rows: list[ScreenRecord] = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+class Report(NamedTuple):
+    rows: list[ScreenRecord]
+    provenance: dict
 
     @property
     def summary(self) -> dict:
@@ -97,6 +94,7 @@ def report_from_json(text: str) -> Report:
 
 
 def report_to_csv(report: Report) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -108,11 +106,12 @@ def report_to_csv(report: Report) -> str:
 
 
 def report_from_csv(text: str) -> Report:
+    import csv
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(header) != CSV_COLUMNS:
         raise ValueError("unexpected CSV header")
-    report = Report()
+    report = Report(rows=[], provenance={})
     for cells in reader:
         row = dict(zip(CSV_COLUMNS, cells))
         if report.provenance.get("r") is None and row["r"]:
@@ -230,42 +229,8 @@ def cmd_screen(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    failures = 0
-
-    def check(label: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        status = "ok" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        out.write(f"{status:4s} {label}{suffix}\n")
-        if not ok:
-            failures += 1
-
-    for r in range(3, args.r_max + 1):
-        report = verify_identities(r)
-        for c in report.checks:
-            check(f"identities r={r}: {c.name}", c.passed,
-                  "" if c.passed else f"witness {c.witness}")
-    for a in tv_anchor_checks(range(3, max(args.r_max, 6) + 1)):
-        check(f"anchor r={a.r}: {a.name}", a.passed, a.detail)
-    # move invariance and exact/float agreement on the small fixtures
-    from .complex3 import pachner_23
-    for name in ("s3", "rp3", "l31", "s2xs1"):
-        tri = fixture(name)
-        fo = next(f.index for f in tri.face_orbits
-                  if f.slots[0][0] != f.slots[1][0])
-        moved = pachner_23(tri, fo)
-        for r in (3, 4, 5):
-            a = tv_invariant(tri, r, mode="exact").value_exact
-            b = tv_invariant(moved, r, mode="exact").value_exact
-            check(f"pachner 2-3 invariance {name} r={r}", a == b)
-        both = tv_invariant(tri, 5, mode="both")
-        check(f"exact/float agreement {name} r=5",
-              abs(both.value_exact.to_float() - both.value_float) <= 1e-9)
-    check("homology s3 = 0", format_h1(h1(fixture("s3"))) == "0")
-    check("homology rp3 = Z_2", format_h1(h1(fixture("rp3"))) == "Z_2")
-    check("homology t3 = 3 Z", format_h1(h1(fixture("t3"))) == "3 Z")
-    out.write(f"# verify: {failures} failure(s)\n")
-    return 1 if failures else 0
+    from . import verify
+    return verify.run(args.r_max, out)
 
 
 def _provenance(args) -> dict:

@@ -34,7 +34,7 @@ here, the state sum's face triples and d2 of homology all read them there.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # edge index <-> vertex pair tables
 EDGES: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -96,8 +96,7 @@ class GluingParseError(TriangulationError):
         super().__init__(f"{message}{where}")
 
 
-@dataclass(frozen=True)
-class EdgeOrbit:
+class EdgeOrbit(NamedTuple):
     """One edge class: members are (tet, edge index, sign) with sign the
     orientation of that slot relative to the representative members[0], the
     lowest slot 6*tet + edge of the class; members are in ascending slot
@@ -107,8 +106,7 @@ class EdgeOrbit:
     members: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class FaceOrbit:
+class FaceOrbit(NamedTuple):
     """One face class: exactly two slots (tet, face) of a closed complex."""
 
     index: int

@@ -5,11 +5,13 @@ complex3.parse_gluing_file (doubling as format examples); the larger ones
 ship as isomorphism signatures produced by this package's own canonical
 encoder.  tools/make_fixtures.py regenerates everything from scratch and
 re-verifies the identifications (homology, orientability, invariant values).
+The lens spaces L(p,q) are built on demand by their Seifert-Threlfall gluing.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .complex3 import Triangulation, parse_gluing_file
 from .isosig import decode_isosig
@@ -78,13 +80,27 @@ def fixture_names() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def fixture(name: str) -> Triangulation:
-    """A built-in triangulation by name (triangulations are immutable, so
-    the cached instance is shared)."""
+    """A built-in triangulation by name, or the lens space "L(p,q)"
+    (triangulations are immutable, so the cached instance is shared)."""
     if name in _GLUING_FIXTURES:
         return parse_gluing_file(_GLUING_FIXTURES[name], name=name)
     if name in _ISOSIG_FIXTURES:
         return decode_isosig(_ISOSIG_FIXTURES[name], name=name)
+    if name.startswith("L(") and name.endswith(")"):
+        p, q = map(int, name[2:-1].split(","))
+        return _lens(p, q, name)
     raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+
+
+def _lens(p: int, q: int, name: str) -> Triangulation:
+    """L(p,q) from p tetrahedra: tetrahedron i has faces 0, 1, 2, 3 glued to
+    tetrahedra i-q, i+q, i+1, i-1 (mod p) by 1023, 1023, 0132, 0132."""
+    if p < 2 or gcd(p, q) != 1:
+        raise ValueError(f"L({p},{q}) needs p >= 2 and gcd(p, q) = 1")
+    swap, turn = (1, 0, 2, 3), (0, 1, 3, 2)
+    return Triangulation([[((i - q) % p, swap), ((i + q) % p, swap),
+                           ((i + 1) % p, turn), ((i - 1) % p, turn)]
+                          for i in range(p)], name=name)
 
 
 def fixture_gluing_text(name: str) -> str:

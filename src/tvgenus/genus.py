@@ -19,7 +19,7 @@ tool, so flagged records carry a disclaimer note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .complex3 import Triangulation
 from .homology import H1Summary, h1
@@ -38,8 +38,7 @@ def tv_s3(r: int) -> float:
     return 2.0 * math.sin(math.pi / r) ** 2 / r
 
 
-@dataclass(frozen=True)
-class GenusBound:
+class GenusBound(NamedTuple):
     tv_value: float
     r: int
     raw: float
@@ -58,8 +57,7 @@ def genus_lower_bound(tv: float, r: int) -> GenusBound:
     return GenusBound(tv_value=tv, r=r, raw=raw, genus_lb=lb)
 
 
-@dataclass(frozen=True)
-class ScreenRecord:
+class ScreenRecord(NamedTuple):
     name: str
     isosig: str | None
     tv_value: float | None
@@ -151,9 +149,9 @@ def trivial_exclusions(record: ScreenRecord) -> ScreenRecord:
     if record.genus_lb <= 2:
         if BELOW_ACTIONABLE_NOTE in record.notes:
             return record
-        return replace(record, notes=record.notes + (BELOW_ACTIONABLE_NOTE,))
+        return record._replace(notes=record.notes + (BELOW_ACTIONABLE_NOTE,))
     if (record.flagged and record.h1 is not None
             and record.h1.min_generators == 2
             and ACTIONABLE_NOTE not in record.notes):
-        return replace(record, notes=record.notes + (ACTIONABLE_NOTE,))
+        return record._replace(notes=record.notes + (ACTIONABLE_NOTE,))
     return record

@@ -12,8 +12,8 @@ census-sized matrices become large.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .complex3 import EDGES, FACE_SIDES, Triangulation
 
@@ -104,23 +104,23 @@ def smith_normal_form(mat: IntMatrix | list[list[int]]) -> tuple[int, ...]:
     return tuple(diag) + (0,) * (size - len(diag))
 
 
-@dataclass(frozen=True)
-class H1Summary:
+class H1Summary(NamedTuple("H1Summary", [("free_rank", int),
+                                          ("torsion", tuple[int, ...])])):
     """H_1 in invariant-factor form: free rank plus torsion d_1 | d_2 | ..."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...]):
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion factors must be >= 2")
             if prev is not None and d % prev != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
             prev = d
+        return super().__new__(cls, free_rank, torsion)
 
     @property
     def min_generators(self) -> int:

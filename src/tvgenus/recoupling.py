@@ -23,7 +23,7 @@ fixes its bits.
 D', the even colors' share of D, normalizes the even-color state sum at
 odd r.  TET_ARG_EDGES places the arguments A..F of Tet on the edges 01,
 02, 23, 13, 12, 03 of a tetrahedron; the state sum's plan and the symmetry
-check of verify_identities both read it.
+check of verify.verify_identities both read it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .complex3 import EDGE_INDEX, EDGES
@@ -146,12 +145,16 @@ class _Float(_Carrier):
     def quot(self, x, up, down):
         """x * prod [u]! / prod [d]!.  This evaluation order fixes every bit
         of the float symbols, and float noise decides visible outputs (the
-        sign of a TV that is exactly 0)."""
+        sign of a TV that is exactly 0).  A product past the double range
+        is refused: the quotient would read 0, inf or nan."""
         num = den = 1.0
         for k in up:
             num *= self.fact[k]
         for k in down:
             den *= self.fact[k]
+        if max(num, den) == math.inf:
+            raise ValueError(f"float symbols leave the double range at "
+                             f"r={self.r}; use --mode exact")
         return num / den * x
 
     def div_fact(self, x, n: int):
@@ -287,133 +290,6 @@ def tables(r: int, mode: str) -> _Carrier:
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     return _at(r, mode == "exact")
-
-
-# --------------------------------------------------------------------------
-# identity self-verification
-# --------------------------------------------------------------------------
-
-@dataclass
-class IdentityCheck:
-    name: str
-    passed: bool
-    witness: tuple | None = None
-
-
-@dataclass
-class IdentityReport:
-    r: int
-    checks: list[IdentityCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_identities(r: int, tables_override=None) -> IdentityReport:
-    """Exhaustive exact checks of the recoupling identities at one level.
-
-    Checks, over all admissible tuples:
-      * theta(a, a, 0) = delta_a;
-      * invariance of Tet under the 24 edge relabelings induced by vertex
-        permutations of the tetrahedron: the exact carrier fills Tet once
-        per orbit of these, so the formula, evaluated at every tuple, must
-        equal the table's value there;
-      * orthogonality of the recoupling transform:
-          sum_j delta_j Tet[a b i; c d j] Tet[a b i'; c d j]
-                / (theta(a,d,j) theta(b,c,j))
-          = delta_{i,i'} theta(a,b,i) theta(c,d,i) / delta_i;
-      * the Biedenharn-Elliott (pentagon) identity for the normalized
-        coefficient N[a b i; c d j] = delta_j Tet[a b i; c d j]
-                                      / (theta(a,d,j) theta(b,c,j)):
-          sum_z N[a b x; c y z] N[a z y; d t v] N[b c z; d v w]
-          = N[x c y; d t w] N[a b x; w t v].
-
-    The sums run on the exact tables (or a substitute with their zero,
-    delta, theta_inv and tet); orthogonality is checked with both sides
-    multiplied by delta_i (nonzero for every color).
-    Failures are reported with the first counterexample tuple.
-    """
-    exact = tables(r, "exact")
-    tab = tables_override if tables_override is not None else exact
-    report = IdentityReport(r=r)
-    cols = list(range(r - 1))
-    zero, delta, inv, tet = tab.zero, tab.delta, tab.theta_inv, tab.tet
-
-    def adm(*triples):
-        return all(inv[a][b][c] is not None for a, b, c in triples)
-
-    def orthogonality_failures():
-        for a, b, c, d in itertools.product(cols, repeat=4):
-            i_vals = [i for i in cols if adm((a, b, i), (c, d, i))]
-            j_vals = [j for j in cols if adm((a, d, j), (b, c, j))]
-            for i, i2 in itertools.product(i_vals, repeat=2):
-                acc = zero
-                for j in j_vals:
-                    acc = acc + (delta[j] * tet(a, b, c, d, i, j)
-                                 * tet(a, b, c, d, i2, j)
-                                 * inv[a][d][j] * inv[b][c][j])
-                if i == i2:
-                    ok = (acc * delta[i]
-                          == theta(a, b, i, r) * theta(c, d, i, r))
-                else:
-                    ok = acc.is_zero()
-                if not ok:
-                    yield (a, b, c, d, i, i2)
-
-    def N(a, b, i, c, d, j):
-        return delta[j] * tet(a, b, c, d, i, j) * inv[a][d][j] * inv[b][c][j]
-
-    def pentagon_failures():
-        for a, b, c, d, t in itertools.product(cols, repeat=5):
-            for x in cols:
-                if not adm((a, b, x)):
-                    continue
-                for y in cols:
-                    if not adm((x, c, y), (y, d, t)):
-                        continue
-                    for w in cols:
-                        if not adm((c, d, w), (x, w, t)):
-                            continue
-                        for v in cols:
-                            if not adm((b, w, v), (a, v, t)):
-                                continue
-                            lhs = zero
-                            for z in cols:
-                                if adm((b, c, z), (a, z, y), (z, d, v)):
-                                    lhs = lhs + (N(a, b, x, c, y, z)
-                                                 * N(a, z, y, d, t, v)
-                                                 * N(b, c, z, d, v, w))
-                            rhs = N(x, c, y, d, t, w) * N(a, b, x, w, t, v)
-                            if not lhs == rhs:
-                                yield (a, b, c, d, t, x, y, w, v)
-
-    checks = (
-        ("theta(a,a,0) = delta_a",
-         ((a,) for a in cols if not delta[a] == theta(a, a, 0, r))),
-        ("tetrahedral symmetry of Tet",
-         (tup for tup in _admissible_tet_tuples(r)
-          if not tet(*tup) == _tet(exact, tup))),
-        ("orthogonality", orthogonality_failures()),
-        ("Biedenharn-Elliott (pentagon)", pentagon_failures()),
-    )
-    for name, failures in checks:
-        witness = next(failures, None)
-        report.checks.append(IdentityCheck(name, witness is None, witness))
-    return report
-
-
-def _admissible_tet_tuples(r: int):
-    cols = range(r - 1)
-    for A, B, E in itertools.product(cols, repeat=3):
-        if not admissible(A, B, E, r):
-            continue
-        for C, D in itertools.product(cols, repeat=2):
-            if not admissible(C, D, E, r):
-                continue
-            for F in cols:
-                if admissible(A, D, F, r) and admissible(B, C, F, r):
-                    yield (A, B, C, D, E, F)
 
 
 def _relabel_tet(tup, sigma):

@@ -59,7 +59,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complex3 import Triangulation
 from .cyclotomic import CycNumber
@@ -77,14 +77,12 @@ class SearchVolumeError(RuntimeError):
             "raise max_states or pass force=True")
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(NamedTuple):
     max_states: float = 1e9
     force: bool = False
 
 
-@dataclass
-class TvResult:
+class TvResult(NamedTuple):
     """Outcome of one invariant computation.  states_visited and
     states_admissible add up every search the mode ran: in 'both' mode the
     float search and the exact one (or two, where exact mode splits off
@@ -174,28 +172,25 @@ def tv_invariant(tri: Triangulation, r: int, mode: str = "float",
         warnings = ("non-orientable input",)
 
     start = time.perf_counter()
-    result = TvResult(r=r, mode=mode, warnings=warnings)
+    value = value_e = None
+    visited = leaves = 0
     if mode in ("float", "both"):
         value, visited, leaves = _run(tri, r, "float")
-        result.value_float = value
-        result.states_visited = visited
-        result.states_admissible = leaves
     if mode in ("exact", "both"):
-        value_e, visited, leaves = (_run_split(tri, r) if _splits(r, "exact")
-                                    else _run(tri, r, "exact"))
-        result.value_exact = value_e
-        result.states_visited += visited
-        result.states_admissible += leaves
+        value_e, visited_e, leaves_e = (_run_split(tri, r)
+                                        if _splits(r, "exact")
+                                        else _run(tri, r, "exact"))
+        visited += visited_e
+        leaves += leaves_e
         if not value_e.is_real():
             raise AssertionError("state sum produced a non-real exact value")
         if mode == "exact":
-            result.value_float = value_e.to_float()
-        else:
-            if abs(value_e.to_float() - result.value_float) > 1e-9:
-                raise AssertionError(
-                    "exact and float state sums disagree beyond 1e-9")
-    result.elapsed_seconds = time.perf_counter() - start
-    return result
+            value = value_e.to_float()
+        elif abs(value_e.to_float() - value) > 1e-9:
+            raise AssertionError(
+                "exact and float state sums disagree beyond 1e-9")
+    return TvResult(r, mode, value, value_e, visited, leaves,
+                    time.perf_counter() - start, warnings)
 
 
 def _run_split(tri: Triangulation, r: int):
@@ -360,32 +355,3 @@ def _factor(lv, cols, faces, tets):
     for tet in tets:
         w = w * lv.tet(*(cols[i] for i in tet))
     return w
-
-
-@dataclass
-class AnchorCheck:
-    name: str
-    r: int
-    passed: bool
-    detail: str = ""
-
-
-def tv_anchor_checks(r_values=(3, 4, 5, 6, 7, 8)) -> list[AnchorCheck]:
-    """Exact-mode anchors that pin the normalization and sign conventions:
-    the 3-sphere evaluates to 1/dim(C) and S^2 x S^1 to 1, at every level."""
-    from .fixtures import fixture
-    from .recoupling import global_dim
-
-    sphere = fixture("s3")
-    s2xs1 = fixture("s2xs1")
-    checks = []
-    for r in r_values:
-        want = global_dim(r).inverse()
-        got = tv_invariant(sphere, r, mode="exact").value_exact
-        checks.append(AnchorCheck("TV(S^3) = 1/dim(C)", r, got == want,
-                                  f"got {got.to_float():.12g}"))
-        got1 = tv_invariant(s2xs1, r, mode="exact").value_exact
-        checks.append(AnchorCheck("TV(S^2 x S^1) = 1", r,
-                                  got1 == CycNumber.one(r),
-                                  f"got {got1.to_float():.12g}"))
-    return checks

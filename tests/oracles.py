@@ -21,7 +21,11 @@ formulas or search machinery:
 * Fraction-coefficient arithmetic in Q(zeta_2r) (FracCyc: convolution
   reduced modulo Phi_2r, the inverse by the extended Euclidean algorithm in
   Q[x]) and the exact theta and Tet formulas on it, every quotient taken by
-  that inverse, against which the package's integer CycNumber is checked.
+  that inverse, against which the package's integer CycNumber is checked;
+* TV of a lens space as |RT|^2 (Turaev-Walker; Roberts, Topology 34,
+  1995), with RT(L(p,q)) from the modular S and T matrices of SU(2) at
+  level r (Jeffrey, CMP 147, 1992), which shares no convention with the
+  state sum.
 
 The loop value used by the diagram algebra is -2cos(pi/r), matching the
 signed dimension convention (a closed strand of color n evaluates to
@@ -30,6 +34,7 @@ signed dimension convention (a closed strand of color n evaluates to
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -696,3 +701,27 @@ def naive_tv(tri, r: int) -> float:
         total += w
     dim = sum(_qi(i + 1, r) ** 2 for i in range(r - 1))
     return total / dim ** len(tri.vertex_orbits)
+
+
+# --------------------------------------------------------------------------
+# lens spaces: TV = |RT|^2 from the S and T matrices
+# --------------------------------------------------------------------------
+
+
+def lens_tv(p: int, q: int, r: int) -> float:
+    """|RT_r(L(p,q))|^2 in float, RT = (S T^a_1 S ... T^a_k S)_00 up to a
+    phase, with p/q = a_1 - 1/(a_2 - ... - 1/a_k) the negative continued
+    fraction, S_ij = sqrt(2/r) sin(pi (i+1)(j+1) / r) and
+    T_jj = exp(i pi j (j+2) / (2r)) over the colors j = 0..r-2."""
+    n = r - 1
+    S = [[math.sqrt(2 / r) * math.sin(math.pi * (i + 1) * (j + 1) / r)
+          for j in range(n)] for i in range(n)]
+    T = [cmath.exp(1j * math.pi * j * (j + 2) / (2 * r)) for j in range(n)]
+    row = S[0]  # row 0 of the product so far
+    x, y = p, q % p
+    while y:
+        a = -(-x // y)  # x/y = a - 1/(y/(a y - x))
+        row = [row[i] * T[i] ** a for i in range(n)]
+        row = [sum(row[i] * S[i][j] for i in range(n)) for j in range(n)]
+        x, y = y, a * y - x
+    return abs(row[0]) ** 2

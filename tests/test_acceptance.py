@@ -19,8 +19,9 @@ from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.genus import genus_lower_bound, screen
 from tvgenus.homology import boundary_matrices, format_h1, h1, parse_h1
-from tvgenus.recoupling import global_dim, verify_identities
+from tvgenus.recoupling import global_dim
 from tvgenus.statesum import SearchLimits, tv_invariant
+from tvgenus.verify import verify_identities
 
 import oracles
 

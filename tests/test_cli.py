@@ -230,6 +230,27 @@ def test_screen_paper_mode(tmp_path, capsys):
     assert data["records"][0]["genus_lb"] == 3
 
 
+def test_float_refuses_a_level_past_the_double_range(tmp_path, capsys):
+    # at r=70 the float symbols of s2xs1 leave the double range, those of
+    # s3 do not
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "compute", "--fixture", "s2xs1",
+                                 "--r", "70", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "r=70" in err
+        assert "--mode exact" in err
+    path = _census_file(tmp_path, [
+        f"sphere ; {encode_isosig(fixture('s3'))}",
+        f"s2xs1 ; {encode_isosig(fixture('s2xs1'))}",
+    ])
+    code, out, _ = run_cli(capsys, "screen", "--census", path, "--r", "70",
+                           "--format", "json")
+    assert code == 0
+    sphere, s2xs1 = json.loads(out)["records"]
+    assert sphere["tv_float"] > 0 and sphere["h1"] == "0"
+    assert s2xs1["h1"] is None and "r=70" in s2xs1["notes"][0]
+
+
 def test_screen_all_failed_exit_code(tmp_path, capsys):
     path = _census_file(tmp_path, ["a ; zzz", "b ; !!!"])
     code, out, _ = run_cli(capsys, "screen", "--census", path)
@@ -355,13 +376,13 @@ def test_screen_exact_mode_reports_exact_value(tmp_path, capsys):
 
 
 def test_verify_reports_injected_failure(capsys, monkeypatch):
-    import tvgenus.cli as cli_mod
-    from tvgenus.statesum import AnchorCheck
+    import tvgenus.verify as verify_mod
+    from tvgenus.verify import AnchorCheck
 
     def broken_anchors(rs):
         return [AnchorCheck("TV(S^3) = 1/dim(C)", 5, False, "got garbage")]
 
-    monkeypatch.setattr(cli_mod, "tv_anchor_checks", broken_anchors)
+    monkeypatch.setattr(verify_mod, "tv_anchor_checks", broken_anchors)
     code, out, _ = run_cli(capsys, "verify", "--r-max", "3")
     assert code == 1
     assert "FAIL anchor r=5: TV(S^3) = 1/dim(C)" in out

@@ -13,8 +13,8 @@ from tvgenus.complex3 import EDGES
 from tvgenus.recoupling import (TET_ARG_EDGES, admissible, global_dim, qdim,
                                 quantum_factorial, quantum_integer, tables,
                                 tet_symbol, tet_symbol_f, theta, theta_f,
-                                verify_identities, _admissible_tet_tuples,
                                 _carrier, _relabel_tet, _TET_FACES)
+from tvgenus.verify import verify_identities, _admissible_tet_tuples
 
 import oracles
 

@@ -11,13 +11,14 @@ from tvgenus import recoupling, statesum
 from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
+from tvgenus.genus import tv_s3
 from tvgenus.homology import h1
 from tvgenus.isosig import decode_isosig
 from tvgenus.recoupling import admissible, global_dim, tables, tet_symbol
 from tvgenus.statesum import (SearchLimits, SearchVolumeError,
                               _backtrack_sum, _frontier_sum, _make_plan,
-                              _run, estimated_states, tv_anchor_checks,
-                              tv_invariant)
+                              _run, estimated_states, tv_invariant)
+from tvgenus.verify import tv_anchor_checks
 
 import oracles
 
@@ -535,3 +536,54 @@ def test_result_counters():
     assert res.states_visited >= res.states_admissible
     assert res.elapsed_seconds >= 0
     assert res.r == 5 and res.mode == "float"
+
+
+def test_float_matches_the_anchors_or_refuses_the_level():
+    """Past the double range a float symbol would read 0, inf or nan, and
+    the value goes wrong (s3 at r=72) or nan (s2xs1); float mode refuses
+    such a level instead."""
+    refused = {"s3": [], "s2xs1": []}
+    try:
+        for r in range(3, 81):
+            for name, anchor in (("s3", tv_s3(r)), ("s2xs1", 1.0)):
+                try:
+                    got = tv_invariant(fixture(name), r, limits=FORCE)
+                except ValueError as exc:
+                    assert f"r={r}" in str(exc), str(exc)
+                    assert "--mode exact" in str(exc)
+                    refused[name].append(r)
+                else:
+                    assert got.value_float == pytest.approx(anchor, rel=1e-9), (name, r)
+    finally:
+        recoupling._carrier.cache_clear()  # about 280 MB of float tables
+    for levels in refused.values():
+        assert levels and levels == list(range(levels[0], 81))
+
+
+LENS = [(5, 2), (7, 2), (7, 3), (8, 3)]
+
+
+@pytest.mark.parametrize("p, q", LENS)
+def test_lens_space_equals_the_modular_oracle(p, q):
+    """TV_r = |RT_r|^2 (Turaev-Walker), RT from the S and T matrices: a
+    check that shares no convention with the state sum."""
+    tri = fixture(f"L({p},{q})")
+    assert len(tri.edge_orbits) == p + 2 and h1(tri).torsion == (p,)
+    for r in range(3, 7):
+        got = tv_invariant(tri, r, mode="exact").value_exact.to_float()
+        assert got == pytest.approx(oracles.lens_tv(p, q, r), rel=1e-9,
+                                    abs=1e-12), r
+
+
+@pytest.mark.parametrize("p, q", LENS)
+def test_lens_space_depends_on_q_up_to_sign_and_inverse(p, q):
+    q_inv = pow(q, -1, p)
+    tris = [fixture(f"L({p},{k % p})") for k in (q, -q, q_inv, -q_inv)]
+    for r in range(3, 7):
+        values = {tv_invariant(t, r, mode="exact").value_exact for t in tris}
+        assert len(values) == 1, r
+
+
+def test_lens_space_needs_coprime_p_and_q():
+    with pytest.raises(ValueError, match="gcd"):
+        fixture("L(30,2)")
