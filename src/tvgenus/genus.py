@@ -79,9 +79,12 @@ FLAG_DISCLAIMER = ("potential counterexample only: the genus bound exceeds the "
 
 def build_record(name: str, result: TvResult, homology: H1Summary,
                  isosig: str | None = None) -> ScreenRecord:
-    """The record of one computed TV value: genus bound, flag and notes."""
+    """The record of one computed TV value: genus bound, flag and notes.
+    The value is the exact one where the result has it, so 'both' mode
+    reports an exact 0 as 0, not as the float sum's rounding noise."""
     notes = tuple(result.warnings)
-    tv = result.value_float
+    tv = (result.value_float if result.value_exact is None
+          else result.value_exact.to_float())
     if tv > 0:
         lb = genus_lower_bound(tv, result.r).genus_lb
         flagged = lb > homology.min_generators

@@ -175,7 +175,10 @@ def _at(r: int, exact: bool, n: int = 0) -> _Carrier:
     return _carrier(r, exact)
 
 
-@lru_cache(maxsize=None)
+# bounded: a carrier's tables grow as r^3 (unbounded, float s3 and s2xs1
+# at r=3..80 kept 280 MB); 8 holds the levels of a deep-search round (float
+# r=3, 6, 8, 9) and the three carriers of a 'both' call at odd r
+@lru_cache(maxsize=8)
 def _carrier(r: int, exact: bool) -> _Carrier:
     return _Exact(r) if exact else _Float(r)
 

@@ -20,9 +20,15 @@ its two other edges colored takes only the third colors that face admits
 parity); other steps take the color set.  A prefix is pruned as soon as a
 completed face triple is inadmissible.
 
+One helper, _step_entries, builds a step's table for both engines: per
+coloring of the positions the step reads, its own excepted, the admissible
+colors in search order, each with delta_c, 1/theta per face, Tet per tet.
+
 The float carrier sums by depth-first search (the backtracker), colors
-ascending, accumulating the weight along the path: one pass over a step's
-faces checks each and multiplies its 1/theta in.  Each complete coloring's
+ascending, accumulating the weight along the path: inner steps are searched
+inline, one pass over a step's faces checking each and multiplying its
+1/theta in; the last step's table is read once per admissible prefix, each
+leaf multiplying the factors in one by one, as a search would.  Each leaf's
 weight goes into the partial sum of its first edge's color, and those are
 added in ascending color order.  That order fixes every bit of the float
 values, and with them the sign of the rounding noise of a TV that is exactly
@@ -30,10 +36,10 @@ values, and with them the sign of the rounding noise of a TV that is exactly
 bits are pinned anew.  The exact carrier, where order cannot change a value,
 sums over the frontier: after each step, one state per coloring of the
 positions a later step still reads, holding the summed weight of the
-admissible prefixes that agree there and their number.  A step's factor is
-computed once per coloring of the positions the step reads, after all its
-faces pass, so each state costs one multiplication per admissible color;
-the backtracker multiplies every factor into every admissible prefix.
+admissible prefixes that agree there and their number.  Each state reads
+its step's table, whose factors are multiplied out once per entry, so it
+costs one multiplication per admissible color; the backtracker multiplies
+every factor into every admissible prefix.
 Every state is the image of an admissible prefix, so the frontier holds no
 more states than the backtracker visits, and the guard bounds both.  The
 engines report the same counters: states_admissible counts the complete
@@ -55,6 +61,7 @@ the split exact value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -227,10 +234,14 @@ def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
 
 def _backtrack_sum(lv, plan, every):
     """The sum over the colorings by depth-first search, and the numbers of
-    entered positions and of leaves."""
+    entered positions and of leaves.  Each admissible prefix of the last
+    step folds that step's table entries into its branch, leaf by leaf."""
     delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
     memo, fill = lv.tet_memo.get, lv.tet
-    last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
+    last = len(plan) - 1  # closed: E = V + n >= 2, so last >= 1
+    last_reads = _picker(sorted({*itertools.chain(*plan[last][0],
+                                                  *plan[last][1])} - {last}))
+    table: dict = {}  # the last step's entries by the colors it reads
     colors = [0] * len(plan)
     weights = [lv.one] * len(plan)  # weights[k]: product before position k
     untried = [iter(every)] + [None] * last  # colors left at each position
@@ -254,17 +265,27 @@ def _backtrack_sum(lv, plan, every):
                            colors[p4], colors[p5])
                     val = memo(key)
                     w = w * (fill(*key) if val is None else val)
-                if k == last:
-                    leaves += 1
-                    branch[colors[0]] += w
-                else:
+                entered += 1
+                if k < last - 1:
                     weights[k + 1] = w
                     k += 1
-                    entered += 1
                     pair = plan[k][2]
                     untried[k] = iter(every if pair is None else
                                       third[colors[pair[0]]][colors[pair[1]]])
                     break
+                read = last_reads(colors)
+                entries = table.get(read)
+                if entries is None:
+                    entries = table[read] = _step_entries(
+                        lv, every, plan[last], colors, last)
+                leaves += len(entries)
+                part = branch[colors[0]]
+                for _, fs in entries:
+                    leaf = w
+                    for f in fs:
+                        leaf = leaf * f
+                    part += leaf
+                branch[colors[0]] = part
         else:
             k -= 1
     total = lv.zero
@@ -278,10 +299,9 @@ def _frontier_sum(lv, plan, every):
     plan.  After step k one state stands for each coloring of the frontier
     (the positions up to k that a later step reads): the sum of the weights
     of the admissible prefixes that agree with it there, and their number.
-    A step's factor delta_c * prod 1/theta * prod Tet depends only on the
-    colors of the positions the step reads, so it is computed once per
-    coloring of those, all faces checked before any multiplication; each
-    state then costs one multiplication per admissible color."""
+    Each state reads its step's table (per coloring of the positions the
+    step reads, the product of each admissible color's factors), at one
+    multiplication per admissible color."""
     last = len(plan) - 1
     last_read = list(range(len(plan)))  # the last step reading a position
     for k, (faces, tets, _) in enumerate(plan):
@@ -295,26 +315,25 @@ def _frontier_sum(lv, plan, every):
         at = {p: i for i, p in enumerate(live + [k])}
         faces = [tuple(at[p] for p in face) for face in faces]
         tets = [tuple(at[p] for p in tet) for tet in tets]
-        reads = _picker(sorted({at[k], *itertools.chain(*faces, *tets)}))
+        reads = _picker(sorted({*itertools.chain(*faces, *tets)} - {at[k]}))
+        step = (faces, tets, pair and tuple(at[p] for p in pair))
         live = [p for p in live + [k] if last_read[p] > k]
         project = _picker([at[p] for p in live])
-        if pair is not None:
-            x, y = at[pair[0]], at[pair[1]]
-        factors: dict = {}
+        table: dict = {}
         following: dict = {}
         admitted = 0
         for key, (part, count) in states.items():
-            for c in every if pair is None else lv.third[key[x]][key[y]]:
-                cols = key + (c,)
-                read = reads(cols)
-                f = factors.get(read, _UNSEEN)
-                if f is _UNSEEN:
-                    f = factors[read] = _factor(lv, cols, faces, tets)
-                if f is None:
-                    continue  # prune: a face triple is inadmissible
-                admitted += count
+            read = reads(key)
+            entries = table.get(read)
+            if entries is None:
+                entries = table[read] = [
+                    (c, functools.reduce(operator.mul, fs))
+                    for c, fs in _step_entries(lv, every, step,
+                                               list(key) + [0], at[k])]
+            admitted += count * len(entries)
+            for c, f in entries:
                 w = part * f
-                nxt = project(cols)
+                nxt = project(key + (c,))
                 slot = following.get(nxt)
                 if slot is None:
                     following[nxt] = [w, count]
@@ -329,29 +348,30 @@ def _frontier_sum(lv, plan, every):
     return total, entered, leaves
 
 
-_UNSEEN = object()
+def _step_entries(lv, every, step, cols, k):
+    """A step's admissible colors c in search order, each with its factors
+    [delta_c, 1/theta of each face, Tet of each tet] in plan order.  step
+    is (faces, tets, pair), indices into cols, the colors before the step;
+    cols[k], the step's own, is overwritten."""
+    faces, tets, pair = step
+    entries = []
+    for c in every if pair is None else lv.third[cols[pair[0]]][cols[pair[1]]]:
+        cols[k] = c
+        fs = [lv.delta[c]]
+        for (x, y, z) in faces:
+            inv = lv.theta_inv[cols[x]][cols[y]][cols[z]]
+            if inv is None:
+                break  # prune: the face triple is inadmissible
+            fs.append(inv)
+        else:
+            fs += [lv.tet(*(cols[i] for i in tet)) for tet in tets]
+            entries.append((c, fs))
+    return entries
 
 
 def _picker(indices):
-    """The function taking a tuple to the tuple of its entries at indices."""
+    """The function from a sequence to the tuple of its entries at indices."""
     if len(indices) == 1:
         i = indices[0]
         return lambda t: (t[i],)
     return operator.itemgetter(*indices) if indices else lambda t: ()
-
-
-def _factor(lv, cols, faces, tets):
-    """delta of the last color times the 1/theta of faces and the Tet of
-    tets, all indices into cols; None if a face triple is inadmissible."""
-    invs = []
-    for (x, y, z) in faces:
-        inv = lv.theta_inv[cols[x]][cols[y]][cols[z]]
-        if inv is None:
-            return None
-        invs.append(inv)
-    w = lv.delta[cols[-1]]
-    for inv in invs:
-        w = w * inv
-    for tet in tets:
-        w = w * lv.tet(*(cols[i] for i in tet))
-    return w

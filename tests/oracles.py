@@ -18,6 +18,10 @@ formulas or search machinery:
   orientation double cover, with permutation parity from cycle counts;
 * a naive Turaev-Viro evaluator: full (r-1)^E enumeration with an
   independently coded weight formula and no pruning or tables;
+* the reference float search (backtrack_sum): the package's depth-first
+  state sum as it searched every step inline, kept to pin the bits of the
+  float engine, which reads its last step from a table; unlike the rest,
+  it shares the package's carrier tables and plan by design;
 * Fraction-coefficient arithmetic in Q(zeta_2r) (FracCyc: convolution
   reduced modulo Phi_2r, the inverse by the extended Euclidean algorithm in
   Q[x]) and the exact theta and Tet formulas on it, every quotient taken by
@@ -701,6 +705,62 @@ def naive_tv(tri, r: int) -> float:
         total += w
     dim = sum(_qi(i + 1, r) ** 2 for i in range(r - 1))
     return total / dim ** len(tri.vertex_orbits)
+
+
+# --------------------------------------------------------------------------
+# the reference float search: the depth-first state sum, step by step
+# --------------------------------------------------------------------------
+
+
+def backtrack_sum(lv, plan, every):
+    """The float search's reference: the sum over the colorings by
+    depth-first search, and the numbers of entered positions and of leaves,
+    every step searched inline, one multiplication per factor along the
+    path.  Its sequence of float operations is the one that fixes every
+    float bit of the state sum; the package's engine must reproduce it."""
+    delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
+    memo, fill = lv.tet_memo.get, lv.tet
+    last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
+    colors = [0] * len(plan)
+    weights = [lv.one] * len(plan)  # weights[k]: product before position k
+    untried = [iter(every)] + [None] * last  # colors left at each position
+    branch = [lv.zero] * len(delta)  # partial sums by first-edge color
+    entered = leaves = 0
+    k = 0
+    while k >= 0:
+        faces, tets, _ = plan[k]
+        before = weights[k]
+        for c in untried[k]:
+            colors[k] = c
+            w = before * delta[c]
+            for (px, py, pz) in faces:
+                inv = theta_inv[colors[px]][colors[py]][colors[pz]]
+                if inv is None:
+                    break  # prune: the face triple is inadmissible
+                w = w * inv
+            else:
+                for (p0, p1, p2, p3, p4, p5) in tets:
+                    key = (colors[p0], colors[p1], colors[p2], colors[p3],
+                           colors[p4], colors[p5])
+                    val = memo(key)
+                    w = w * (fill(*key) if val is None else val)
+                if k == last:
+                    leaves += 1
+                    branch[colors[0]] += w
+                else:
+                    weights[k + 1] = w
+                    k += 1
+                    entered += 1
+                    pair = plan[k][2]
+                    untried[k] = iter(every if pair is None else
+                                      third[colors[pair[0]]][colors[pair[1]]])
+                    break
+        else:
+            k -= 1
+    total = lv.zero
+    for part in branch:  # ascending color order: deterministic floats
+        total += part
+    return total, entered, leaves
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,20 @@ def test_compute_fixture_both(capsys):
     assert "h1=0" in out
 
 
+@pytest.mark.parametrize("name", ["rp3", "rp3#rp3"])
+def test_compute_both_reports_an_exact_zero_as_zero(capsys, name):
+    # the float sums are -6.1e-17 and +1.1e-17: rounding noise of an exact 0
+    code, out, _ = run_cli(capsys, "compute", "--fixture", name, "--r", "5",
+                           "--mode", "both")
+    assert code == 0
+    assert f"{name}  tv=0  exact=0  genus>=0" in out
+    assert "turaev-viro value is zero; no genus bound" in out
+    code, out, _ = run_cli(capsys, "compute", "--fixture", name, "--r", "5",
+                           "--mode", "both", "--format", "json")
+    record = json.loads(out)["records"][0]
+    assert (record["tv_float"], record["tv_exact"]) == (0.0, "0")
+
+
 USAGE_ERRORS = [
     pytest.param(["compute", "--fixture", "s3", "--r", "2"],
                  "argument --r: must be an integer at least 3",

@@ -274,6 +274,17 @@ def test_theta_inv_table_is_one_dense_table_per_level():
         tables(5, "fast")
 
 
+def test_carrier_cache_is_bounded():
+    """A process that visits many levels keeps the tables of the last few
+    carriers only; the bound holds a deep-search round's four float levels
+    and the three carriers of a 'both' call."""
+    bound = _carrier.cache_parameters()["maxsize"]
+    assert bound is not None and 8 <= bound < 12
+    for r in range(3, 15):
+        assert tables(r, "float").third
+    assert _carrier.cache_info().currsize <= bound
+
+
 _SYMBOLS = {
     "quantum_integer": lambda r: quantum_integer(1, r),
     "quantum_factorial": lambda r: quantum_factorial(1, r),

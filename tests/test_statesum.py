@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -493,6 +494,42 @@ def test_states_visited_counts_every_color_of_each_entered_step():
     assert res.states_admissible == _naive_admissible_count(tri, r)
 
 
+def _seeded_walk(name, tets):
+    """The fixture after seeded 2-3 moves at faces joining two distinct
+    tetrahedra, until it has the given number of tetrahedra."""
+    tri, rng = fixture(name), random.Random(name)
+    while tri.size < tets:
+        tri = pachner_23(tri, rng.choice([fo.index for fo in tri.face_orbits
+                                          if fo.slots[0][0] != fo.slots[1][0]]))
+    return tri
+
+
+# (triangulation, levels) on which the float engine must repeat the
+# reference search's float operations: every fixture at r=3..8 (the two
+# 10-tetrahedron connected sums to r=7, as at r=8 the pair of searches
+# takes 1.5-3 s each), the fallback walks, and seeded walks
+FLOAT_BIT_CASES = {
+    **{name: (lambda name=name: fixture(name),
+              range(3, 8 if "#" in name else 9)) for name in fixture_names()},
+    **{f"fallback {label}": (lambda case=case: _walk(*case), range(3, 7))
+       for label, case in FALLBACK_CASES.items()},
+    "t3 walk t8": (lambda: _seeded_walk("t3", 8), (6, 8)),
+    "rp3#rp3 walk t12": (lambda: _seeded_walk("rp3#rp3", 12), (6,)),
+}
+
+
+@pytest.mark.parametrize("label", FLOAT_BIT_CASES)
+def test_float_search_repeats_the_reference_bits(label):
+    # the last step read from its table: the same total to the last bit,
+    # and the same entered positions and leaves, as searching it inline
+    build, levels = FLOAT_BIT_CASES[label]
+    plan = _make_plan(build())
+    for r in levels:
+        lv, every = tables(r, "float"), range(r - 1)
+        assert (repr(_backtrack_sum(lv, plan, every))
+                == repr(oracles.backtrack_sum(lv, plan, every))), r
+
+
 def test_search_volume_guard():
     with pytest.raises(SearchVolumeError) as err:
         tv_invariant(fixture("rp3#rp3"), 7)
@@ -543,19 +580,16 @@ def test_float_matches_the_anchors_or_refuses_the_level():
     the value goes wrong (s3 at r=72) or nan (s2xs1); float mode refuses
     such a level instead."""
     refused = {"s3": [], "s2xs1": []}
-    try:
-        for r in range(3, 81):
-            for name, anchor in (("s3", tv_s3(r)), ("s2xs1", 1.0)):
-                try:
-                    got = tv_invariant(fixture(name), r, limits=FORCE)
-                except ValueError as exc:
-                    assert f"r={r}" in str(exc), str(exc)
-                    assert "--mode exact" in str(exc)
-                    refused[name].append(r)
-                else:
-                    assert got.value_float == pytest.approx(anchor, rel=1e-9), (name, r)
-    finally:
-        recoupling._carrier.cache_clear()  # about 280 MB of float tables
+    for r in range(3, 81):
+        for name, anchor in (("s3", tv_s3(r)), ("s2xs1", 1.0)):
+            try:
+                got = tv_invariant(fixture(name), r, limits=FORCE)
+            except ValueError as exc:
+                assert f"r={r}" in str(exc), str(exc)
+                assert "--mode exact" in str(exc)
+                refused[name].append(r)
+            else:
+                assert got.value_float == pytest.approx(anchor, rel=1e-9), (name, r)
     for levels in refused.values():
         assert levels and levels == list(range(levels[0], 81))
 

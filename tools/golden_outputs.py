@@ -18,6 +18,9 @@ file in OUTDIR:
   classes (``t3`` among them) in exact mode at r=7, where exact mode splits
   off TV_3 (zero for ``rp3``, nonzero for ``t3``), and in float mode at
   r=8; and on ``t3`` at r=9 (the levels of the deep-search workload);
+- ``compute --format json --force`` in float mode on the census's first
+  walks (``.v0``) of ``DEEP_WALKS``: ``rp3#rp3`` and ``rp3#l31`` at 11 and
+  12 tetrahedra at r=6, ``t3`` at 9 and 11 at r=8, the deep-search inputs;
 - ``compute`` at r=5 in text (float, both, exact) and in CSV (float,
   exact) on a few fixtures;
 - ``homology`` on every fixture in text, CSV and JSON;
@@ -87,6 +90,19 @@ RUNTIME_ERRORS = (
 )
 
 
+# (census walk name, r) of the deep-search workload's input sizes
+DEEP_WALKS = (("rp3_rp3.v0.t11", 6), ("rp3_rp3.v0.t12", 6),
+              ("rp3_l31.v0.t11", 6), ("rp3_l31.v0.t12", 6),
+              ("t3.v0.t9", 8), ("t3.v0.t11", 8))
+
+
+def census_signatures() -> dict[str, str]:
+    """Each census line's signature by its name."""
+    with open(CENSUS, encoding="utf-8") as fh:
+        return dict((part.strip() for part in line.split(";"))
+                    for line in fh if not line.startswith("#"))
+
+
 def census_starts() -> list[str]:
     """The census lines of the start triangulations (not their walks)."""
     with open(CENSUS, encoding="utf-8") as fh:
@@ -124,6 +140,11 @@ def commands(fixture_names, small_fixtures,
             out.append((f"compute-{mode}-r{r}-{name}.json",
                         ["compute", "--fixture", name, "--r", str(r),
                          "--mode", mode, "--format", "json", "--force"]))
+    sigs = census_signatures()
+    for name, r in DEEP_WALKS:
+        out.append((f"compute-float-r{r}-{name}.json",
+                    ["compute", f"--isosig={sigs[name]}", "--r", str(r),
+                     "--mode", "float", "--format", "json", "--force"]))
     for name in ("s3", "rp3", "t3"):
         for mode, fmt in (("float", "text"), ("both", "text"),
                           ("exact", "text"), ("float", "csv"),
