@@ -11,10 +11,13 @@ reverse, every vertex link a 2-sphere.  Non-orientable inputs are accepted
 triangulation.
 
 Construction is one pass over the face slots (t, f) in order.  Every slot is
-checked on its own; at the lower slot of each glued pair, the pair becomes a
+checked on its own, from one table entry per (permutation, face): the target
+face, the inverse permutation, and the pairs the gluing joins with their
+relative signs.  At the lower slot of each glued pair, the pair becomes a
 face orbit and joins its two tetrahedra, three vertex pairs and three edge
 pairs in one union-find that carries each element's sign relative to its
-root.  The tetrahedron signs are orientations (a conflict makes the complex
+parent and keeps the lowest slot of each class as its root.  The
+tetrahedron signs are orientations (a conflict makes the complex
 non-orientable), vertex signs are all +1, and edge signs are directions (a
 conflict is an edge identified with itself in reverse).  Vertex, edge and
 face orbits are numbered in order of their lowest slot; an edge orbit lists
@@ -33,6 +36,7 @@ here, the state sum's face triples and d2 of homology all read them there.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import NamedTuple
 
@@ -66,13 +70,33 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     return (p[q[0]], p[q[1]], p[q[2]], p[q[3]])
 
 
-def perm_sign(p: Perm) -> int:
-    s = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] > p[j]:
-                s = -s
-    return s
+# the 24 vertex permutations in lexicographic order, as the isosig codec
+# indexes them, and the index of each
+PERMS: tuple[Perm, ...] = tuple(itertools.permutations(range(4)))
+PERM_INDEX: dict[Perm, int] = {p: i for i, p in enumerate(PERMS)}
+
+
+def _glue_table():
+    """Per (permutation index i, face f), at 4i + f: the target face, the
+    inverse's index, and the slot pairs (a, b, sign of b relative to a) that
+    the gluing joins, with the slots of Triangulation's union-find: 0 the
+    tetrahedron (orientations agree across the face iff p is odd), 1 + v
+    the face's vertices and 5 + e its edges."""
+    table = []
+    for p in PERMS:
+        inverse = PERM_INDEX[perm_inverse(p)]
+        tet = (0, 0, 1 if sum(p[u] > p[v] for u, v in EDGES) % 2 else -1)
+        verts = [(1 + v, 1 + p[v], 1) for v in range(4)]
+        edges = [(5 + e, 5 + EDGE_INDEX[p[u], p[v]], 1 if p[u] < p[v] else -1)
+                 for e, (u, v) in enumerate(EDGES)]
+        for f, (a, b, c) in enumerate(FACE_VERTS):
+            (x, _), (y, _), (z, _) = FACE_SIDES[f]
+            table.append((p[f], inverse, (tet, verts[a], verts[b], verts[c],
+                                          edges[x], edges[y], edges[z])))
+    return tuple(table)
+
+
+_GLUE = _glue_table()
 
 
 class TriangulationError(ValueError):
@@ -119,7 +143,7 @@ class Triangulation:
     def __init__(self, tetrahedra: list[list[tuple[int, Perm]]],
                  name: str | None = None):
         self.name = name
-        rows = []
+        rows, glued = [], []  # glued[4t + f]: (target, permutation index)
         for row in tetrahedra:
             if len(row) != 4:
                 raise TriangulationError("tetrahedron needs exactly 4 gluings")
@@ -134,108 +158,102 @@ class Triangulation:
                     raise TriangulationError(
                         f"gluing {g!r} is not an integer target and "
                         "permutation") from None
-                if sorted(p) != [0, 1, 2, 3]:
+                i = PERM_INDEX.get(p)
+                if i is None:
                     raise TriangulationError(f"not a vertex permutation: {p}")
-                gluings.append((t, p))
+                gluings.append((t, PERMS[i]))
+                glued.append((t, i))
             rows.append(tuple(gluings))
         self._gluings = tuple(rows)
         n = self.size
         if not n:
             raise TriangulationError("empty triangulation")
 
-        # one union-find over tetrahedra (t), vertex slots (V + 4t + v) and
-        # edge slots (E + 6t + e); sign[x] is x's sign relative to parent[x]
-        V, E = n, 5 * n
+        # one union-find over the slots 11t (tetrahedron t), 11t + 1 + v
+        # (its vertex v) and 11t + 5 + e (its edge e): sign[x] is x's sign
+        # relative to parent[x] < x, so a root is the lowest slot of its class
         parent = list(range(11 * n))
         sign = [1] * (11 * n)
-
-        def find(x):
-            s = 1
-            while parent[x] != x:
-                s *= sign[x]
-                x = parent[x]
-            return x, s
-
-        def union(a, b, rel):
-            """Join a and b with sign(b) = rel * sign(a); False if they are
-            already joined with the opposite relative sign."""
-            ra, sa = find(a)
-            rb, sb = find(b)
-            if ra == rb:
-                return sa * sb == rel
-            parent[ra] = rb
-            sign[ra] = sa * sb * rel
-            return True
-
         self.orientable = True
         reversed_edge = False
         self.face_orbits = []
-        for t, row in enumerate(rows):
-            for f, (t2, p) in enumerate(row):
-                if not 0 <= t2 < n:
-                    raise TriangulationError(
-                        f"face {f} of tetrahedron {t} glued to missing "
-                        f"tetrahedron {t2} (dangling gluing)", tet=t)
-                f2 = p[f]
-                if (t2, f2) == (t, f):
-                    raise TriangulationError(
-                        f"invalid self-gluing: face {f} of tetrahedron {t} "
-                        "glued to itself", tet=t)
-                t3, p2 = rows[t2][f2]
-                if t3 != t or perm_compose(p2, p) != IDENTITY_PERM:
-                    raise TriangulationError(
-                        f"gluing of face {f} of tetrahedron {t} is not "
-                        "involutive", tet=t)
-                if 4 * t2 + f2 < 4 * t + f:
-                    continue  # the pair was joined at its lower slot
-                self.face_orbits.append(
-                    FaceOrbit(len(self.face_orbits), ((t, f), (t2, f2))))
-                # orientations of t and t2 agree across the face iff p is odd
-                if not union(t, t2, -perm_sign(p)):
-                    self.orientable = False
-                for v in FACE_VERTS[f]:
-                    union(V + 4 * t + v, V + 4 * t2 + p[v], 1)
-                for e, _ in FACE_SIDES[f]:
-                    u, v = EDGES[e]
-                    if not union(E + 6 * t + e,
-                                 E + 6 * t2 + EDGE_INDEX[(p[u], p[v])],
-                                 1 if p[u] < p[v] else -1):
+        for x, (t2, i) in enumerate(glued):
+            t, f = divmod(x, 4)
+            if not 0 <= t2 < n:
+                raise TriangulationError(
+                    f"face {f} of tetrahedron {t} glued to missing "
+                    f"tetrahedron {t2} (dangling gluing)", tet=t)
+            f2, inverse, pairs = _GLUE[4 * i + f]
+            y = 4 * t2 + f2
+            if y == x:
+                raise TriangulationError(
+                    f"invalid self-gluing: face {f} of tetrahedron {t} "
+                    "glued to itself", tet=t)
+            if glued[y] != (t, inverse):
+                raise TriangulationError(
+                    f"gluing of face {f} of tetrahedron {t} is not "
+                    "involutive", tet=t)
+            if y < x:
+                continue  # the pair was joined at its lower slot
+            self.face_orbits.append(
+                FaceOrbit(len(self.face_orbits), ((t, f), (t2, f2))))
+            for a, b, rel in pairs:  # join a and b with sign(b) = rel sign(a)
+                a += 11 * t
+                b += 11 * t2
+                while parent[a] != a:
+                    rel *= sign[a]
+                    a = parent[a]
+                while parent[b] != b:
+                    rel *= sign[b]
+                    b = parent[b]
+                if a < b:
+                    parent[b], sign[b] = a, rel
+                elif b < a:
+                    parent[a], sign[a] = b, rel
+                elif rel < 0:  # already joined with the opposite sign
+                    if a % 11:  # an edge: vertex signs are all +1
                         reversed_edge = True
-        root = find(0)[0]
-        if any(find(t)[0] != root for t in range(n)):
-            raise TriangulationError("triangulation is not connected")
+                    else:
+                        self.orientable = False
+
+        # parent[x] < x has its root by the time x is reached in ascending
+        # order, so one pass points every slot at its root
+        for x in range(11, 11 * n, 11):
+            parent[x] = parent[parent[x]]
+            if parent[x]:
+                raise TriangulationError("triangulation is not connected")
         if reversed_edge:
             raise TriangulationError(
                 "edge identified with itself in reverse (non-manifold)")
-
-        def number(base, count):
-            """Orbit index of each slot base + i, orbits numbered in order of
-            their lowest slot, and its sign relative to that slot."""
-            roots: dict[int, int] = {}
-            index, rel, first = [], [], []
-            for x in range(base, base + count):
-                root, s = find(x)
-                o = roots.setdefault(root, len(first))
-                if o == len(first):
-                    first.append(s)
-                index.append(o)
-                rel.append(s * first[o])
-            return index, rel, len(first)
-
-        self.vertex_orbit_index, _, nv = number(V, 4 * n)
-        self.vertex_orbits = [[] for _ in range(nv)]
-        for x, o in enumerate(self.vertex_orbit_index):
-            self.vertex_orbits[o].append(divmod(x, 4))
-        self.edge_orbit_index, self.edge_orbit_sign, ne = number(E, 6 * n)
-        members: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
-        for x, o in enumerate(self.edge_orbit_index):
-            members[o].append((x // 6, x % 6, self.edge_orbit_sign[x]))
+        number: dict[int, int] = {}  # root -> orbit index
+        self.vertex_orbit_index, self.vertex_orbits = [], []
+        self.edge_orbit_index, self.edge_orbit_sign = [], []
+        members: list[list[tuple[int, int, int]]] = []
+        for t in range(n):
+            for v in range(4):
+                x = 11 * t + 1 + v
+                root = parent[x] = parent[parent[x]]
+                if root == x:
+                    number[x] = len(self.vertex_orbits)
+                    self.vertex_orbits.append([])
+                self.vertex_orbit_index.append(number[root])
+                self.vertex_orbits[number[root]].append((t, v))
+            for e in range(6):
+                x = 11 * t + 5 + e
+                s = sign[x] = sign[x] * sign[parent[x]]
+                root = parent[x] = parent[parent[x]]
+                if root == x:
+                    number[x] = len(members)
+                    members.append([])
+                self.edge_orbit_index.append(number[root])
+                self.edge_orbit_sign.append(s)
+                members[number[root]].append((t, e, s))
         self.edge_orbits = [EdgeOrbit(o, tuple(m)) for o, m in enumerate(members)]
 
         # each vertex link is connected (it is one orbit) and must have
         # chi = 2; its vertices are the ends of the edge orbits, two per
         # orbit and never the same one, as no edge is reversed
-        link_vertices = [0] * nv
+        link_vertices = [0] * len(self.vertex_orbits)
         for orbit in self.edge_orbits:
             t, e, _sign = orbit.members[0]
             for v in EDGES[e]:

@@ -4,9 +4,12 @@ H_1 is ker d1 / im d2 of the orbit CW structure.  Since im d1 is free,
 Z^E / im d2 (the cokernel of d2) is H_1 + im d1, so no kernel basis is
 needed: the torsion of H_1 is the invariant factors of d2 greater than 1,
 and its free rank is E - rank d1 - rank d2 = E - (V - 1) - rank d2, as d1
-is the boundary map of a connected complex.  All arithmetic is exact
-(Python integers), since intermediate entries blow up well before
-census-sized matrices become large.
+is the boundary map of a connected complex.  d2 is kept as sparse
+columns, one per face with at most three nonzeros: every +-1 entry is
+eliminated as a pivot first, and the dense Smith form reduces only what
+no unit pivot reaches (on census triangulations, nothing or a row or
+two).  All arithmetic is exact (Python integers), since intermediate
+entries blow up well before census-sized matrices become large.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ def smith_normal_form(mat: IntMatrix | list[list[int]]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix over Z:
     nonnegative, zeros last, padded to min(rows, cols).
 
-    Row/column reduction with smallest-pivot selection (the first unit met
-    is taken); the diagonal left by it is then folded pairwise into
-    (gcd, lcm) until d_i | d_{i+1}.
+    Row/column reduction with smallest-pivot selection (the first in
+    row-major order among equals); the diagonal left by it is then folded
+    pairwise into (gcd, lcm) until d_i | d_{i+1}.
     """
     if not isinstance(mat, IntMatrix):
         mat = IntMatrix(mat)
@@ -58,16 +61,8 @@ def smith_normal_form(mat: IntMatrix | list[list[int]]) -> tuple[int, ...]:
 
     pivot = 0
     while pivot < R and pivot < C:
-        best = None
-        for i in range(pivot, R):
-            for j in range(pivot, C):
-                v = abs(m[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 1:      # nothing undercuts a unit
-                        break
-            if best and best[0] == 1:
-                break
+        best = min(((abs(m[i][j]), i, j) for i in range(pivot, R)
+                    for j in range(pivot, C) if m[i][j]), default=None)
         if best is None:
             break
         m[pivot], m[best[1]] = m[best[1]], m[pivot]
@@ -177,44 +172,102 @@ def parse_h1(text: str) -> H1Summary:
     return H1Summary(free, tuple(sorted(torsion)))
 
 
+def _chain(tri: Triangulation):
+    """d1 as dense rows (vertex orbits by edge orbits) and d2 as sparse
+    columns {edge orbit: nonzero entry}, one per face orbit.  Orientations
+    come from the per-incidence signs recorded on the orbits; H_1 does not
+    depend on the choices."""
+    vertex, edge, sign = (tri.vertex_orbit_index, tri.edge_orbit_index,
+                          tri.edge_orbit_sign)
+    d1 = [[0] * len(tri.edge_orbits) for _ in tri.vertex_orbits]
+    for o, members in tri.edge_orbits:
+        t, e, _ = members[0]  # the orbit's reference slot: sign +1
+        u, v = EDGES[e]
+        d1[vertex[4 * t + v]][o] += 1
+        d1[vertex[4 * t + u]][o] -= 1
+    d2 = []
+    for _, ((t, f), _) in tri.face_orbits:
+        col: dict[int, int] = {}
+        for e, s in FACE_SIDES[f]:
+            o = edge[6 * t + e]
+            c = col.pop(o, 0) + s * sign[6 * t + e]
+            if c:
+                col[o] = c
+        d2.append(col)
+    return d1, d2
+
+
 def boundary_matrices(tri: Triangulation) -> tuple[IntMatrix, IntMatrix]:
     """(d1, d2) of the orbit CW chain complex: d1 maps edges to vertices,
-    d2 maps faces to edges.  Orientations come from the per-incidence signs
-    recorded on the orbits; H_1 does not depend on the choices."""
-    ne = len(tri.edge_orbits)
-    nf = len(tri.face_orbits)
-    d1 = [[0] * ne for _ in tri.vertex_orbits]
-    for orbit in tri.edge_orbits:
-        t, e, _ = orbit.members[0]  # the orbit's reference slot: sign +1
-        u, v = EDGES[e]
-        d1[tri.vertex_orbit_index[4 * t + v]][orbit.index] += 1
-        d1[tri.vertex_orbit_index[4 * t + u]][orbit.index] -= 1
-    d2 = [[0] * nf for _ in range(ne)]
-    for fo in tri.face_orbits:
-        t, f = fo.slots[0]
-        for e, s in FACE_SIDES[f]:
-            slot = 6 * t + e
-            d2[tri.edge_orbit_index[slot]][fo.index] += s * tri.edge_orbit_sign[slot]
-    return IntMatrix(d1), IntMatrix(d2)
+    d2 maps faces to edges."""
+    d1, d2 = _chain(tri)
+    return IntMatrix(d1), IntMatrix([[col.get(e, 0) for col in d2]
+                                     for e in range(len(tri.edge_orbits))])
+
+
+def rank_and_torsion(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion (the invariant factors above 1) of the integer
+    matrix with these sparse columns, {row: nonzero entry} each; the list
+    and its columns are consumed.
+
+    While some column has a unit entry, it is a pivot: column operations
+    clear its row from every other column, and its row and column split
+    off as an invariant factor 1.  The dense Smith form reduces what is
+    left."""
+    rank = 0
+    while True:
+        for j, col in enumerate(columns):  # the first column with a unit
+            for i, u in col.items():
+                if u == 1 or u == -1:
+                    break
+            else:
+                continue
+            break
+        else:
+            break
+        del columns[j]
+        rank += 1
+        for other in columns:  # other -= (its row-i entry / u) col
+            q = other.pop(i, 0) * u
+            if q:
+                for r, w in col.items():
+                    if r != i:
+                        x = other.get(r, 0) - q * w
+                        if x:
+                            other[r] = x
+                        else:
+                            del other[r]
+    columns = [col for col in columns if col]
+    rows = sorted({i for col in columns for i in col})
+    factors = smith_normal_form([[col.get(i, 0) for col in columns]
+                                 for i in rows])
+    return (rank + sum(1 for d in factors if d),
+            tuple(d for d in factors if d > 1))
+
+
+def _h1(d1: list[list[int]], edges: int,
+        d2: list[dict[int, int]]) -> H1Summary:
+    """ker d1 / im d2 from d1's rows and d2's sparse columns.  Only d2 is
+    reduced, as rank d1 = V - 1.  d1 @ d2 = 0 is checked one face column (at
+    most three nonzeros in a triangulation) at a time."""
+    if any(sum(row[e] * c for e, c in col.items()) for col in d2 for row in d1):
+        raise ValueError("d1 @ d2 != 0: inconsistent boundary maps")
+    rank2, torsion = rank_and_torsion(d2)
+    return H1Summary(edges - (len(d1) - 1) - rank2, torsion)
 
 
 def h1_from_matrices(d1: IntMatrix, d2: IntMatrix) -> H1Summary:
-    """ker d1 / im d2 in invariant-factor form.
-
-    d1 and d2 must be the boundary maps of a connected complex: then
-    rank d1 = V - 1, and only d2 needs a Smith form.  d1 @ d2 = 0 is
-    checked, one face column (at most three nonzeros in a triangulation)
-    at a time."""
-    for col in zip(*d2.entries):
-        nonzero = [(k, v) for k, v in enumerate(col) if v]
-        if any(sum(row[k] * v for k, v in nonzero) for row in d1.entries):
-            raise ValueError("d1 @ d2 != 0: inconsistent boundary maps")
-    snf2 = smith_normal_form(d2)
-    rank2 = sum(1 for d in snf2 if d)
-    torsion = tuple(d for d in snf2 if d > 1)
-    return H1Summary(d1.cols - (d1.rows - 1) - rank2, torsion)
+    """ker d1 / im d2 in invariant-factor form; d1 and d2 must be the
+    boundary maps of a connected complex, so that rank d1 = V - 1."""
+    if d2.rows != d1.cols:
+        raise ValueError(f"d1 @ d2 undefined: d1 has {d1.cols} columns, "
+                         f"d2 has {d2.rows} rows")
+    return _h1(d1.entries, d1.cols, [
+        {i: row[j] for i, row in enumerate(d2.entries) if row[j]}
+        for j in range(d2.cols)])
 
 
 def h1(tri: Triangulation) -> H1Summary:
     """First homology of the underlying closed manifold."""
-    return h1_from_matrices(*boundary_matrices(tri))
+    d1, d2 = _chain(tri)
+    return _h1(d1, len(tri.edge_orbits), d2)

@@ -17,14 +17,11 @@ accepts any well-formed signature of a connected closed triangulation.
 
 from __future__ import annotations
 
-import itertools
-
-from .complex3 import Perm, Triangulation, TriangulationError, perm_compose, perm_inverse
+from .complex3 import (PERM_INDEX, PERMS, Perm, Triangulation,
+                       TriangulationError, perm_compose, perm_inverse)
 
 SIG_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _CHAR_INDEX = {c: i for i, c in enumerate(SIG_CHARS)}
-_S4_ORDERED: list[Perm] = sorted(itertools.permutations(range(4)))
-_S4_INDEX = {p: i for i, p in enumerate(_S4_ORDERED)}
 
 
 class IsoSigError(ValueError):
@@ -76,7 +73,7 @@ def _candidate(tri: Triangulation, start: int, vperm: Perm) -> str:
                 ghat = perm_compose(vmap[t2_old],
                                     perm_compose(p, perm_inverse(vmap[t_old])))
                 join_dests.append(dest)
-                join_gluings.append(_S4_INDEX[ghat])
+                join_gluings.append(PERM_INDEX[ghat])
                 glued[label][f_new] = True
                 glued[dest][ghat[f_new]] = True
         label += 1
@@ -105,7 +102,7 @@ def encode_isosig(tri: Triangulation) -> str:
     """Canonical signature: minimal candidate over all starting labellings."""
     best: str | None = None
     for start in range(tri.size):
-        for vperm in _S4_ORDERED:
+        for vperm in PERMS:
             s = _candidate(tri, start, vperm)
             if best is None or s < best:
                 best = s
@@ -184,7 +181,7 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
         gi = read_char()
         if gi >= 24:
             raise IsoSigError(f"invalid permutation index {gi}")
-        perms.append(_S4_ORDERED[gi])
+        perms.append(PERMS[gi])
     if pos != len(sig):
         raise IsoSigError("trailing data after signature")
 

@@ -148,13 +148,28 @@ def test_missing_gluing_rejected():
 
 
 @pytest.mark.parametrize("gluing", [(1.9, (0, 1, 2, 3)), (1.0, (0, 1, 2, 3)),
-                                     (1, (0.0, 1, 2, 3)), ("1", (0, 1, 2, 3))])
+                                     (1, (0.0, 1, 2, 3)), ("1", (0, 1, 2, 3)),
+                                     (1, [0.0, 1, 2, 3])])
 def test_non_integer_gluing_rejected(gluing):
     # a float would otherwise be truncated (1.9 -> 1) or pass the
-    # permutation check and fail later with a bare TypeError
+    # permutation check, which looks permutations up by value, where
+    # 0.0 == 0, and fail later with a bare TypeError
     rows = [[(1, (0, 1, 2, 3))] * 4, [(0, (0, 1, 2, 3))] * 3 + [gluing]]
     with pytest.raises(TriangulationError, match="not an integer"):
         Triangulation(rows)
+
+
+def test_list_and_bool_permutations_stored_as_int_tuples():
+    rows = [[(True, [0, 1, 2, 3])] * 4, [(False, (False, True, 2, 3))] * 4]
+    tri = Triangulation(rows)
+    plain = Triangulation([[(1, (0, 1, 2, 3))] * 4, [(0, (0, 1, 2, 3))] * 4])
+    for t in range(2):
+        for f in range(4):
+            t2, p = tri.gluing(t, f)
+            assert (t2, p) == plain.gluing(t, f)
+            assert type(t2) is int and type(p) is tuple
+            assert all(type(x) is int for x in p)
+    assert tri.edge_orbit_index == plain.edge_orbit_index
 
 
 def test_non_manifold_vertex_link_rejected():

@@ -1,18 +1,21 @@
 """Smith normal form and first homology."""
 
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tvgenus.complex3 import pachner_23
 from tvgenus.fixtures import fixture
 from tvgenus.homology import (H1Summary, IntMatrix, boundary_matrices,
                               format_h1, h1, h1_from_matrices, parse_h1,
-                              smith_normal_form)
+                              rank_and_torsion, smith_normal_form)
+from tvgenus.isosig import decode_isosig
 
 import oracles
 
+CENSUS = Path(__file__).parents[1] / "perfbench" / "data" / "census.txt"
 
 # --- Smith normal form -----------------------------------------------------
 
@@ -70,6 +73,36 @@ def test_snf_random_matrices_divisibility_permutation_oracle():
             assert oracles.snf_via_minors(mat) == diag, mat
 
 
+@st.composite
+def face_shaped_matrices(draw):
+    """(rows, sparse columns) with at most three nonzeros per column, as a
+    face has, in -3..3; with no_units the entries are +-2 and +-3 only, so
+    the dense remainder does all the work."""
+    rows = draw(st.integers(1, 8))
+    no_units = draw(st.booleans())
+    values = st.sampled_from((-3, -2, 2, 3) if no_units else (-3, -2, -1, 1, 2, 3))
+    columns = []
+    for _ in range(draw(st.integers(0, 12))):
+        at = draw(st.lists(st.integers(0, rows - 1), max_size=3, unique=True))
+        columns.append({i: draw(values) for i in at})
+    return rows, columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(face_shaped_matrices())
+@example((2, [{}, {0: 1, 1: -1}, {}]))          # zero columns
+@example((2, [{0: 2}, {0: 1, 1: 1}]))           # a face with two sides on one orbit
+@example((3, [{0: 2, 1: 2}, {1: 3, 2: -3}, {0: 2, 2: -2}]))  # no unit entry
+@example((2, [{0: 2, 1: 3}, {0: 3, 1: 2}]))     # no unit entry, invariant factors 1, 5
+def test_unit_pivot_elimination_matches_dense_smith_form(matrix):
+    rows, columns = matrix
+    diag = smith_normal_form([[col.get(i, 0) for col in columns]
+                              for i in range(rows)])
+    rank, torsion = rank_and_torsion([dict(col) for col in columns])
+    assert rank == sum(1 for d in diag if d)
+    assert torsion == tuple(d for d in diag if d > 1)
+
+
 # --- H1 ----------------------------------------------------------------------
 
 EXPECTED_H1 = {
@@ -98,6 +131,25 @@ def test_h1_matches_minors_oracle(name):
     free, torsion = oracles.h1_via_minors(d1.entries, d2.entries)
     got = h1(tri)
     assert (got.free_rank, got.torsion) == (free, torsion)
+
+
+def test_h1_of_census_pool_matches_naive_smith_form():
+    """Every signature of the benchmark's census pool: h1 against the
+    textbook reduction of d2 in tests/oracles.py."""
+    checked = 0
+    with open(CENSUS, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            name, _, sig = line.partition(";")
+            tri = decode_isosig(sig.strip())
+            d1, d2 = boundary_matrices(tri)
+            diag = oracles.snf_naive(d2.entries)
+            want = H1Summary(d2.rows - (d1.rows - 1) - sum(1 for d in diag if d),
+                             tuple(d for d in diag if d > 1))
+            assert h1(tri) == want, name
+            checked += 1
+    assert checked == 1379
 
 
 def test_h1_min_generators():
@@ -168,6 +220,10 @@ def test_h1_rejects_boundary_maps_that_do_not_compose_to_zero():
     # a single edge from one vertex to another, bounding a face
     with pytest.raises(ValueError, match="d1 @ d2 != 0"):
         h1_from_matrices(IntMatrix([[-1], [1]]), IntMatrix([[1]]))
+    # d2 with fewer or more edge rows than d1 has edge columns
+    for d1, d2 in (([[0, 0]], [[2]]), ([[0]], [[2], [1]])):
+        with pytest.raises(ValueError, match="d1 @ d2 undefined"):
+            h1_from_matrices(IntMatrix(d1), IntMatrix(d2))
 
 
 # --- summaries: formatting and parsing ------------------------------------

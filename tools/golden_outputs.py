@@ -38,7 +38,11 @@ exact search's, marked ``exact``, for every fixture at r=3..7.
 ``pachner_moves.txt`` holds ``format_gluing_file`` of ``pachner_23`` at
 every face orbit that joins two distinct tetrahedra, on every triangulation
 of a seeded 12-step walk of 2-3 moves from each fixture (the fixture
-itself first).  To check a change, write the set from the parent's ``src``
+itself first).  ``orbits.txt`` holds what ``Triangulation`` builds, for
+every census signature and every fixture: ``vertex_orbit_index``,
+``edge_orbit_index``, ``edge_orbit_sign``, the two slots of each face orbit
+and ``orientable``, so the diff compares the build itself and not only what
+H_1, the float bits and the search counters show of it.  To check a change, write the set from the parent's ``src``
 and from the change's, then ``diff -r`` the two directories: the diff must
 be empty.
 """
@@ -198,6 +202,21 @@ def pachner_moves(fixtures) -> list[str]:
     return out
 
 
+def orbits(triangulations) -> list[str]:
+    """The orbit data of each (name, triangulation), one line per field."""
+    out = []
+    for name, tri in triangulations:
+        for field in ("vertex_orbit_index", "edge_orbit_index",
+                      "edge_orbit_sign"):
+            out.append(f"{name} {field} "
+                       f"{' '.join(map(str, getattr(tri, field)))}\n")
+        out.append(f"{name} face_orbits " + " ".join(
+            f"{t}.{f}-{t2}.{f2}" for _, ((t, f), (t2, f2)) in tri.face_orbits)
+            + "\n")
+        out.append(f"{name} orientable {tri.orientable}\n")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir")
@@ -242,6 +261,12 @@ def main(argv=None) -> int:
               encoding="utf-8") as fh:
         fh.writelines(pachner_moves((name, fixture(name))
                                     for name in fixture_names()))
+    with open(os.path.join(args.outdir, "orbits.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(orbits([(name, fixture(name))
+                              for name in fixture_names()]))
+        fh.writelines(orbits((name, decode_isosig(sig)) for name, sig
+                             in census_signatures().items()))
     return 0
 
 
