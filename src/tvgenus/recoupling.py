@@ -32,7 +32,7 @@ import cmath
 import itertools
 import math
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .complex3 import EDGE_INDEX, EDGES
 from .cyclotomic import CycNumber
@@ -52,15 +52,18 @@ class _Carrier:
         self.fact = list(itertools.accumulate(qint[1:], operator.mul,
                                               initial=one))
         self.delta = [-d if i % 2 else d for i, d in enumerate(qint[1:r])]
-        # d ** 2, not d * d: for doubles the two can differ in the last bit
-        self.dim = sum((d ** 2 for d in self.delta), zero)
+        # d ** 2, not d * d: for doubles the two can differ in the last bit;
+        # added left to right, as sum() compensates float rounding from
+        # Python 3.12 on, which would move the last bit with the version
+        self.dim = reduce(operator.add, (d ** 2 for d in self.delta), zero)
         self.tet_memo: dict = {}
 
     @cached_property
     def dim_even(self):
         """D' = the sum of delta_c^2 over the even colors c; at odd r it
         normalizes the even-color state sum, and D = 2 D'."""
-        return sum((d ** 2 for d in self.delta[::2]), self.zero)
+        return reduce(operator.add, (d ** 2 for d in self.delta[::2]),
+                      self.zero)
 
     @cached_property
     def theta_inv(self) -> list:

@@ -33,7 +33,31 @@ weight goes into the partial sum of its first edge's color, and those are
 added in ascending color order.  That order fixes every bit of the float
 values, and with them the sign of the rounding noise of a TV that is exactly
 0, which visible outputs read; so float keeps the backtracker until those
-bits are pinned anew.  The exact carrier, where order cannot change a value,
+bits are pinned anew.
+
+A long search runs compiled.  The backtracker searches position 0's first
+color in the loop above; if that branch entered more than
+_KERNEL_MIN_ENTERED prefixes, tvgenus.kernel generates Python source for
+the plan, a kernel, and the other colors of position 0 are searched in it.
+The kernel holds one nested for loop per position, its color and weight
+in locals (c3, w3).  It checks the faces in plan order, reads Tet from
+the memo, filling it on a miss, sets w3 = w2 * delta[c3] * 1/theta... *
+Tet..., and folds the last step's table as part += w * f0 * f1 * ....
+Python's * is left-associative, so each product rounds as the loop's
+one-factor-at-a-time products do; both parts add into the same partial
+sums and read the same table, so the total, entered and leaves keep every
+bit.  The kernel saves 40-47 % of the search after the first branch,
+about 1 us per entered prefix, but compiling it costs 0.6-2.8 ms at E =
+3..15 (4 ms at E = 22), while the median census search takes under 1 ms.  The prefixes
+after the first branch number a median 8 times the branch's at r=5 and
+17 times at r=6 (census signatures whose first branch entered 100 or
+more), so 300 sits near the break-even at r=5 and is safe above.  CPython
+3.10-3.12 refuse more than 20 statically nested blocks, so a plan of more
+than 20 edge orbits is cut into chained generated functions.  No float is
+summed with sum(), which compensates rounding from Python 3.12 on, so the
+bits are the same under 3.10 to 3.13.
+
+The exact carrier, where order cannot change a value,
 sums over the frontier: after each step, one state per coloring of the
 positions a later step still reads, holding the summed weight of the
 admissible prefixes that agree there and their number.  Each state reads
@@ -232,20 +256,45 @@ def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
     return total / dim ** len(tri.vertex_orbits), visited, leaves
 
 
+# a first branch (position 0's first color) that entered more prefixes than
+# this has the other branches searched by the compiled kernel: near the
+# break-even of compile cost and saving at r=5 (see the module notes)
+_KERNEL_MIN_ENTERED = 300
+
+
 def _backtrack_sum(lv, plan, every):
     """The sum over the colorings by depth-first search, and the numbers of
-    entered positions and of leaves.  Each admissible prefix of the last
-    step folds that step's table entries into its branch, leaf by leaf."""
+    entered positions and of leaves.  Position 0's first color is searched
+    inline; if that branch entered more than _KERNEL_MIN_ENTERED prefixes,
+    its other colors run in the plan's compiled kernel, which makes the
+    same float operations in the same order.  Both add into the same
+    partial sums, by first-edge color, and read the same last-step table."""
+    table: dict = {}  # the last step's entries by the colors it reads
+    branch = [lv.zero] * len(lv.delta)
+    entered, leaves = _search_inline(lv, plan, every, every[:1], branch, table)
+    if entered > _KERNEL_MIN_ENTERED:
+        from . import kernel  # loaded only where a search is this long
+        rest = kernel.compile_kernel(plan)(lv, every, every[1:], branch, table)
+    else:
+        rest = _search_inline(lv, plan, every, every[1:], branch, table)
+    total = lv.zero
+    for part in branch:  # ascending color order: deterministic floats
+        total += part
+    return total, entered + rest[0], leaves + rest[1]
+
+
+def _search_inline(lv, plan, every, firsts, branch, table):
+    """Search the colorings whose position 0 takes a color of firsts, adding
+    each leaf into branch; return the entered positions and the leaves.
+    Each admissible prefix of the last step folds that step's table
+    entries into its branch, leaf by leaf."""
     delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
     memo, fill = lv.tet_memo.get, lv.tet
     last = len(plan) - 1  # closed: E = V + n >= 2, so last >= 1
-    last_reads = _picker(sorted({*itertools.chain(*plan[last][0],
-                                                  *plan[last][1])} - {last}))
-    table: dict = {}  # the last step's entries by the colors it reads
+    last_reads = _picker(_reads(plan, last))
     colors = [0] * len(plan)
     weights = [lv.one] * len(plan)  # weights[k]: product before position k
-    untried = [iter(every)] + [None] * last  # colors left at each position
-    branch = [lv.zero] * len(delta)  # partial sums by first-edge color
+    untried = [iter(firsts)] + [None] * last  # colors left at each position
     entered = leaves = 0
     k = 0
     while k >= 0:
@@ -288,12 +337,13 @@ def _backtrack_sum(lv, plan, every):
                 branch[colors[0]] = part
         else:
             k -= 1
-    total = lv.zero
-    for part in branch:  # ascending color order: deterministic floats
-        total += part
-    return total, entered, leaves
+    return entered, leaves
 
 
+def _reads(plan, k):
+    """The positions step k reads besides its own, ascending."""
+    faces, tets, _ = plan[k]
+    return sorted({*itertools.chain(*faces, *tets)} - {k})
 def _frontier_sum(lv, plan, every):
     """The same sum and counts as _backtrack_sum, step by step over the
     plan.  After step k one state stands for each coloring of the frontier

@@ -84,6 +84,20 @@ def test_global_dim_closed_form(r):
     assert abs(tables(r, "float").dim - want) < 1e-12
 
 
+def test_float_dims_are_added_left_to_right():
+    # sum() compensates float rounding from Python 3.12 on (D at r=6 would
+    # read 12.000000000000007); every pinned float bit divides by D^V
+    for r in range(3, 41):
+        lv = tables(r, "float")
+        dim = dim_even = 0.0
+        for c, d in enumerate(lv.delta):
+            dim = dim + d ** 2
+            if c % 2 == 0:
+                dim_even = dim_even + d ** 2
+        assert (repr(lv.dim), repr(lv.dim_even)) == (repr(dim),
+                                                      repr(dim_even)), r
+
+
 # --- admissibility ------------------------------------------------------------
 
 def test_admissible_cases():

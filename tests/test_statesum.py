@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tvgenus import recoupling, statesum
+from tvgenus import kernel, recoupling, statesum
 from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
@@ -305,17 +305,31 @@ def test_exact_search_is_split_only_at_odd_levels_from_5(r):
 
 
 @pytest.mark.parametrize("r", (4, 5))
-def test_frontier_sum_equals_backtracker_exactly(r):
+def test_frontier_sum_equals_backtracker_exactly(r, monkeypatch):
     # the two engines over the exact carrier: the same CycNumber and the
-    # same counts, on every plan shape the fixtures and fallback walks hold
+    # same counts, on every plan shape the fixtures and fallback walks hold,
+    # and on a walk whose search runs in the compiled kernel at both levels
+    compiled = _count_kernels(monkeypatch)
     lv = tables(r, "exact")
     tris = [fixture(name) for name in fixture_names()]
     tris += [_walk(*case) for case in FALLBACK_CASES.values()]
+    tris.append(_seeded_walk("rp3#rp3", 12))
     for tri in tris:
         plan = _make_plan(tri)
         for every in (range(r - 1), range(0, r - 1, 2)):
             assert (_frontier_sum(lv, plan, every)
                     == _backtrack_sum(lv, plan, every))
+    assert compiled
+
+
+def _count_kernels(monkeypatch) -> list:
+    """The plans the searches compile from now on, one entry per call of
+    the kernel builder."""
+    calls = []
+    build = kernel.compile_kernel
+    monkeypatch.setattr(kernel, "compile_kernel",
+                        lambda plan: calls.append(plan) or build(plan))
+    return calls
 
 
 def test_exact_tet_is_filled_once_per_symmetry_orbit(monkeypatch):
@@ -507,27 +521,55 @@ def _seeded_walk(name, tets):
 # (triangulation, levels) on which the float engine must repeat the
 # reference search's float operations: every fixture at r=3..8 (the two
 # 10-tetrahedron connected sums to r=7, as at r=8 the pair of searches
-# takes 1.5-3 s each), the fallback walks, and seeded walks
+# takes 1.5-3 s each), the fallback walks, seeded walks, and lens spaces
+# whose kernels chain two functions (L(19,7), E = 21, the fewest edge
+# orbits that need two, and L(20,9)) and three (L(40,3))
 FLOAT_BIT_CASES = {
     **{name: (lambda name=name: fixture(name),
               range(3, 8 if "#" in name else 9)) for name in fixture_names()},
     **{f"fallback {label}": (lambda case=case: _walk(*case), range(3, 7))
        for label, case in FALLBACK_CASES.items()},
     "t3 walk t8": (lambda: _seeded_walk("t3", 8), (6, 8)),
+    "t3 walk t11": (lambda: _seeded_walk("t3", 11), (8,)),
     "rp3#rp3 walk t12": (lambda: _seeded_walk("rp3#rp3", 12), (6,)),
+    "L(19,7)": (lambda: fixture("L(19,7)"), (3,)),
+    "L(20,9)": (lambda: fixture("L(20,9)"), (5,)),
+    "L(40,3)": (lambda: fixture("L(40,3)"), (3,)),
 }
 
 
 @pytest.mark.parametrize("label", FLOAT_BIT_CASES)
-def test_float_search_repeats_the_reference_bits(label):
-    # the last step read from its table: the same total to the last bit,
-    # and the same entered positions and leaves, as searching it inline
+def test_float_search_repeats_the_reference_bits(label, monkeypatch):
+    # the last step read from its table, and the search after position 0's
+    # first color run in the compiled kernel where the first branch is long
+    # (and, forced, everywhere): the same total to the last bit, and the
+    # same entered positions and leaves, as searching every step inline
     build, levels = FLOAT_BIT_CASES[label]
     plan = _make_plan(build())
     for r in levels:
         lv, every = tables(r, "float"), range(r - 1)
-        assert (repr(_backtrack_sum(lv, plan, every))
-                == repr(oracles.backtrack_sum(lv, plan, every))), r
+        want = repr(oracles.backtrack_sum(lv, plan, every))
+        for kernel_after in (statesum._KERNEL_MIN_ENTERED, -1):
+            monkeypatch.setattr(statesum, "_KERNEL_MIN_ENTERED", kernel_after)
+            assert repr(_backtrack_sum(lv, plan, every)) == want, (r,
+                                                                   kernel_after)
+
+
+def test_kernel_is_compiled_only_after_a_long_first_branch(monkeypatch):
+    compiled = _count_kernels(monkeypatch)
+    tv_invariant(fixture("s3"), 5)
+    assert not compiled
+    tv_invariant(_seeded_walk("rp3#rp3", 12), 6, limits=FORCE)
+    assert len(compiled) == 1
+
+
+def test_lens_space_search_runs_in_chained_kernel_functions(monkeypatch):
+    # E = 22 positions need more loops than one compiled function may nest
+    compiled = _count_kernels(monkeypatch)
+    res = tv_invariant(fixture("L(20,9)"), 5, limits=FORCE)
+    assert (repr(res.value_float), res.states_visited,
+            res.states_admissible) == ("1.0000000000000009", 243300, 16844)
+    assert len(compiled) == 1 and len(compiled[0]) > kernel.LOOPS
 
 
 def test_search_volume_guard():

@@ -21,6 +21,8 @@ file in OUTDIR:
 - ``compute --format json --force`` in float mode on the census's first
   walks (``.v0``) of ``DEEP_WALKS``: ``rp3#rp3`` and ``rp3#l31`` at 11 and
   12 tetrahedra at r=6, ``t3`` at 9 and 11 at r=8, the deep-search inputs;
+  and on the lens space L(20,9) at r=5, from its gluing file, whose 22
+  edge classes make the search's compiled kernel chain two functions;
 - ``compute`` at r=5 in text (float, both, exact) and in CSV (float,
   exact) on a few fixtures;
 - ``homology`` on every fixture in text, CSV and JSON;
@@ -34,7 +36,8 @@ error is not kept, since argparse's usage text may change.
 ``states_admissible``, from ``tvgenus.statesum.tv_invariant`` with default
 limits, for every fixture at r=3..8 (``refused`` where the search-volume
 guard refuses it), ``t3`` at r=9 and every census start at r=5; then the
-exact search's, marked ``exact``, for every fixture at r=3..7.
+exact search's, marked ``exact``, for every fixture at r=3..7; then
+L(20,9)'s at r=5, forced past the guard.
 ``pachner_moves.txt`` holds ``format_gluing_file`` of ``pachner_23`` at
 every face orbit that joins two distinct tetrahedra, on every triangulation
 of a seeded 12-step walk of 2-3 moves from each fixture (the fixture
@@ -118,12 +121,18 @@ def commands(fixture_names, small_fixtures,
              tmpdir: str) -> list[tuple[str, list[str]]]:
     """(file name, argv) for every command of the output set;
     small_fixtures are the fixtures with at most 8 edge classes."""
+    from tvgenus.complex3 import format_gluing_file
+    from tvgenus.fixtures import fixture
+
     starts = os.path.join(tmpdir, "starts.txt")
     with open(starts, "w", encoding="utf-8") as fh:
         fh.writelines(census_starts() + ["bad ; zzz\n"])
     all_bad = os.path.join(tmpdir, "all-bad.txt")
     with open(all_bad, "w", encoding="utf-8") as fh:
         fh.write("a ; zzz\nb ; !!!\nno-separator\nc ; -ezzzzabc\n")
+    lens = os.path.join(tmpdir, "L20_9.txt")
+    with open(lens, "w", encoding="utf-8") as fh:
+        fh.write(format_gluing_file(fixture("L(20,9)"), "L(20,9)"))
     screen = ["screen", "--census", CENSUS]
     out = [("screen-r5.csv", screen + ["--r", "5", "--format", "csv"]),
            ("screen-r5.txt", screen + ["--r", "5"]),
@@ -149,6 +158,9 @@ def commands(fixture_names, small_fixtures,
         out.append((f"compute-float-r{r}-{name}.json",
                     ["compute", f"--isosig={sigs[name]}", "--r", str(r),
                      "--mode", "float", "--format", "json", "--force"]))
+    out.append(("compute-float-r5-L20_9.json",
+                ["compute", "--input", lens, "--r", "5", "--mode", "float",
+                 "--format", "json", "--force"]))
     for name in ("s3", "rp3", "t3"):
         for mode, fmt in (("float", "text"), ("both", "text"),
                           ("exact", "text"), ("float", "csv"),
@@ -166,17 +178,20 @@ def commands(fixture_names, small_fixtures,
     return out
 
 
-def search_counters(triangulations, mode: str = "float") -> list[str]:
+def search_counters(triangulations, mode: str = "float",
+                    force: bool = False) -> list[str]:
     """One line per (name, triangulation, r): its search counters in the
-    mode, or ``refused`` when the default search-volume guard refuses it;
-    exact lines are marked ``exact``."""
-    from tvgenus.statesum import SearchVolumeError, tv_invariant
+    mode, or ``refused`` when the search-volume guard refuses it (the
+    default guard, or none with force); exact lines are marked
+    ``exact``."""
+    from tvgenus.statesum import SearchLimits, SearchVolumeError, tv_invariant
 
     mark = " exact" if mode == "exact" else ""
     lines = []
     for name, tri, r in triangulations:
         try:
-            res = tv_invariant(tri, r, mode=mode)
+            res = tv_invariant(tri, r, mode=mode,
+                               limits=SearchLimits(force=force))
             counts = f"{res.states_visited} {res.states_admissible}"
         except SearchVolumeError:
             counts = "refused"
@@ -257,6 +272,8 @@ def main(argv=None) -> int:
         fh.writelines(search_counters(
             [(name, fixture(name), r) for name in fixture_names()
              for r in range(3, 8)], mode="exact"))
+        fh.writelines(search_counters([("L(20,9)", fixture("L(20,9)"), 5)],
+                                      force=True))
     with open(os.path.join(args.outdir, "pachner_moves.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(pachner_moves((name, fixture(name))
