@@ -260,8 +260,19 @@ def _checked(convert, rule: str, ok):
     return parse
 
 
+def _is_fixture(name: str) -> bool:
+    """Whether fixture() builds the name; a bad L(p,q) raises ValueError."""
+    try:
+        fixture(name)
+    except KeyError:
+        return False
+    return True
+
+
 _LEVEL = _checked(int, "an integer at least 3", lambda v: v >= 3)
 _POSITIVE = _checked(float, "a positive number", lambda v: v > 0)
+_FIXTURE = _checked(str, f"one of {', '.join(fixture_names())} or L(p,q) "
+                    "with p >= 2 and gcd(p, q) = 1", _is_fixture)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,8 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
             source.add_argument("--isosig",
                                 help="isomorphism signature literal")
             source.add_argument("--fixture", dest="fixture_name",
-                                choices=fixture_names(),
-                                help="built-in fixture")
+                                type=_FIXTURE,
+                                help="built-in fixture, or the lens space "
+                                     "L(p,q)")
         return p
 
     add_command("compute", cmd_compute, search=True, with_input=True,

@@ -23,6 +23,7 @@ completed face triple is inadmissible.
 One helper, _step_entries, builds a step's table for both engines: per
 coloring of the positions the step reads, its own excepted, the admissible
 colors in search order, each with delta_c, 1/theta per face, Tet per tet.
+The compiled kernel below generates the same fill in its own code.
 
 The float carrier sums by depth-first search (the backtracker), colors
 ascending, accumulating the weight along the path: inner steps are searched
@@ -43,11 +44,17 @@ The kernel holds one nested for loop per position, its color and weight
 in locals (c3, w3).  It checks the faces in plan order, reads Tet from
 the memo, filling it on a miss, sets w3 = w2 * delta[c3] * 1/theta... *
 Tet..., and folds the last step's table as part += w * f0 * f1 * ....
+It fills that table itself on a miss, in generated code, with the colors,
+factors and order of _step_entries, and reads each 1/theta whose face
+holds the step's color once from a row, theta_inv[cu][cv], set where the
+face's other two colors are; the row holds the same float objects.
 Python's * is left-associative, so each product rounds as the loop's
 one-factor-at-a-time products do; both parts add into the same partial
 sums and read the same table, so the total, entered and leaves keep every
-bit.  The kernel saves 40-47 % of the search after the first branch,
-about 1 us per entered prefix, but compiling it costs 0.6-2.8 ms at E =
+bit.  On t3, whose table key is the whole prefix, the kernel's own fill
+takes the search from 18.1 to 6.3 ms at r=8 and from 39 to 12 ms at r=9.
+The kernel saves 50-74 % of the search after the first branch on the
+deep-search inputs, but compiling it costs 0.6-2.8 ms at E =
 3..15 (4 ms at E = 22), while the median census search takes under 1 ms.  The prefixes
 after the first branch number a median 8 times the branch's at r=5 and
 17 times at r=6 (census signatures whose first branch entered 100 or
@@ -344,6 +351,8 @@ def _reads(plan, k):
     """The positions step k reads besides its own, ascending."""
     faces, tets, _ = plan[k]
     return sorted({*itertools.chain(*faces, *tets)} - {k})
+
+
 def _frontier_sum(lv, plan, every):
     """The same sum and counts as _backtrack_sum, step by step over the
     plan.  After step k one state stands for each coloring of the frontier

@@ -10,6 +10,7 @@ import pytest
 import tvgenus
 from tvgenus.cli import (Report, main, report_from_csv, report_from_json,
                          report_to_csv, report_to_json)
+from tvgenus.complex3 import format_gluing_file
 from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_isosig
 from tvgenus.genus import FLAG_DISCLAIMER, screen_record
 from tvgenus.homology import format_h1, parse_h1
@@ -65,6 +66,12 @@ USAGE_ERRORS = [
     pytest.param(["compute", "--fixture", "s3", "--max-states", "abc"],
                  "argument --max-states: must be a positive number",
                  id="max-states-text"),
+    pytest.param(["compute", "--fixture", "s4"],
+                 "argument --fixture: must be one of", id="fixture-unknown"),
+    pytest.param(["compute", "--fixture", "L(4,2)"],
+                 "argument --fixture: must be one of", id="fixture-lens-gcd"),
+    pytest.param(["homology", "--fixture", "L(5)"],
+                 "argument --fixture: must be one of", id="fixture-lens-text"),
     pytest.param(["screen", "--r", "5"], "--census", id="no-census"),
     pytest.param(["screen", "--census", "c.txt", "--threshold", "0"],
                  "argument --threshold: must be a positive number",
@@ -145,6 +152,17 @@ def test_compute_from_gluing_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--r", "4")
     assert code == 0
     assert "tv=0.146446609407" in out
+
+
+def test_compute_lens_fixture_equals_its_gluing_file(tmp_path, capsys):
+    # --fixture takes every name fixture() builds, lens spaces included
+    path = tmp_path / "L(20,9)"
+    path.write_text(format_gluing_file(fixture("L(20,9)"), "L(20,9)"))
+    runs = [run_cli(capsys, "compute", *source, "--r", "5", "--force",
+                    "--format", "json")
+            for source in (["--fixture", "L(20,9)"], ["--input", str(path)])]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert json.loads(runs[0][1])["records"][0]["name"] == "L(20,9)"
 
 
 def test_compute_guard_exit(capsys):

@@ -519,14 +519,16 @@ def _seeded_walk(name, tets):
 
 
 # (triangulation, levels) on which the float engine must repeat the
-# reference search's float operations: every fixture at r=3..8 (the two
-# 10-tetrahedron connected sums to r=7, as at r=8 the pair of searches
-# takes 1.5-3 s each), the fallback walks, seeded walks, and lens spaces
+# reference search's float operations: every fixture at r=3..8 (t3 to r=9,
+# as deep-search runs it; the two 10-tetrahedron connected sums to r=7, as
+# at r=8 the pair of searches takes 1.5-3 s each), the fallback walks,
+# seeded walks, and lens spaces
 # whose kernels chain two functions (L(19,7), E = 21, the fewest edge
 # orbits that need two, and L(20,9)) and three (L(40,3))
 FLOAT_BIT_CASES = {
     **{name: (lambda name=name: fixture(name),
-              range(3, 8 if "#" in name else 9)) for name in fixture_names()},
+              range(3, 8 if "#" in name else 10 if name == "t3" else 9))
+        for name in fixture_names()},
     **{f"fallback {label}": (lambda case=case: _walk(*case), range(3, 7))
        for label, case in FALLBACK_CASES.items()},
     "t3 walk t8": (lambda: _seeded_walk("t3", 8), (6, 8)),
@@ -553,6 +555,30 @@ def test_float_search_repeats_the_reference_bits(label, monkeypatch):
             monkeypatch.setattr(statesum, "_KERNEL_MIN_ENTERED", kernel_after)
             assert repr(_backtrack_sum(lv, plan, every)) == want, (r,
                                                                    kernel_after)
+
+
+@pytest.mark.parametrize("build, r", [
+    (lambda: fixture("t3"), 8),
+    (lambda: _seeded_walk("rp3#rp3", 12), 6),
+    (lambda: fixture("L(20,9)"), 5)],
+    ids=["t3", "rp3#rp3 walk t12", "L(20,9)"])
+def test_kernel_fills_the_last_step_table_as_step_entries(build, r):
+    # every entry the kernel fills on its own (in the last of two chained
+    # functions on L(20,9)): the colors and factors of _step_entries for
+    # that key, in its order
+    plan = _make_plan(build())
+    last = len(plan) - 1
+    lv, every = tables(r, "float"), range(r - 1)
+    table: dict = {}
+    kernel.compile_kernel(plan)(lv, every, every, [lv.zero] * len(lv.delta),
+                                table)
+    assert table
+    for key, entries in table.items():
+        cols = [0] * len(plan)
+        for p, c in zip(statesum._reads(plan, last), key):
+            cols[p] = c
+        want = statesum._step_entries(lv, every, plan[last], cols, last)
+        assert repr([(c, list(fs)) for c, fs in entries]) == repr(want), key
 
 
 def test_kernel_is_compiled_only_after_a_long_first_branch(monkeypatch):
