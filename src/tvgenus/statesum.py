@@ -54,13 +54,16 @@ sums and read the same table, so the total, entered and leaves keep every
 bit.  On t3, whose table key is the whole prefix, the kernel's own fill
 takes the search from 18.1 to 6.3 ms at r=8 and from 39 to 12 ms at r=9.
 The kernel saves 50-74 % of the search after the first branch on the
-deep-search inputs, but compiling it costs 0.6-2.8 ms at E =
-3..15 (4 ms at E = 22), while the median census search takes under 1 ms.  The prefixes
+deep-search inputs, but compiling it costs 0.6-2.8 ms at E = 3..15,
+while the median census search takes under 1 ms.  The prefixes
 after the first branch number a median 8 times the branch's at r=5 and
 17 times at r=6 (census signatures whose first branch entered 100 or
 more), so 300 sits near the break-even at r=5 and is safe above.  CPython
 3.10-3.12 refuse more than 20 statically nested blocks, so a plan of more
-than 20 edge orbits is cut into chained generated functions.  No float is
+than 20 edge orbits runs interpreted, on every Python, so that the engine
+a search runs in does not depend on the version.  No workload's plan comes
+near, and under the default guard such a search runs only at r=3, whose
+first branch enters fewer than 300 prefixes.  No float is
 summed with sum(), which compensates rounding from Python 3.12 on, so the
 bits are the same under 3.10 to 3.13.
 
@@ -267,19 +270,24 @@ def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
 # this has the other branches searched by the compiled kernel: near the
 # break-even of compile cost and saving at r=5 (see the module notes)
 _KERNEL_MIN_ENTERED = 300
+# the most positions a kernel nests a loop for: CPython 3.10-3.12 compile
+# at most 20 nested blocks, so a deeper plan is searched inline throughout
+_KERNEL_MAX_POSITIONS = 20
 
 
 def _backtrack_sum(lv, plan, every):
     """The sum over the colorings by depth-first search, and the numbers of
     entered positions and of leaves.  Position 0's first color is searched
-    inline; if that branch entered more than _KERNEL_MIN_ENTERED prefixes,
-    its other colors run in the plan's compiled kernel, which makes the
-    same float operations in the same order.  Both add into the same
-    partial sums, by first-edge color, and read the same last-step table."""
+    inline; if that branch entered more than _KERNEL_MIN_ENTERED prefixes
+    and the plan has at most _KERNEL_MAX_POSITIONS positions, its other
+    colors run in the plan's compiled kernel, which makes the same float
+    operations in the same order.  Both add into the same partial sums, by
+    first-edge color, and read the same last-step table."""
     table: dict = {}  # the last step's entries by the colors it reads
     branch = [lv.zero] * len(lv.delta)
     entered, leaves = _search_inline(lv, plan, every, every[:1], branch, table)
-    if entered > _KERNEL_MIN_ENTERED:
+    if (entered > _KERNEL_MIN_ENTERED
+            and len(plan) <= _KERNEL_MAX_POSITIONS):
         from . import kernel  # loaded only where a search is this long
         rest = kernel.compile_kernel(plan)(lv, every, every[1:], branch, table)
     else:

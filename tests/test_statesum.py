@@ -523,8 +523,8 @@ def _seeded_walk(name, tets):
 # as deep-search runs it; the two 10-tetrahedron connected sums to r=7, as
 # at r=8 the pair of searches takes 1.5-3 s each), the fallback walks,
 # seeded walks, and lens spaces
-# whose kernels chain two functions (L(19,7), E = 21, the fewest edge
-# orbits that need two, and L(20,9)) and three (L(40,3))
+# too deep for a kernel, which run interpreted even when forced (L(19,7),
+# E = 21, the fewest edge orbits past the kernel's 20, L(20,9) and L(40,3))
 FLOAT_BIT_CASES = {
     **{name: (lambda name=name: fixture(name),
               range(3, 8 if "#" in name else 10 if name == "t3" else 9))
@@ -560,12 +560,12 @@ def test_float_search_repeats_the_reference_bits(label, monkeypatch):
 @pytest.mark.parametrize("build, r", [
     (lambda: fixture("t3"), 8),
     (lambda: _seeded_walk("rp3#rp3", 12), 6),
-    (lambda: fixture("L(20,9)"), 5)],
-    ids=["t3", "rp3#rp3 walk t12", "L(20,9)"])
+    (lambda: fixture("L(18,5)"), 5)],
+    ids=["t3", "rp3#rp3 walk t12", "L(18,5)"])
 def test_kernel_fills_the_last_step_table_as_step_entries(build, r):
-    # every entry the kernel fills on its own (in the last of two chained
-    # functions on L(20,9)): the colors and factors of _step_entries for
-    # that key, in its order
+    # every entry the kernel fills on its own (with 20 loops on L(18,5), the
+    # deepest kernel): the colors and factors of _step_entries for that
+    # key, in its order
     plan = _make_plan(build())
     last = len(plan) - 1
     lv, every = tables(r, "float"), range(r - 1)
@@ -589,13 +589,35 @@ def test_kernel_is_compiled_only_after_a_long_first_branch(monkeypatch):
     assert len(compiled) == 1
 
 
-def test_lens_space_search_runs_in_chained_kernel_functions(monkeypatch):
+def test_lens_space_search_too_deep_for_a_kernel_runs_interpreted(
+        monkeypatch):
     # E = 22 positions need more loops than one compiled function may nest
     compiled = _count_kernels(monkeypatch)
     res = tv_invariant(fixture("L(20,9)"), 5, limits=FORCE)
     assert (repr(res.value_float), res.states_visited,
             res.states_admissible) == ("1.0000000000000009", 243300, 16844)
-    assert len(compiled) == 1 and len(compiled[0]) > kernel.LOOPS
+    assert not compiled
+
+
+@pytest.mark.parametrize("name, positions, kernels", [
+    ("L(18,5)", 20, 1), ("L(19,7)", 21, 0)], ids=["L(18,5)", "L(19,7)"])
+def test_kernel_runs_plans_of_at_most_20_positions(name, positions, kernels,
+                                                   monkeypatch):
+    # forced, a plan of 20 positions compiles to one generated function;
+    # one of 21 compiles nothing and is searched inline; both keep the
+    # reference search's bits and counters
+    sources = []
+    monkeypatch.setattr(kernel, "compile", lambda text, *args: sources.append(
+        text) or compile(text, *args), raising=False)
+    monkeypatch.setattr(statesum, "_KERNEL_MIN_ENTERED", -1)
+    plan = _make_plan(fixture(name))
+    assert len(plan) == positions
+    for r in (4, 5):
+        lv, every = tables(r, "float"), range(r - 1)
+        assert (repr(_backtrack_sum(lv, plan, every))
+                == repr(oracles.backtrack_sum(lv, plan, every))), r
+    assert len(sources) == 2 * kernels
+    assert all(text.count("def ") == 1 for text in sources)
 
 
 def test_search_volume_guard():

@@ -21,8 +21,8 @@ file in OUTDIR:
 - ``compute --format json --force`` in float mode on the census's first
   walks (``.v0``) of ``DEEP_WALKS``: ``rp3#rp3`` and ``rp3#l31`` at 11 and
   12 tetrahedra at r=6, ``t3`` at 9 and 11 at r=8, the deep-search inputs;
-  and on the lens space L(20,9) at r=5, from its gluing file, whose 22
-  edge classes make the search's compiled kernel chain two functions;
+  and on the lens space L(20,9) at r=5, whose 22 edge classes are more
+  than a compiled kernel nests, so its search runs interpreted;
 - ``compute`` at r=5 in text (float, both, exact) and in CSV (float,
   exact) on a few fixtures;
 - ``homology`` on every fixture in text, CSV and JSON;
@@ -38,6 +38,10 @@ limits, for every fixture at r=3..8 (``refused`` where the search-volume
 guard refuses it), ``t3`` at r=9 and every census start at r=5; then the
 exact search's, marked ``exact``, for every fixture at r=3..7; then
 L(20,9)'s at r=5, forced past the guard.
+``kernel_sources.txt`` holds the Python source that ``tvgenus.kernel``
+generates, the text it passes to ``compile``, for the plan of every fixture
+and every census signature that has at most 20 edge classes, so the diff
+shows whether the kernels the workloads run changed.
 ``pachner_moves.txt`` holds ``format_gluing_file`` of ``pachner_23`` at
 every face orbit that joins two distinct tetrahedra, on every triangulation
 of a seeded 12-step walk of 2-3 moves from each fixture (the fixture
@@ -121,18 +125,12 @@ def commands(fixture_names, small_fixtures,
              tmpdir: str) -> list[tuple[str, list[str]]]:
     """(file name, argv) for every command of the output set;
     small_fixtures are the fixtures with at most 8 edge classes."""
-    from tvgenus.complex3 import format_gluing_file
-    from tvgenus.fixtures import fixture
-
     starts = os.path.join(tmpdir, "starts.txt")
     with open(starts, "w", encoding="utf-8") as fh:
         fh.writelines(census_starts() + ["bad ; zzz\n"])
     all_bad = os.path.join(tmpdir, "all-bad.txt")
     with open(all_bad, "w", encoding="utf-8") as fh:
         fh.write("a ; zzz\nb ; !!!\nno-separator\nc ; -ezzzzabc\n")
-    lens = os.path.join(tmpdir, "L20_9.txt")
-    with open(lens, "w", encoding="utf-8") as fh:
-        fh.write(format_gluing_file(fixture("L(20,9)"), "L(20,9)"))
     screen = ["screen", "--census", CENSUS]
     out = [("screen-r5.csv", screen + ["--r", "5", "--format", "csv"]),
            ("screen-r5.txt", screen + ["--r", "5"]),
@@ -159,8 +157,8 @@ def commands(fixture_names, small_fixtures,
                     ["compute", f"--isosig={sigs[name]}", "--r", str(r),
                      "--mode", "float", "--format", "json", "--force"]))
     out.append(("compute-float-r5-L20_9.json",
-                ["compute", "--input", lens, "--r", "5", "--mode", "float",
-                 "--format", "json", "--force"]))
+                ["compute", "--fixture", "L(20,9)", "--r", "5", "--mode",
+                 "float", "--format", "json", "--force"]))
     for name in ("s3", "rp3", "t3"):
         for mode, fmt in (("float", "text"), ("both", "text"),
                           ("exact", "text"), ("float", "csv"),
@@ -197,6 +195,32 @@ def search_counters(triangulations, mode: str = "float",
             counts = "refused"
         lines.append(f"{name} r={r}{mark} {counts}\n")
     return lines
+
+
+def kernel_sources(triangulations) -> list[str]:
+    """A header line and the generated kernel source of the plan of each
+    (name, triangulation) with at most 20 edge classes, captured where
+    tvgenus.kernel compiles it."""
+    import builtins
+
+    from tvgenus import kernel
+    from tvgenus.statesum import _make_plan
+
+    out = []
+
+    def capture(text, *args):
+        out.append(text + "\n")
+        return builtins.compile(text, *args)
+
+    kernel.compile = capture  # shadows the builtin in the module's globals
+    try:
+        for name, tri in triangulations:
+            if len(tri.edge_orbits) <= 20:
+                out.append(f"# {name}\n")
+                kernel.compile_kernel(_make_plan(tri))
+    finally:
+        del kernel.compile
+    return out
 
 
 def pachner_moves(fixtures) -> list[str]:
@@ -274,6 +298,12 @@ def main(argv=None) -> int:
              for r in range(3, 8)], mode="exact"))
         fh.writelines(search_counters([("L(20,9)", fixture("L(20,9)"), 5)],
                                       force=True))
+    with open(os.path.join(args.outdir, "kernel_sources.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(kernel_sources(
+            [(name, fixture(name)) for name in fixture_names()]
+            + [(name, decode_isosig(sig))
+               for name, sig in census_signatures().items()]))
     with open(os.path.join(args.outdir, "pachner_moves.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(pachner_moves((name, fixture(name))
