@@ -14,14 +14,28 @@ statesum runs a deeper plan in the interpreted loop.
 The kernel fills the last step's table itself, in generated code: on a miss
 it loops over the last position's colors and appends each admissible one
 with its factors, as statesum._step_entries would, at no call per prefix.
+It looks the table up once per coloring of the positions the last step
+reads: entries is set to None in the loop of the latest of them, and
+position last - 1 reads the table only while it is None.
 A face that holds its step's color once reads its 1/theta from a row, set
 at the later of the face's other two positions: h1_3 = theta_inv[c1][c3],
 read as h1_3[c4].  theta_inv shares one float object among the
 permutations of a triple, so the row gives the float of the full lookup.
-On `t3`, whose last step reads every other position and so misses on
-every prefix, the search takes 6.3 ms at r=8 and 12.0 ms at r=9, against
-18.1 and 38.9 ms with each miss filled by a call of _step_entries
-(CPython 3.11, the least of 9 runs).
+An inner step's Tet reads a row too: a list by the step's color, fetched
+at the latest of the Tet's other positions from a dict that lives for one
+call, keyed by the bitmask of the arguments that are the step's color and
+the other arguments' colors.  In `rp3#rp3`, R8_1 = tet_rows.get((16, c0,
+c2, c0, c2, c6)) is fetched in the loop of position 6 and read as R8_1[c8]
+for Tet(c0, c2, c0, c2, c8, c6), under every color of position 7.  A slot
+is filled on its first read with the memo's own float object.  A Tet whose
+other arguments hold every earlier position would get a row per prefix,
+each slot read once, so it reads the memo, as the last step's Tet and a
+Tet of six step colors do.  After the first branch, on 24 deep-search
+plans at r=6 and r=8, the kernel takes 0.82 of the time it took reading
+every Tet from the memo, and 0.22-0.42 of the interpreted loop's.  On
+`t3`, whose last step reads every other position and whose inner Tet are
+keyed by the whole prefix, the search takes 8.0 ms at r=8 and 15.3 ms at
+r=9, as it did before rows (CPython 3.11, the least of 41 runs).
 """
 
 from __future__ import annotations
@@ -34,16 +48,18 @@ def compile_kernel(plan):
     of statesum._search_inline: one nested for loop per position before the
     last, its color and its weight in locals (c3, w3).  Each position checks
     its faces in plan order (not a paired step's first face: third admits
-    it), reads Tet from the memo, and multiplies delta, the 1/theta and the
-    Tet factors into the weight left to right, as the inline search does;
-    position last - 1 fills the last step's table on a miss, with the colors,
+    it), reads Tet from a row or the memo, and multiplies delta, the 1/theta
+    and the Tet factors into the weight left to right, as the inline search
+    does; position last - 1 looks the last step's table up once per coloring
+    of the positions that step reads, fills it on a miss, with the colors,
     factors and order of statesum._step_entries, and folds its entries as
     part += w * f0 * f1 * ..., the same roundings as folding them one
     factor at a time.  The plan has at most 20 positions."""
     last = len(plan) - 1
-    # the 1/theta reads of each step, and the rows set at each position
-    thetas, rows = [], [[] for _ in plan]
-    for k, (faces, _, _) in enumerate(plan):
+    # each step's 1/theta and Tet reads, and the lines each position runs
+    # to set the rows that later steps read
+    thetas, tets, rows = [], [], [[] for _ in plan]
+    for k, (faces, tet_args, _) in enumerate(plan):
         reads = []
         for face in faces:
             others = sorted(p for p in face if p != k)
@@ -51,10 +67,37 @@ def compile_kernel(plan):
                 reads.append("theta_inv[c{}][c{}][c{}]".format(*face))
                 continue
             u, v = others
-            if (u, v) not in rows[v]:
-                rows[v].append((u, v))
+            row = f"h{u}_{v} = theta_inv[c{u}][c{v}]"
+            if row not in rows[v]:
+                rows[v].append(row)
             reads.append(f"h{u}_{v}[c{k}]")
         thetas.append(reads)
+        reads = []
+        for n, tet in enumerate(tet_args):
+            # a Tet of 0 reads false; fill returns the memo's value
+            args = ", ".join(f"c{p}" for p in tet)
+            fill = f"memo(({args})) or fill({args})"
+            others = [p for p in tet if p != k]
+            # the last step's Tet, one of six step colors, and one of every
+            # earlier position (whose row one prefix would read once per
+            # slot) read the memo; another reads its row of the Tets that
+            # differ only in the arguments that are color k, keyed by which
+            # those are and the other arguments' colors
+            if k == last or not others or {*others} == {*range(k)}:
+                reads.append([f"t{n} = {fill}"])
+                continue
+            row = f"R{k}_{n}"
+            mask = sum(1 << i for i, p in enumerate(tet) if p == k)
+            key = ", ".join([str(mask), *(f"c{p}" for p in others)])
+            rows[max(others)] += [
+                f"{row} = tet_rows.get(({key}))",
+                f"if {row} is None: {row} = tet_rows[({key})] = [None] * "
+                "len(delta)"]
+            reads.append([f"t{n} = {row}[c{k}]",
+                          f"if t{n} is None: t{n} = {row}[c{k}] = {fill}"])
+        tets.append(reads)
+    # the last step's table key is set once position m has its color
+    m = max(_reads(plan, last), default=0)
 
     def step(k, ind):
         """The lines that check step k's faces and read its Tet, and its
@@ -65,10 +108,8 @@ def compile_kernel(plan):
             if n or plan[k][2] is None:
                 out.append(f"{ind}if i{n} is None: continue")
             factors.append(f"i{n}")
-        for n, tet in enumerate(plan[k][1]):
-            # a Tet of 0 reads false; fill returns the memo's value
-            args = ", ".join(f"c{p}" for p in tet)
-            out.append(f"{ind}t{n} = memo(({args})) or fill({args})")
+        for n, read in enumerate(tets[k]):
+            out += [ind + line for line in read]
             factors.append(f"t{n}")
         return out, factors
 
@@ -80,7 +121,8 @@ def compile_kernel(plan):
     lines = ["def kernel(lv, every, firsts, branch, table):",
              "    one, delta, third = lv.one, lv.delta, lv.third",
              "    theta_inv, memo, fill = lv.theta_inv, lv.tet_memo.get, lv.tet",
-             "    entered = leaves = 0"]
+             "    entered = leaves = 0",
+             "    tet_rows = {}"]
     for k in range(last):
         ind = "    " * (k + 1)
         lines.append(f"{ind}for c{k} in {source(k)}:")
@@ -91,20 +133,24 @@ def compile_kernel(plan):
         factors = [f"w{k - 1}" if k else "one", f"delta[c{k}]", *factors]
         lines += [*checks,
                   f"{ind}w{k} = {' * '.join(factors)}",
-                  f"{ind}entered += 1"]
-        lines += [f"{ind}h{u}_{v} = theta_inv[c{u}][c{v}]" for u, v in rows[k]]
+                  f"{ind}entered += 1",
+                  *(ind + row for row in rows[k])]
+        if k == m:
+            lines.append(f"{ind}entries = None")
     ind = "    " * (last + 1)
     key = "(" + "".join(f"c{p}, " for p in _reads(plan, last)) + ")"
-    checks, factors = step(last, ind + "        ")
+    checks, factors = step(last, ind + "            ")
     entry = "".join(f + ", " for f in [f"delta[c{last}]", *factors])
     fs = [f"f{n}" for n in range(1 + len(factors))]
-    lines += [f"{ind}entries = table.get({key})",
-              f"{ind}if entries is None:",
-              f"{ind}    entries = table[{key}] = []",
-              f"{ind}    for c{last} in {source(last)}:",
+    lines += [f"{ind}if entries is None:",
+              f"{ind}    entries = table.get({key})",
+              f"{ind}    if entries is None:",
+              f"{ind}        entries = table[{key}] = []",
+              f"{ind}        for c{last} in {source(last)}:",
               *checks,
-              f"{ind}        entries.append((c{last}, ({entry})))",
-              f"{ind}leaves += len(entries)",
+              f"{ind}            entries.append((c{last}, ({entry})))",
+              f"{ind}    count = len(entries)",
+              f"{ind}leaves += count",
               f"{ind}for _, ({''.join(f + ', ' for f in fs)}) in entries:",
               f"{ind}    part += {' * '.join([f'w{last - 1}', *fs])}",
               "        branch[c0] = part",

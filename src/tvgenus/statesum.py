@@ -42,23 +42,30 @@ _KERNEL_MIN_ENTERED prefixes, tvgenus.kernel generates Python source for
 the plan, a kernel, and the other colors of position 0 are searched in it.
 The kernel holds one nested for loop per position, its color and weight
 in locals (c3, w3).  It checks the faces in plan order, reads Tet from
-the memo, filling it on a miss, sets w3 = w2 * delta[c3] * 1/theta... *
-Tet..., and folds the last step's table as part += w * f0 * f1 * ....
+a row or the memo, filling it on a miss, sets w3 = w2 * delta[c3] *
+1/theta... * Tet..., and folds the last step's table as
+part += w * f0 * f1 * ....
 It fills that table itself on a miss, in generated code, with the colors,
-factors and order of _step_entries, and reads each 1/theta whose face
+factors and order of _step_entries, and looks it up once per coloring of
+the positions the last step reads.  It reads each 1/theta whose face
 holds the step's color once from a row, theta_inv[cu][cv], set where the
-face's other two colors are; the row holds the same float objects.
+face's other two colors are, and most inner Tet from a row by the step's
+color, filled from the memo within one kernel call; the rows hold the
+same float objects.
 Python's * is left-associative, so each product rounds as the loop's
 one-factor-at-a-time products do; both parts add into the same partial
 sums and read the same table, so the total, entered and leaves keep every
 bit.  On t3, whose table key is the whole prefix, the kernel's own fill
 takes the search from 18.1 to 6.3 ms at r=8 and from 39 to 12 ms at r=9.
-The kernel saves 50-74 % of the search after the first branch on the
-deep-search inputs, but compiling it costs 0.6-2.8 ms at E = 3..15,
-while the median census search takes under 1 ms.  The prefixes
-after the first branch number a median 8 times the branch's at r=5 and
-17 times at r=6 (census signatures whose first branch entered 100 or
-more), so 300 sits near the break-even at r=5 and is safe above.  CPython
+The kernel saves 58-78 % of the search after the first branch on the
+deep-search inputs, but compiling it costs 0.5-3.0 ms at E = 3..15 (the
+Tet rows lengthen its source; 0.4-2.5 ms without them), while the median
+census search takes under 1 ms.  The prefixes after the first branch
+number a median 8 times the branch's at r=5 and 17 times at r=6 (census
+signatures whose first branch entered 100 or more).  On the census pool
+at r=5, warm tables, compiling costs searches whose first branch entered
+150-250 prefixes 26-32 % and saves 11 % at 250-300 and 20 % above 450,
+so 300 sits near the break-even at r=5 and is safe above.  CPython
 3.10-3.12 refuse more than 20 statically nested blocks, so a plan of more
 than 20 edge orbits runs interpreted, on every Python, so that the engine
 a search runs in does not depend on the version.  No workload's plan comes

@@ -396,12 +396,17 @@ def test_global_dim_is_twice_the_even_share(r):
     assert lv.dim == 2 * lv.dim_even
 
 
-def _census_starts():
+def _census():
+    """The census pool's signatures by name, in file order."""
     path = (Path(__file__).parent.parent / "perfbench" / "data"
             / "census.txt")
     lines = path.read_text(encoding="utf-8").splitlines()
-    return [line.partition(";")[2].strip() for line in lines
-            if line and not line.startswith("#") and ".v" not in line]
+    return dict((x.strip() for x in line.split(";")) for line in lines
+                if line and not line.startswith("#"))
+
+
+def _census_starts():
+    return [sig for name, sig in _census().items() if ".v" not in name]
 
 
 def test_tv3_is_rational():
@@ -518,13 +523,22 @@ def _seeded_walk(name, tets):
     return tri
 
 
+def _census_walk(name):
+    return decode_isosig(_census()[name], name=name)
+
+
 # (triangulation, levels) on which the float engine must repeat the
 # reference search's float operations: every fixture at r=3..8 (t3 to r=9,
 # as deep-search runs it; the two 10-tetrahedron connected sums to r=7, as
 # at r=8 the pair of searches takes 1.5-3 s each), the fallback walks,
 # seeded walks, and lens spaces
 # too deep for a kernel, which run interpreted even when forced (L(19,7),
-# E = 21, the fewest edge orbits past the kernel's 20, L(20,9) and L(40,3))
+# E = 21, the fewest edge orbits past the kernel's 20, L(20,9) and L(40,3)),
+# and two census walks: one with a Tet at step 4 whose step color fills two
+# arguments, so its row is keyed by both, and one whose last step reads only
+# positions 1, 4 and 8 of 15, so the kernel looks its table up once per
+# coloring of those three (at r=6 a table read under another color of
+# position 8 moves the branch sums but not their total; at r=5 it moves both)
 FLOAT_BIT_CASES = {
     **{name: (lambda name=name: fixture(name),
               range(3, 8 if "#" in name else 10 if name == "t3" else 9))
@@ -537,6 +551,8 @@ FLOAT_BIT_CASES = {
     "L(19,7)": (lambda: fixture("L(19,7)"), (3,)),
     "L(20,9)": (lambda: fixture("L(20,9)"), (5,)),
     "L(40,3)": (lambda: fixture("L(40,3)"), (3,)),
+    "cMcabbgig.v3.t10": (lambda: _census_walk("cMcabbgig.v3.t10"), (5, 6)),
+    "rp3_rp3.v1.t12": (lambda: _census_walk("rp3_rp3.v1.t12"), (5, 6)),
 }
 
 
@@ -560,12 +576,14 @@ def test_float_search_repeats_the_reference_bits(label, monkeypatch):
 @pytest.mark.parametrize("build, r", [
     (lambda: fixture("t3"), 8),
     (lambda: _seeded_walk("rp3#rp3", 12), 6),
-    (lambda: fixture("L(18,5)"), 5)],
-    ids=["t3", "rp3#rp3 walk t12", "L(18,5)"])
+    (lambda: fixture("L(18,5)"), 5),
+    (lambda: _census_walk("rp3_rp3.v1.t12"), 6)],
+    ids=["t3", "rp3#rp3 walk t12", "L(18,5)", "rp3_rp3.v1.t12"])
 def test_kernel_fills_the_last_step_table_as_step_entries(build, r):
     # every entry the kernel fills on its own (with 20 loops on L(18,5), the
-    # deepest kernel): the colors and factors of _step_entries for that
-    # key, in its order
+    # deepest kernel, and on rp3_rp3.v1.t12 looked up once per coloring of
+    # positions 1, 4 and 8): the colors and factors of _step_entries for
+    # that key, in its order
     plan = _make_plan(build())
     last = len(plan) - 1
     lv, every = tables(r, "float"), range(r - 1)
