@@ -20,11 +20,11 @@ from typing import NamedTuple
 from . import __version__
 from .complex3 import parse_gluing_file
 from .fixtures import fixture, fixture_names
-from .genus import (ScreenRecord, build_record, screen, trivial_exclusions,
+from .genus import (ScreenRecord, screen, screen_record, trivial_exclusions,
                     PAPER_MODE_R, PAPER_MODE_THRESHOLD)
 from .homology import format_h1, h1, parse_h1
 from .isosig import decode_isosig
-from .statesum import SearchLimits, SearchVolumeError, tv_invariant
+from .statesum import SearchLimits, SearchVolumeError
 
 CSV_COLUMNS = ("name", "isosig", "r", "tv_float", "tv_exact", "genus_lb",
                "h1", "min_gens", "flagged", "notes")
@@ -192,11 +192,12 @@ def load_census(path: str) -> list[tuple[str, str]]:
 def cmd_compute(args, out) -> int:
     tri, name, sig = _load_triangulation(args)
     limits = SearchLimits(max_states=args.max_states, force=args.force)
-    result = tv_invariant(tri, args.r, mode=args.mode, limits=limits)
-    rec = build_record(name, result, h1(tri), isosig=sig)
+    rec = screen_record(name, tri, args.r, mode=args.mode, limits=limits,
+                        isosig=sig)
     _emit(Report(rows=[rec], provenance=_provenance(args)), args.fmt, out)
-    if args.fmt == "text" and result.value_exact is not None:
-        out.write(f"# exact value, decimal: {_fmt12(result.value_exact.to_float())}\n")
+    if args.fmt == "text" and rec.tv_exact is not None:
+        # the record's value is the exact one's float
+        out.write(f"# exact value, decimal: {_fmt12(rec.tv_value)}\n")
     return 0
 
 

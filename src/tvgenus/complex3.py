@@ -252,7 +252,9 @@ class Triangulation:
 
         # each vertex link is connected (it is one orbit) and must have
         # chi = 2; its vertices are the ends of the edge orbits, two per
-        # orbit and never the same one, as no edge is reversed
+        # orbit and never the same one, as no edge is reversed.  The links
+        # hold 2E vertices, 6T edges and 4T triangles, so chi = 2 for each
+        # gives 2V = 2E - 2T: the complex has Euler characteristic 0
         link_vertices = [0] * len(self.vertex_orbits)
         for orbit in self.edge_orbits:
             t, e, _sign = orbit.members[0]
@@ -264,8 +266,6 @@ class Triangulation:
                 raise TriangulationError(
                     f"link of vertex orbit {o} is not a sphere (chi={chi}); "
                     "not a closed 3-manifold")
-        if self.euler_characteristic != 0:
-            raise TriangulationError("Euler characteristic is nonzero")
 
     # -- basic accessors ----------------------------------------------------
     @property
@@ -391,8 +391,6 @@ def parse_gluing_file(text: str, name: str | None = None) -> Triangulation:
         raise GluingParseError(f"missing gluing lines for tetrahedra {missing}")
     try:
         return Triangulation(rows, name=name)
-    except GluingParseError:
-        raise
     except TriangulationError as exc:
         raise GluingParseError(str(exc), line_of_tet.get(exc.tet)) from exc
 

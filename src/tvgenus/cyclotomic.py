@@ -24,49 +24,21 @@ from math import gcd
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n (index = power), computed by exact division
-    of x^n - 1 by the product of Phi_d over proper divisors d of n."""
+    """Coefficients of Phi_n (index = power): x^n - 1 divided, in place,
+    by the monic Phi_d of each proper divisor d of n."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _poly_divmod_int(num, den)
-    if any(rem):
-        raise AssertionError("cyclotomic division left a remainder")
-    return tuple(quot)
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    num = num[:]
-    dd = len(den) - 1
-    while den[dd] == 0:
-        dd -= 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1 - dd, -1, -1):
-        c = num[i + dd]
-        if c % den[dd] != 0 and c != 0:
-            raise AssertionError("non-monic division")
-        q = c // den[dd]
-        quot[i] = q
-        if q:
-            for j in range(dd + 1):
-                num[i + j] -= q * den[j]
-    return quot, num
+            *low, _ = cyclotomic_polynomial(d)  # the lead is 1
+            k = len(low)
+            # poly[i] becomes the quotient's x^(i-k) coefficient, top down
+            for i in range(len(poly) - 1, k - 1, -1):
+                for j, c in enumerate(low):
+                    poly[i - k + j] -= poly[i] * c
+            del poly[:k]  # the remainder, zero
+    return tuple(poly)
 
 
 class _Field:
@@ -186,9 +158,7 @@ class CycNumber:
             g = gcd(g, n)
             if g == 1:
                 return self
-        if g > 1:
-            return _make(self.f, (n // g for n in self.num), self.den // g)
-        return self
+        return _make(self.f, (n // g for n in self.num), self.den // g)
 
     def __add__(self, other):
         if other.__class__ is not CycNumber or other.f is not self.f:
@@ -261,11 +231,10 @@ class CycNumber:
         for k in self.f.units:
             rest = rest * self.conjugate_by(k)
         norm = (self * rest).normalized()
-        n = norm.num[0]
-        if n < 0:
-            rest, n = -rest, -n
+        # positive: the field has no real embedding, so N(x) is a product
+        # of |sigma(x)|^2
         return _make(self.f, [c * norm.den for c in rest.num],
-                     rest.den * n).normalized()
+                     rest.den * norm.num[0]).normalized()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

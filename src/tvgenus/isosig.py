@@ -148,28 +148,25 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
         raise IsoSigError("signature encodes an empty triangulation")
 
     # Infer the number of type-2 joins from the total length: with t1 = n-1
-    # (connected traversal) and A = t0 + t1 + t2 actions packed 3 per char,
-    # the remaining length is ceil(A/3) + t2*(nchars+1).  t0 >= 0 bounds t2
-    # by n + 1, and the join data alone by remaining // (nchars + 1), which
-    # keeps a size header claiming a huge n from stalling the loop.
+    # (connected traversal), t0 = 4n - 2 t1 - 2 t2 and A = t0 + t1 + t2 =
+    # 3n + 1 - t2 actions packed 3 per char, the remaining length is
+    # ceil(A/3) + t2*(nchars+1).  t0 >= 0 bounds t2 by n + 1, and the join
+    # data alone by remaining // (nchars + 1), which keeps a size header
+    # claiming a huge n from stalling the loop.  So every character is read
+    # below, and, as each action glues two faces, at most 2n <= A actions.
     remaining = len(sig) - pos
-    counts = None
     for t2 in range(min(n + 1, remaining // (nchars + 1)) + 1):
-        t0 = 4 * n - 2 * (n - 1) - 2 * t2
-        actions_total = t0 + (n - 1) + t2
+        actions_total = 3 * n + 1 - t2
         if (actions_total + 2) // 3 + t2 * (nchars + 1) == remaining:
-            counts = (t0, t2, actions_total)
             break
-    if counts is None:
+    else:
         raise IsoSigError("signature length is inconsistent")
-    t0, t2, actions_total = counts
 
     actions: list[int] = []
     for _ in range((actions_total + 2) // 3):
         v = read_char()
         for j in range(3):
             actions.append((v >> (2 * j)) & 3)
-    actions = actions[:actions_total]
     dests: list[int] = []
     for _ in range(t2):
         d = 0
@@ -182,8 +179,6 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
         if gi >= 24:
             raise IsoSigError(f"invalid permutation index {gi}")
         perms.append(PERMS[gi])
-    if pos != len(sig):
-        raise IsoSigError("trailing data after signature")
 
     rows: list[list] = [[None] * 4 for _ in range(n)]
     created = 1
@@ -194,8 +189,6 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
         for f in range(4):
             if rows[t][f] is not None:
                 continue
-            if ai >= len(actions):
-                raise IsoSigError("truncated facet actions")
             a = actions[ai]
             ai += 1
             if a == 0:
@@ -223,8 +216,6 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
                 rows[dest][f2] = (t, perm_inverse(p))
             else:
                 raise IsoSigError(f"invalid facet action {a}")
-    if created != n:
-        raise IsoSigError("signature describes a disconnected complex")
     try:
         return Triangulation(rows, name=name)
     except TriangulationError as exc:

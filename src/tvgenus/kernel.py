@@ -30,12 +30,7 @@ for Tet(c0, c2, c0, c2, c8, c6), under every color of position 7.  A slot
 is filled on its first read with the memo's own float object.  A Tet whose
 other arguments hold every earlier position would get a row per prefix,
 each slot read once, so it reads the memo, as the last step's Tet and a
-Tet of six step colors do.  After the first branch, on 24 deep-search
-plans at r=6 and r=8, the kernel takes 0.82 of the time it took reading
-every Tet from the memo, and 0.22-0.42 of the interpreted loop's.  On
-`t3`, whose last step reads every other position and whose inner Tet are
-keyed by the whole prefix, the search takes 8.0 ms at r=8 and 15.3 ms at
-r=9, as it did before rows (CPython 3.11, the least of 41 runs).
+Tet of six step colors do.
 """
 
 from __future__ import annotations

@@ -55,24 +55,16 @@ same float objects.
 Python's * is left-associative, so each product rounds as the loop's
 one-factor-at-a-time products do; both parts add into the same partial
 sums and read the same table, so the total, entered and leaves keep every
-bit.  On t3, whose table key is the whole prefix, the kernel's own fill
-takes the search from 18.1 to 6.3 ms at r=8 and from 39 to 12 ms at r=9.
-The kernel saves 58-78 % of the search after the first branch on the
-deep-search inputs, but compiling it costs 0.5-3.0 ms at E = 3..15 (the
-Tet rows lengthen its source; 0.4-2.5 ms without them), while the median
-census search takes under 1 ms.  The prefixes after the first branch
-number a median 8 times the branch's at r=5 and 17 times at r=6 (census
-signatures whose first branch entered 100 or more).  On the census pool
-at r=5, warm tables, compiling costs searches whose first branch entered
-150-250 prefixes 26-32 % and saves 11 % at 250-300 and 20 % above 450,
-so 300 sits near the break-even at r=5 and is safe above.  CPython
-3.10-3.12 refuse more than 20 statically nested blocks, so a plan of more
-than 20 edge orbits runs interpreted, on every Python, so that the engine
-a search runs in does not depend on the version.  No workload's plan comes
-near, and under the default guard such a search runs only at r=3, whose
-first branch enters fewer than 300 prefixes.  No float is
-summed with sum(), which compensates rounding from Python 3.12 on, so the
-bits are the same under 3.10 to 3.13.
+bit.  Compiling a kernel costs more than most census searches take, while
+the rest of a long search enters several times the prefixes of its first
+branch, so 300 sits near the break-even at r=5 and is safe above (ROADMAP
+holds the measurements).  CPython 3.10-3.12 refuse more than 20 statically
+nested blocks, so a plan of more than 20 edge orbits runs interpreted, on
+every Python, so that the engine a search runs in does not depend on the
+version.  No workload's plan comes near, and under the default guard such
+a search runs only at r=3, whose first branch enters fewer than 300
+prefixes.  No float is summed with sum(), which compensates rounding from
+Python 3.12 on, so the bits are the same under 3.10 to 3.13.
 
 The exact carrier, where order cannot change a value,
 sums over the frontier: after each step, one state per coloring of the

@@ -18,7 +18,8 @@ formulas or search machinery:
   orientation double cover, with permutation parity from cycle counts;
 * a naive Turaev-Viro evaluator: full (r-1)^E enumeration with an
   independently coded weight formula and no pruning or tables;
-* the reference float search (backtrack_sum): the package's depth-first
+* the reference float search (backtrack_sum, and backtrack_branches for
+  its partial sums by first color): the package's depth-first
   state sum as it searched every step inline, kept to pin the bits of the
   float engine, which reads its last step from a table; unlike the rest,
   it shares the package's carrier tables and plan by design;
@@ -718,6 +719,17 @@ def backtrack_sum(lv, plan, every):
     every step searched inline, one multiplication per factor along the
     path.  Its sequence of float operations is the one that fixes every
     float bit of the state sum; the package's engine must reproduce it."""
+    branch, entered, leaves = backtrack_branches(lv, plan, every)
+    total = lv.zero
+    for part in branch:  # ascending color order: deterministic floats
+        total += part
+    return total, entered, leaves
+
+
+def backtrack_branches(lv, plan, every):
+    """backtrack_sum's partial sums, one per color of the first position,
+    before they are added up, and its numbers of entered positions and of
+    leaves."""
     delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
     memo, fill = lv.tet_memo.get, lv.tet
     last = len(plan) - 1  # closed: E = V + n >= 2, so the plan is never empty
@@ -757,10 +769,7 @@ def backtrack_sum(lv, plan, every):
                     break
         else:
             k -= 1
-    total = lv.zero
-    for part in branch:  # ascending color order: deterministic floats
-        total += part
-    return total, entered, leaves
+    return branch, entered, leaves
 
 
 # --------------------------------------------------------------------------

@@ -365,6 +365,11 @@ def test_csv_roundtrip(tmp_path, capsys):
     assert again.rows == report.rows
 
 
+def test_csv_with_another_header_is_rejected():
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        report_from_csv("name,r\ns3,5\n")
+
+
 def test_csv_columns_contract(tmp_path, capsys):
     report = _sample_report(tmp_path, capsys)
     header = report_to_csv(report).splitlines()[0]

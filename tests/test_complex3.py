@@ -90,6 +90,23 @@ def test_header_and_syntax_errors_located():
         parse_gluing_file("tets 2\n0: 1 0123 1 0123 1 0123 1 0123\n")
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("tets x\n", "bad tetrahedron count 'x'", 1),
+    ("# empty\ntets 0\n", "count must be positive", 2),
+    ("tets 1\n0 0 0123 0 0123 0 0123 0 0123\n", "expected 'i: ...'", 2),
+    ("tets 1\na: 0 0123 0 0123 0 0123 0 0123\n", "bad tetrahedron index 'a'",
+     2),
+    ("tets 2\n0: 1 0123 1 0123 1 0123 1 0123\n"
+     "0: 1 0123 1 0123 1 0123 1 0123\n", "duplicate tetrahedron 0", 3),
+    ("tets 1\n0: x 0123 0 0123 0 0123 0 0123\n", "bad target 'x'", 2),
+    ("# nothing but\n\n# comments\n", "empty gluing file", None),
+])
+def test_each_gluing_file_check_rejects_its_line(text, message, line):
+    with pytest.raises(GluingParseError, match=message) as err:
+        parse_gluing_file(text)
+    assert err.value.line == line
+
+
 def test_dangling_gluing_located():
     text = "tets 2\n" \
            "0: 1 0123 1 0123 1 0123 5 0123\n" \
@@ -139,6 +156,23 @@ def test_disconnected_rejected():
             [(3, ident)] * 4, [(2, ident)] * 4]
     with pytest.raises(TriangulationError, match="not connected"):
         Triangulation(rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "empty triangulation"),
+    ([[(0, (0, 1, 2, 3))] * 3], "exactly 4 gluings"),
+    ([[(1, (0, 0, 1, 2))] * 4, [(0, (0, 1, 2, 3))] * 4],
+     r"not a vertex permutation: \(0, 0, 1, 2\)"),
+])
+def test_malformed_rows_rejected(rows, message):
+    with pytest.raises(TriangulationError, match=message):
+        Triangulation(rows)
+
+
+def test_repr_names_the_counts():
+    assert repr(fixture("t3")) == "<Triangulation 't3': 6 tet, V=1 E=7 F=12>"
+    tri = Triangulation([[(1, (0, 1, 2, 3))] * 4, [(0, (0, 1, 2, 3))] * 4])
+    assert repr(tri) == "<Triangulation: 2 tet, V=4 E=6 F=4>"
 
 
 def test_missing_gluing_rejected():

@@ -188,3 +188,36 @@ def test_rational_elements_hash_and_compare_like_fractions():
     assert len({1, one5, one6}) == 1 and len({one5, one6, 1}) == 1
     assert CycNumber.from_rational(5, Fraction(1, 2)) != one6
     assert CycNumber.one(5) == Fraction(1)
+
+
+def test_bad_arguments_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        cyclotomic_polynomial(0)
+    with pytest.raises(ValueError, match="level must be >= 3"):
+        CycNumber.zero(2)
+    with pytest.raises(ValueError, match="wrong length"):
+        CycNumber(5, [1, 2, 3])
+    z = CycNumber.zeta_power(5, 1)
+    with pytest.raises(ZeroDivisionError):
+        z / 0
+    assert z ** -1 == z.inverse() == CycNumber.zeta_power(5, -1)
+    assert (z == "a") is False and z != "a"
+
+
+@pytest.mark.parametrize("r", range(3, 10))
+def test_inverse_keeps_a_positive_denominator(r):
+    # the field has no real embedding, so every norm is positive and the
+    # inverse divides by it as it stands
+    z, one = CycNumber.zeta_power(r, 1), CycNumber.one(r)
+    for x in (one * -3, -z, z - one * 2, z * z * 3 - z + one):
+        inv = x.inverse()
+        assert inv.den > 0 and x * inv == 1
+
+
+def test_str_and_repr():
+    z = CycNumber.zeta_power(5, 1)
+    assert str(z) == "z" and str(-z) == "-z"
+    assert repr(z) == "CycNumber(r=5, z)"
+    x = CycNumber(5, [1, 0, -2, Fraction(1, 2)])
+    assert str(x) == "1 - 2*z^2 + 1/2*z^3"
+    assert str(CycNumber.zero(5)) == "0"

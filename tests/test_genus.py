@@ -20,6 +20,11 @@ def test_tv_s3_closed_form():
         assert 0 < tv_s3(r) < 1
 
 
+def test_tv_s3_rejects_levels_below_3():
+    with pytest.raises(ValueError, match="r must be >= 3"):
+        tv_s3(2)
+
+
 def test_bound_at_one():
     b = genus_lower_bound(1.0, 5)
     assert b.raw == 0.0
@@ -122,6 +127,12 @@ def test_trivial_exclusions_below_window():
     rec = trivial_exclusions(_record(2.5527864045, "2 Z_2"))
     assert rec.genus_lb == 2
     assert BELOW_ACTIONABLE_NOTE in rec.notes
+
+
+def test_trivial_exclusions_note_once():
+    rec = trivial_exclusions(_record(2.5527864045, "2 Z_2"))
+    assert trivial_exclusions(rec) is rec
+    assert rec.notes.count(BELOW_ACTIONABLE_NOTE) == 1
 
 
 def test_trivial_exclusions_actionable():

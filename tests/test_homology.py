@@ -257,6 +257,25 @@ def test_h1_summary_validation():
         H1Summary(-1, ())
 
 
+def test_parse_h1_rejects_malformed_terms():
+    with pytest.raises(ValueError, match="empty term"):
+        parse_h1("Z + ")
+    with pytest.raises(ValueError, match="bad H1 term"):
+        parse_h1("2 Z 3")
+    with pytest.raises(ValueError, match="bad H1 term"):
+        parse_h1("Q")
+
+
+def test_summary_and_matrix_text():
+    assert str(H1Summary(1, (2, 10))) == "Z + Z_2 + Z_10"
+    m = IntMatrix([[1, 2], [3, 4]])
+    assert m == IntMatrix([[1, 2], [3, 4]])
+    assert m != IntMatrix([[1, 2], [3, 5]]) and m != [[1, 2], [3, 4]]
+    assert repr(m) == "IntMatrix([[1, 2], [3, 4]])"
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+
+
 def test_parse_h1_examples():
     assert parse_h1("2 Z_2 + Z_4") == H1Summary(0, (2, 2, 4))
     assert parse_h1("3 Z") == H1Summary(3, ())

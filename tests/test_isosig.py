@@ -75,10 +75,12 @@ def test_malformed_signatures_rejected():
         decode_isosig("")
     with pytest.raises(IsoSigError, match="character"):
         decode_isosig("cMcabb gqs")
-    with pytest.raises(IsoSigError):
+    # the length inference reads every character and fixes the join count,
+    # so a truncated signature and trailing data both fail there
+    with pytest.raises(IsoSigError, match="length is inconsistent"):
         decode_isosig("cMcabbgq")      # truncated
-    with pytest.raises(IsoSigError):
-        decode_isosig("cMcabbgqsa")    # trailing/lengths inconsistent
+    with pytest.raises(IsoSigError, match="length is inconsistent"):
+        decode_isosig("cMcabbgqsa")    # trailing data
     sig = fixture_isosig("t3")
     with pytest.raises(IsoSigError, match="permutation"):
         decode_isosig(sig[:-1] + "8")  # gluing character with index >= 24
@@ -122,3 +124,20 @@ def test_large_triangulation_multibyte_size_header():
     back = decode_isosig(sig)
     assert back.size == 64
     assert encode_isosig(back) == sig
+
+
+@pytest.mark.parametrize("sig, message", [
+    ("-", "truncated signature"),
+    ("-a", "bad size header"),
+    ("a", "empty triangulation"),
+    ("bVV", "invalid facet action 3"),
+    ("bIBg", "join destination not yet created"),
+    ("cMcabbtdv", "inconsistent join"),
+    ("cAcaabgdv", "disconnected complex"),
+    ("brM", "too many tetrahedra"),
+    ("bMt", "truncated join data"),
+])
+def test_each_decode_check_rejects_its_input(sig, message):
+    with pytest.raises(IsoSigError, match=message):
+        decode_isosig(sig)
+

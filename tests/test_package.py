@@ -64,3 +64,9 @@ def test_records_are_immutable_values():
     assert H1Summary(0, ()) != H1Summary(1, ())
     with pytest.raises(ValueError, match="negative free rank"):
         H1Summary(-1, ())
+
+
+def test_zarith_names_the_exact_carrier():
+    from tvgenus.cyclotomic import CycNumber
+    from tvgenus.zarith import ZElt
+    assert ZElt is CycNumber

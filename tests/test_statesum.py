@@ -55,6 +55,23 @@ def test_s3_presentation_independence():
         assert a == b
 
 
+def test_invariant_checks_catch_a_faulty_search(monkeypatch):
+    # the exact value must be real, and 'both' mode's two sums must agree;
+    # each check is reached by a search that breaks it
+    run = statesum._run
+    monkeypatch.setattr(statesum, "_run", lambda tri, r, carrier, even=False: (
+        CycNumber.zeta_power(r, 1), 0, 0))
+    with pytest.raises(AssertionError, match="non-real"):
+        tv_invariant(fixture("s3"), 4, mode="exact")
+
+    def skewed(tri, r, carrier, even=False):
+        total, visited, leaves = run(tri, r, carrier, even)
+        return (total + 1e-6 if carrier == "float" else total), visited, leaves
+    monkeypatch.setattr(statesum, "_run", skewed)
+    with pytest.raises(AssertionError, match="disagree beyond 1e-9"):
+        tv_invariant(fixture("s3"), 4, mode="both")
+
+
 def test_t3_value_16():
     res = tv_invariant(fixture("t3"), 5, mode="both")
     assert abs(res.value_float - 16.0) <= 1e-9
@@ -556,21 +573,41 @@ FLOAT_BIT_CASES = {
 }
 
 
+def _branches(lv, plan, every):
+    """The partial sums by first color that _backtrack_sum adds up: position
+    0's first color searched inline, the others in the kernel where
+    _backtrack_sum runs them there, else inline."""
+    table, branch = {}, [lv.zero] * len(lv.delta)
+    entered, _ = statesum._search_inline(lv, plan, every, every[:1], branch,
+                                         table)
+    if (entered > statesum._KERNEL_MIN_ENTERED
+            and len(plan) <= statesum._KERNEL_MAX_POSITIONS):
+        kernel.compile_kernel(plan)(lv, every, every[1:], branch, table)
+    else:
+        statesum._search_inline(lv, plan, every, every[1:], branch, table)
+    return branch
+
+
 @pytest.mark.parametrize("label", FLOAT_BIT_CASES)
 def test_float_search_repeats_the_reference_bits(label, monkeypatch):
     # the last step read from its table, and the search after position 0's
     # first color run in the compiled kernel where the first branch is long
-    # (and, forced, everywhere): the same total to the last bit, and the
-    # same entered positions and leaves, as searching every step inline
+    # (and, forced, everywhere): the same total and partial sums by first
+    # color to the last bit (a total can round two different sets of
+    # partial sums alike), and the same entered positions and leaves, as
+    # searching every step inline
     build, levels = FLOAT_BIT_CASES[label]
     plan = _make_plan(build())
     for r in levels:
         lv, every = tables(r, "float"), range(r - 1)
         want = repr(oracles.backtrack_sum(lv, plan, every))
+        branches = repr(oracles.backtrack_branches(lv, plan, every)[0])
         for kernel_after in (statesum._KERNEL_MIN_ENTERED, -1):
             monkeypatch.setattr(statesum, "_KERNEL_MIN_ENTERED", kernel_after)
             assert repr(_backtrack_sum(lv, plan, every)) == want, (r,
                                                                    kernel_after)
+            assert repr(_branches(lv, plan, every)) == branches, (
+                r, kernel_after)
 
 
 @pytest.mark.parametrize("build, r", [
