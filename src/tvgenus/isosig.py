@@ -36,6 +36,10 @@ def _encode_int(value: int, nchars: int) -> str:
     return "".join(out)
 
 
+def _decode_int(digits: list[int]) -> int:
+    return sum(v << (6 * i) for i, v in enumerate(digits))
+
+
 def _candidate(tri: Triangulation, start: int, vperm: Perm) -> str:
     """Signature candidate for the traversal rooted at (start, vperm)."""
     n = tri.size
@@ -113,69 +117,48 @@ def encode_isosig(tri: Triangulation) -> str:
 def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
     """Decode a signature into a validated Triangulation.
 
-    Rejects malformed strings (bad characters, truncation, permutation index
-    out of range, trailing data) and signatures whose triangulation is not a
-    connected closed 3-manifold (e.g. signatures with boundary facets).
+    A connected closed triangulation of n tetrahedra has one shape: its
+    traversal makes n - 1 tetrahedra and n + 1 joins, 2n facet actions, so
+    after the size header come ceil(2n/3) action characters and n + 1 join
+    destinations and permutations.  A signature of any other length, such
+    as a truncated or padded one or one with boundary facets, is rejected
+    as "signature length is inconsistent".  Also rejected: bad characters,
+    a bad or truncated size header, a permutation index out of range, and
+    signatures of the right length whose triangulation is not a connected
+    closed 3-manifold.
     """
     if not sig:
         raise IsoSigError("empty signature")
     if any(c not in _CHAR_INDEX for c in sig):
         bad = next(c for c in sig if c not in _CHAR_INDEX)
         raise IsoSigError(f"invalid signature character {bad!r}")
+    vals = [_CHAR_INDEX[c] for c in sig]
 
-    pos = 0
-
-    def read_char() -> int:
-        nonlocal pos
-        if pos >= len(sig):
+    nchars, header = 1, 1
+    if vals[0] == 63:
+        if len(vals) < 2:
             raise IsoSigError("truncated signature")
-        v = _CHAR_INDEX[sig[pos]]
-        pos += 1
-        return v
-
-    first = read_char()
-    if first == 63:
-        nchars = read_char()
+        nchars = vals[1]
         if nchars == 0:
             raise IsoSigError("bad size header")
-        n = 0
-        for i in range(nchars):
-            n |= read_char() << (6 * i)
-    else:
-        nchars = 1
-        n = first
+        header = 2 + nchars
+        if len(vals) < header:
+            raise IsoSigError("truncated signature")
+
+    n = _decode_int(vals[header - nchars:header])
     if n == 0:
         raise IsoSigError("signature encodes an empty triangulation")
-
-    # Infer the number of type-2 joins from the total length: with t1 = n-1
-    # (connected traversal), t0 = 4n - 2 t1 - 2 t2 and A = t0 + t1 + t2 =
-    # 3n + 1 - t2 actions packed 3 per char, the remaining length is
-    # ceil(A/3) + t2*(nchars+1).  t0 >= 0 bounds t2 by n + 1, and the join
-    # data alone by remaining // (nchars + 1), which keeps a size header
-    # claiming a huge n from stalling the loop.  So every character is read
-    # below, and, as each action glues two faces, at most 2n <= A actions.
-    remaining = len(sig) - pos
-    for t2 in range(min(n + 1, remaining // (nchars + 1)) + 1):
-        actions_total = 3 * n + 1 - t2
-        if (actions_total + 2) // 3 + t2 * (nchars + 1) == remaining:
-            break
-    else:
+    joins_at = header + (2 * n + 2) // 3
+    perms_at = joins_at + (n + 1) * nchars
+    if len(vals) != perms_at + n + 1:
         raise IsoSigError("signature length is inconsistent")
 
-    actions: list[int] = []
-    for _ in range((actions_total + 2) // 3):
-        v = read_char()
-        for j in range(3):
-            actions.append((v >> (2 * j)) & 3)
-    dests: list[int] = []
-    for _ in range(t2):
-        d = 0
-        for i in range(nchars):
-            d |= read_char() << (6 * i)
-        dests.append(d)
+    actions = [(v >> shift) & 3 for v in vals[header:joins_at]
+               for shift in (0, 2, 4)]
+    dests = [_decode_int(vals[at:at + nchars])
+             for at in range(joins_at, perms_at, nchars)]
     perms: list[Perm] = []
-    for _ in range(t2):
-        gi = read_char()
+    for gi in vals[perms_at:]:
         if gi >= 24:
             raise IsoSigError(f"invalid permutation index {gi}")
         perms.append(PERMS[gi])
@@ -203,8 +186,10 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
                 rows[t][f] = (t2_new, (0, 1, 2, 3))
                 rows[t2_new][f] = (t, (0, 1, 2, 3))
             elif a == 2:
-                if ji >= len(dests):
-                    raise IsoSigError("truncated join data")
+                # every index is in range: with k tetrahedra made and j
+                # joins read, the open face (t, f) leaves
+                # 2(k + j) <= 4(1 + k) - 1, so j <= k + 1 <= n, and the
+                # action index k + j <= 2k + 1 < 2n
                 dest, p = dests[ji], perms[ji]
                 ji += 1
                 if dest >= created:

@@ -1,15 +1,31 @@
 """The float backtracker's compiled form: the search over a plan as
 generated Python, one nested for loop per position.
 
-statesum._backtrack_sum runs a plan's kernel once the first branch of its
-search shows the search is long (see statesum for the rule and why the
-float bits are the same).  It is a module of its own so that a process that
-runs no such search, such as every exact `tvgenus compute`, does not
+statesum._branches searches position 0's first color in the interpreted
+loop; if that branch entered more than statesum._KERNEL_MIN_ENTERED (300)
+prefixes, it runs the other colors of position 0 in the plan's kernel.
+Compiling a kernel costs more than most census searches take, while the
+rest of a long search enters several times the prefixes of its first
+branch, so 300 sits near the break-even at r=5 and is safe above (ROADMAP
+holds the measurements).  This is a module of its own so that a process
+that runs no such search, such as every exact `tvgenus compute`, does not
 compile the generator.
 
 A kernel is one generated function, whose loops nest as deep as the plan
-has positions; CPython 3.10-3.12 compile at most 20 nested loops, so
-statesum runs a deeper plan in the interpreted loop.
+has positions.  CPython 3.10-3.12 refuse more than 20 statically nested
+blocks, so statesum runs a plan of more than 20 positions
+(_KERNEL_MAX_POSITIONS) interpreted, on every Python, so that the engine a
+search runs in does not depend on the version.  No workload's plan comes
+near, and under the default guard such a search runs only at r=3, whose
+first branch enters fewer than 300 prefixes.
+
+Each position's loop holds its color and weight in locals (c3, w3),
+checks the faces in plan order, reads Tet, and sets w3 = w2 * delta[c3] *
+1/theta... * Tet....  Position last - 1 folds the last step's table as
+part += w * f0 * f1 * ....  Python's * is left-associative, so each
+product rounds as the interpreted loop's one-factor-at-a-time products
+do; both add into the same partial sums by first color and read the same
+table, so the total, entered and leaves keep every bit.
 
 The kernel fills the last step's table itself, in generated code: on a miss
 it loops over the last position's colors and appends each admissible one

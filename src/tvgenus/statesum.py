@@ -36,35 +36,15 @@ values, and with them the sign of the rounding noise of a TV that is exactly
 0, which visible outputs read; so float keeps the backtracker until those
 bits are pinned anew.
 
-A long search runs compiled.  The backtracker searches position 0's first
-color in the loop above; if that branch entered more than
-_KERNEL_MIN_ENTERED prefixes, tvgenus.kernel generates Python source for
-the plan, a kernel, and the other colors of position 0 are searched in it.
-The kernel holds one nested for loop per position, its color and weight
-in locals (c3, w3).  It checks the faces in plan order, reads Tet from
-a row or the memo, filling it on a miss, sets w3 = w2 * delta[c3] *
-1/theta... * Tet..., and folds the last step's table as
-part += w * f0 * f1 * ....
-It fills that table itself on a miss, in generated code, with the colors,
-factors and order of _step_entries, and looks it up once per coloring of
-the positions the last step reads.  It reads each 1/theta whose face
-holds the step's color once from a row, theta_inv[cu][cv], set where the
-face's other two colors are, and most inner Tet from a row by the step's
-color, filled from the memo within one kernel call; the rows hold the
-same float objects.
-Python's * is left-associative, so each product rounds as the loop's
-one-factor-at-a-time products do; both parts add into the same partial
-sums and read the same table, so the total, entered and leaves keep every
-bit.  Compiling a kernel costs more than most census searches take, while
-the rest of a long search enters several times the prefixes of its first
-branch, so 300 sits near the break-even at r=5 and is safe above (ROADMAP
-holds the measurements).  CPython 3.10-3.12 refuse more than 20 statically
-nested blocks, so a plan of more than 20 edge orbits runs interpreted, on
-every Python, so that the engine a search runs in does not depend on the
-version.  No workload's plan comes near, and under the default guard such
-a search runs only at r=3, whose first branch enters fewer than 300
-prefixes.  No float is summed with sum(), which compensates rounding from
-Python 3.12 on, so the bits are the same under 3.10 to 3.13.
+A long search runs compiled: if position 0's first color, searched in the
+loop above, entered more than _KERNEL_MIN_ENTERED (300) prefixes, its
+other colors are searched in a kernel, Python source that tvgenus.kernel
+generates for the plan and that makes the same float operations in the
+same order; a plan of more than _KERNEL_MAX_POSITIONS (20) positions runs
+interpreted.  tvgenus.kernel describes the kernel, why its bits are the
+same and why the limits are 300 and 20.  No float is summed with sum(),
+which compensates rounding from Python 3.12 on, so the bits are the same
+under 3.10 to 3.13.
 
 The exact carrier, where order cannot change a value,
 sums over the frontier: after each step, one state per coloring of the
@@ -267,7 +247,7 @@ def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
 
 # a first branch (position 0's first color) that entered more prefixes than
 # this has the other branches searched by the compiled kernel: near the
-# break-even of compile cost and saving at r=5 (see the module notes)
+# break-even of compile cost and saving at r=5 (see tvgenus.kernel)
 _KERNEL_MIN_ENTERED = 300
 # the most positions a kernel nests a loop for: CPython 3.10-3.12 compile
 # at most 20 nested blocks, so a deeper plan is searched inline throughout
@@ -276,12 +256,23 @@ _KERNEL_MAX_POSITIONS = 20
 
 def _backtrack_sum(lv, plan, every):
     """The sum over the colorings by depth-first search, and the numbers of
-    entered positions and of leaves.  Position 0's first color is searched
-    inline; if that branch entered more than _KERNEL_MIN_ENTERED prefixes
-    and the plan has at most _KERNEL_MAX_POSITIONS positions, its other
-    colors run in the plan's compiled kernel, which makes the same float
-    operations in the same order.  Both add into the same partial sums, by
-    first-edge color, and read the same last-step table."""
+    entered positions and of leaves: the partial sums of _branches added
+    in ascending color order."""
+    branch, entered, leaves = _branches(lv, plan, every)
+    total = lv.zero
+    for part in branch:  # ascending color order: deterministic floats
+        total += part
+    return total, entered, leaves
+
+
+def _branches(lv, plan, every):
+    """The sums of the colorings by the color of position 0, and the numbers
+    of entered positions and of leaves.  Position 0's first color is
+    searched inline; if that branch entered more than _KERNEL_MIN_ENTERED
+    prefixes and the plan has at most _KERNEL_MAX_POSITIONS positions, its
+    other colors run in the plan's compiled kernel, which makes the same
+    float operations in the same order.  Both add into the same partial
+    sums and read the same last-step table."""
     table: dict = {}  # the last step's entries by the colors it reads
     branch = [lv.zero] * len(lv.delta)
     entered, leaves = _search_inline(lv, plan, every, every[:1], branch, table)
@@ -291,10 +282,7 @@ def _backtrack_sum(lv, plan, every):
         rest = kernel.compile_kernel(plan)(lv, every, every[1:], branch, table)
     else:
         rest = _search_inline(lv, plan, every, every[1:], branch, table)
-    total = lv.zero
-    for part in branch:  # ascending color order: deterministic floats
-        total += part
-    return total, entered + rest[0], leaves + rest[1]
+    return branch, entered + rest[0], leaves + rest[1]
 
 
 def _search_inline(lv, plan, every, firsts, branch, table):
@@ -381,7 +369,7 @@ def _frontier_sum(lv, plan, every):
         at = {p: i for i, p in enumerate(live + [k])}
         faces = [tuple(at[p] for p in face) for face in faces]
         tets = [tuple(at[p] for p in tet) for tet in tets]
-        reads = _picker(sorted({*itertools.chain(*faces, *tets)} - {at[k]}))
+        reads = _picker([at[p] for p in _reads(plan, k)])
         step = (faces, tets, pair and tuple(at[p] for p in pair))
         live = [p for p in live + [k] if last_read[p] > k]
         project = _picker([at[p] for p in live])

@@ -75,8 +75,8 @@ def test_malformed_signatures_rejected():
         decode_isosig("")
     with pytest.raises(IsoSigError, match="character"):
         decode_isosig("cMcabb gqs")
-    # the length inference reads every character and fixes the join count,
-    # so a truncated signature and trailing data both fail there
+    # a closed signature has one length for its size header, so a truncated
+    # signature and trailing data both fail that check
     with pytest.raises(IsoSigError, match="length is inconsistent"):
         decode_isosig("cMcabbgq")      # truncated
     with pytest.raises(IsoSigError, match="length is inconsistent"):
@@ -89,8 +89,8 @@ def test_malformed_signatures_rejected():
 @pytest.mark.parametrize("sig", ("-ezzzzabc", "-f-----aabc"))
 def test_huge_size_header_rejected_quickly(sig):
     # size headers claiming about 6.6e6 and 1.1e9 tetrahedra in front of a
-    # few characters of data: the length check must not walk every
-    # candidate join count up to 2n
+    # few characters of data: the one length comparison rejects them before
+    # anything of size n is built
     t0 = time.perf_counter()
     with pytest.raises(IsoSigError, match="length"):
         decode_isosig(sig)
@@ -105,37 +105,79 @@ def test_census_pool_decodes():
 
 
 def test_boundary_facets_rejected():
-    # 'baa': one simplex, all four facets boundary
+    # 'baaaaa': one simplex, all four facets boundary, padded to the length
+    # of a closed one-tetrahedron signature
     with pytest.raises(IsoSigError, match="boundary"):
-        decode_isosig("baa")
+        decode_isosig("baaaaa")
 
 
-def test_large_triangulation_multibyte_size_header():
-    # grow a sphere beyond 62 tetrahedra so the signature needs the
-    # extended size header, then round-trip it
+def _closed_length(n):
+    """The length of a closed n-tetrahedron signature: the size header,
+    2n facet actions 3 to a character, and n + 1 joins."""
+    nchars = 1
+    while n >= (1 << (6 * nchars)):
+        nchars += 1
+    header = 1 if n < 63 else 2 + nchars
+    return header + (2 * n + 2) // 3 + (n + 1) * (nchars + 1)
+
+
+def _sphere_64():
+    """A sphere grown by 2-3 moves beyond 62 tetrahedra, so that its
+    signature needs the extended size header."""
     from tvgenus.complex3 import pachner_23
     tri = fixture("s3")
     while tri.size < 64:
         face = next(f.index for f in tri.face_orbits
                     if f.slots[0][0] != f.slots[1][0])
         tri = pachner_23(tri, face)
-    sig = encode_isosig(tri)
+    return tri
+
+
+def test_truncated_and_padded_signatures_fail_the_length_check():
+    # every closed signature has the length _closed_length gives, so one
+    # character less or more fails the length check, whatever the shorter
+    # or longer string would read as
+    tris = [fixture(name) for name in fixture_names()]
+    tris += [fixture("L(7,2)"), _sphere_64()]
+    sigs = [sig for _, sig in load_census(str(CENSUS))]
+    for tri in tris:
+        sigs.append(encode_isosig(tri))
+        assert len(sigs[-1]) == _closed_length(tri.size)
+    for sig in sigs:
+        for bad in (sig[:-1], sig + "a"):
+            with pytest.raises(IsoSigError, match="length is inconsistent"):
+                decode_isosig(bad)
+
+
+def test_large_triangulation_multibyte_size_header():
+    sig = encode_isosig(_sphere_64())
     assert sig.startswith("-")  # size >= 63 marker
     back = decode_isosig(sig)
     assert back.size == 64
     assert encode_isosig(back) == sig
 
 
+# every check that decode_isosig makes, each fed an input that reaches it:
+# the inputs past the size header have the length of a closed signature
+# (6 characters for one tetrahedron, 9 for two), and shorter ones fail the
+# length check.  No input runs out of join data: by the counting argument
+# at decode_isosig's joins, a traversal reads at most the n + 1 joins that
+# a closed signature holds.
 @pytest.mark.parametrize("sig, message", [
     ("-", "truncated signature"),
+    ("-cz", "truncated signature"),
     ("-a", "bad size header"),
     ("a", "empty triangulation"),
-    ("bVV", "invalid facet action 3"),
-    ("bIBg", "join destination not yet created"),
+    ("bdaaaa", "invalid facet action 3"),
+    ("bcbaaa", "join destination not yet created"),
     ("cMcabbtdv", "inconsistent join"),
     ("cAcaabgdv", "disconnected complex"),
-    ("brM", "too many tetrahedra"),
-    ("bMt", "truncated join data"),
+    ("bbaaaa", "too many tetrahedra"),
+    ("bcaa8a", "invalid permutation index 60"),
+    ("baa", "length is inconsistent"),
+    ("bVV", "length is inconsistent"),
+    ("bIBg", "length is inconsistent"),
+    ("brM", "length is inconsistent"),
 ])
 def test_each_decode_check_rejects_its_input(sig, message):
     with pytest.raises(IsoSigError, match=message):

@@ -573,21 +573,6 @@ FLOAT_BIT_CASES = {
 }
 
 
-def _branches(lv, plan, every):
-    """The partial sums by first color that _backtrack_sum adds up: position
-    0's first color searched inline, the others in the kernel where
-    _backtrack_sum runs them there, else inline."""
-    table, branch = {}, [lv.zero] * len(lv.delta)
-    entered, _ = statesum._search_inline(lv, plan, every, every[:1], branch,
-                                         table)
-    if (entered > statesum._KERNEL_MIN_ENTERED
-            and len(plan) <= statesum._KERNEL_MAX_POSITIONS):
-        kernel.compile_kernel(plan)(lv, every, every[1:], branch, table)
-    else:
-        statesum._search_inline(lv, plan, every, every[1:], branch, table)
-    return branch
-
-
 @pytest.mark.parametrize("label", FLOAT_BIT_CASES)
 def test_float_search_repeats_the_reference_bits(label, monkeypatch):
     # the last step read from its table, and the search after position 0's
@@ -606,8 +591,8 @@ def test_float_search_repeats_the_reference_bits(label, monkeypatch):
             monkeypatch.setattr(statesum, "_KERNEL_MIN_ENTERED", kernel_after)
             assert repr(_backtrack_sum(lv, plan, every)) == want, (r,
                                                                    kernel_after)
-            assert repr(_branches(lv, plan, every)) == branches, (
-                r, kernel_after)
+            assert (repr(statesum._branches(lv, plan, every)[0])
+                    == branches), (r, kernel_after)
 
 
 @pytest.mark.parametrize("build, r", [

@@ -30,7 +30,9 @@ file in OUTDIR:
 - the usage errors (exit 2) and run-time errors (exit 1) of ``USAGE_ERRORS``
   and ``RUNTIME_ERRORS``.
 
-``exit_codes.txt`` lists each file with its command's exit code; standard
+``exit_codes.txt`` lists each file with its command's exit code.  A
+run-time error's file holds its standard error after its standard output,
+so the set pins the program's error messages; the usage errors' standard
 error is not kept, since argparse's usage text may change.
 ``search_counters.txt`` holds the float search's ``states_visited`` and
 ``states_admissible``, from ``tvgenus.statesum.tv_invariant`` with default
@@ -96,6 +98,9 @@ RUNTIME_ERRORS = (
     ("compute-guard", ["compute", "--fixture", "rp3#rp3", "--r", "7"]),
     # a size header claiming millions of tetrahedra before 3 characters
     ("compute-huge-size-header", ["compute", "--isosig=-ezzzzabc"]),
+    # t3's signature less its last character
+    ("compute-truncated-isosig", ["compute", "--isosig",
+                                  "gvLQQedfedffrwawrh"]),
     ("screen-missing-census", ["screen", "--census",
                                os.path.join(ROOT, "no-such-census.txt")]),
 )
@@ -130,7 +135,9 @@ def commands(fixture_names, small_fixtures,
         fh.writelines(census_starts() + ["bad ; zzz\n"])
     all_bad = os.path.join(tmpdir, "all-bad.txt")
     with open(all_bad, "w", encoding="utf-8") as fh:
-        fh.write("a ; zzz\nb ; !!!\nno-separator\nc ; -ezzzzabc\n")
+        # the last line has a closed signature's length but boundary facets
+        fh.write("a ; zzz\nb ; !!!\nno-separator\nc ; -ezzzzabc\n"
+                 "d ; baaaaa\n")
     screen = ["screen", "--census", CENSUS]
     out = [("screen-r5.csv", screen + ["--r", "5", "--format", "csv"]),
            ("screen-r5.txt", screen + ["--r", "5"]),
@@ -273,13 +280,15 @@ def main(argv=None) -> int:
     codes = []
     with tempfile.TemporaryDirectory() as tmpdir:
         for filename, cmd in commands(fixture_names(), small, tmpdir):
-            buf = io.StringIO()
+            buf, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(buf), \
-                    contextlib.redirect_stderr(io.StringIO()):
+                    contextlib.redirect_stderr(err):
                 code = cli.main(cmd)
             with open(os.path.join(args.outdir, filename), "w",
                       encoding="utf-8") as fh:
                 fh.write(buf.getvalue())
+                if filename.startswith("error-"):
+                    fh.write(err.getvalue())
             codes.append(f"{filename} {code}\n")
     with open(os.path.join(args.outdir, "exit_codes.txt"), "w",
               encoding="utf-8") as fh:
