@@ -10,21 +10,21 @@ reverse, every vertex link a 2-sphere.  Non-orientable inputs are accepted
 (the state sum is defined for them); orientability is recorded on the
 triangulation.
 
-Construction is one pass over the face slots (t, f) in order.  Every slot is
-checked on its own, from one table entry per (permutation, face): the target
-face, the inverse permutation, and the pairs the gluing joins with their
-relative signs.  At the lower slot of each glued pair, the pair becomes a
-face orbit and joins its two tetrahedra, three vertex pairs and three edge
-pairs in one union-find that carries each element's sign relative to its
-parent and keeps the lowest slot of each class as its root.  The
-tetrahedron signs are orientations (a conflict makes the complex
-non-orientable), vertex signs are all +1, and edge signs are directions (a
-conflict is an edge identified with itself in reverse).  Vertex, edge and
-face orbits are numbered in order of their lowest slot; an edge orbit lists
-its slots in ascending order with signs relative to the first.  Each edge
-slot lies in exactly two faces, so every edge orbit is one circle around its
-edge (the edge link), and the two ends of each edge orbit are the vertices
-of the vertex links.
+Construction reads the gluings as face slots 4t + f holding (target,
+permutation index).  Rows from users take one checking path that
+normalizes each gluing; decode_isosig hands over the slots it already has,
+as FaceSlots.  One pass over the slots checks each on its own, from one
+table entry per (permutation, face), and at the lower slot of each glued
+pair makes the pair a face orbit and joins its three vertex pairs in a
+union-find whose roots are the lowest slots.  The tetrahedra are then
+oriented outward from tetrahedron 0: a contradiction makes the complex
+non-orientable, and one never reached makes it disconnected.  Each edge
+slot lies in exactly two faces, so every edge orbit is one circle around
+its edge (the edge link), walked from its lowest slot with each slot's
+direction relative to it; a walk that comes back reversed is an edge
+identified with itself in reverse.  Vertex, edge and face orbits are
+numbered in order of their lowest slot; an edge orbit lists its slots in
+ascending order, and its two ends are vertices of the vertex links.
 
 The 6 edges of a tetrahedron are indexed by vertex pairs in lexicographic
 order: 01, 02, 03, 12, 13, 23 (EDGES).  Opposite edge pairs are (01,23),
@@ -71,28 +71,27 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 
 
 # the 24 vertex permutations in lexicographic order, as the isosig codec
-# indexes them, and the index of each
+# indexes them, the index of each, and the index of each one's inverse
 PERMS: tuple[Perm, ...] = tuple(itertools.permutations(range(4)))
 PERM_INDEX: dict[Perm, int] = {p: i for i, p in enumerate(PERMS)}
+PERM_INVERSE: tuple[int, ...] = tuple(PERM_INDEX[perm_inverse(p)] for p in PERMS)
 
 
 def _glue_table():
     """Per (permutation index i, face f), at 4i + f: the target face, the
-    inverse's index, and the slot pairs (a, b, sign of b relative to a) that
-    the gluing joins, with the slots of Triangulation's union-find: 0 the
-    tetrahedron (orientations agree across the face iff p is odd), 1 + v
-    the face's vertices and 5 + e its edges."""
+    inverse's index, the relative orientation (+1 iff p is odd), the vertex
+    pairs (v - f, p[v] - p[f]) as offsets from the two face slots, and per
+    edge e of the face the next step of a walk around e leaving through f:
+    (image edge, its other face, -1 if the gluing reverses it else 1)."""
     table = []
-    for p in PERMS:
-        inverse = PERM_INDEX[perm_inverse(p)]
-        tet = (0, 0, 1 if sum(p[u] > p[v] for u, v in EDGES) % 2 else -1)
-        verts = [(1 + v, 1 + p[v], 1) for v in range(4)]
-        edges = [(5 + e, 5 + EDGE_INDEX[p[u], p[v]], 1 if p[u] < p[v] else -1)
-                 for e, (u, v) in enumerate(EDGES)]
-        for f, (a, b, c) in enumerate(FACE_VERTS):
-            (x, _), (y, _), (z, _) = FACE_SIDES[f]
-            table.append((p[f], inverse, (tet, verts[a], verts[b], verts[c],
-                                          edges[x], edges[y], edges[z])))
+    for i, p in enumerate(PERMS):
+        odd = 1 if sum(p[u] > p[v] for u, v in EDGES) % 2 else -1
+        for f, face in enumerate(FACE_VERTS):
+            walk = [(EDGE_INDEX[p[u], p[v]], 6 - p[u] - p[v] - p[f],
+                     1 if p[u] < p[v] else -1) if f not in (u, v) else None
+                    for u, v in EDGES]
+            table.append((p[f], PERM_INVERSE[i], odd,
+                          tuple((v - f, p[v] - p[f]) for v in face), walk))
     return tuple(table)
 
 
@@ -137,45 +136,41 @@ class FaceOrbit(NamedTuple):
     slots: tuple[tuple[int, int], tuple[int, int]]
 
 
+class FaceSlots(list):
+    """Checked (target, permutation index) at each face slot 4t + f."""
+
+
 class Triangulation:
     """Immutable validated triangulation of a connected closed 3-manifold."""
 
-    def __init__(self, tetrahedra: list[list[tuple[int, Perm]]],
+    def __init__(self, tetrahedra: list[list[tuple[int, Perm]]] | FaceSlots,
                  name: str | None = None):
         self.name = name
-        rows, glued = [], []  # glued[4t + f]: (target, permutation index)
-        for row in tetrahedra:
-            if len(row) != 4:
-                raise TriangulationError("tetrahedron needs exactly 4 gluings")
-            gluings = []
-            for g in row:
-                if g is None:
-                    raise TriangulationError(
-                        "missing gluing: complex is not closed")
-                try:
-                    t, p = operator.index(g[0]), tuple(map(operator.index, g[1]))
-                except TypeError:
-                    raise TriangulationError(
-                        f"gluing {g!r} is not an integer target and "
-                        "permutation") from None
-                i = PERM_INDEX.get(p)
-                if i is None:
-                    raise TriangulationError(f"not a vertex permutation: {p}")
-                gluings.append((t, PERMS[i]))
-                glued.append((t, i))
-            rows.append(tuple(gluings))
-        self._gluings = tuple(rows)
+        glued = tetrahedra  # glued[4t + f]: (target, permutation index)
+        if type(tetrahedra) is not FaceSlots:  # rows: check and normalize
+            glued = []
+            for row in tetrahedra:
+                if len(row) != 4:
+                    raise TriangulationError("tetrahedron needs exactly 4 gluings")
+                for g in row:
+                    if g is None:
+                        raise TriangulationError("missing gluing: complex is not closed")
+                    try:
+                        t, p = operator.index(g[0]), tuple(map(operator.index, g[1]))
+                    except TypeError:
+                        raise TriangulationError(
+                            f"gluing {g!r} is not an integer target and "
+                            "permutation") from None
+                    i = PERM_INDEX.get(p)
+                    if i is None:
+                        raise TriangulationError(f"not a vertex permutation: {p}")
+                    glued.append((t, i))
+        self._glued = glued
         n = self.size
         if not n:
             raise TriangulationError("empty triangulation")
 
-        # one union-find over the slots 11t (tetrahedron t), 11t + 1 + v
-        # (its vertex v) and 11t + 5 + e (its edge e): sign[x] is x's sign
-        # relative to parent[x] < x, so a root is the lowest slot of its class
-        parent = list(range(11 * n))
-        sign = [1] * (11 * n)
-        self.orientable = True
-        reversed_edge = False
+        vparent = list(range(4 * n))  # parents lower than their children
         self.face_orbits = []
         for x, (t2, i) in enumerate(glued):
             t, f = divmod(x, 4)
@@ -183,7 +178,7 @@ class Triangulation:
                 raise TriangulationError(
                     f"face {f} of tetrahedron {t} glued to missing "
                     f"tetrahedron {t2} (dangling gluing)", tet=t)
-            f2, inverse, pairs = _GLUE[4 * i + f]
+            f2, inverse, _, verts, _ = _GLUE[4 * i + f]
             y = 4 * t2 + f2
             if y == x:
                 raise TriangulationError(
@@ -197,69 +192,69 @@ class Triangulation:
                 continue  # the pair was joined at its lower slot
             self.face_orbits.append(
                 FaceOrbit(len(self.face_orbits), ((t, f), (t2, f2))))
-            for a, b, rel in pairs:  # join a and b with sign(b) = rel sign(a)
-                a += 11 * t
-                b += 11 * t2
-                while parent[a] != a:
-                    rel *= sign[a]
-                    a = parent[a]
-                while parent[b] != b:
-                    rel *= sign[b]
-                    b = parent[b]
+            for v, w in verts:
+                a, b = x + v, y + w
+                while vparent[a] != a:
+                    a = vparent[a]
+                while vparent[b] != b:
+                    b = vparent[b]
                 if a < b:
-                    parent[b], sign[b] = a, rel
+                    vparent[b] = a
                 elif b < a:
-                    parent[a], sign[a] = b, rel
-                elif rel < 0:  # already joined with the opposite sign
-                    if a % 11:  # an edge: vertex signs are all +1
-                        reversed_edge = True
-                    else:
-                        self.orientable = False
+                    vparent[a] = b
+        # orient the tetrahedra outward from tetrahedron 0
+        orient, todo, self.orientable = [1] + [0] * (n - 1), [0], True
+        while todo:
+            t = todo.pop()
+            for t2, i in glued[4 * t:4 * t + 4]:
+                o = orient[t] * _GLUE[4 * i][2]
+                if not orient[t2]:
+                    orient[t2] = o
+                    todo.append(t2)
+                elif orient[t2] != o:
+                    self.orientable = False
+        if not all(orient):
+            raise TriangulationError("triangulation is not connected")
 
-        # parent[x] < x has its root by the time x is reached in ascending
-        # order, so one pass points every slot at its root
-        for x in range(11, 11 * n, 11):
-            parent[x] = parent[parent[x]]
-            if parent[x]:
-                raise TriangulationError("triangulation is not connected")
-        if reversed_edge:
-            raise TriangulationError(
-                "edge identified with itself in reverse (non-manifold)")
-        number: dict[int, int] = {}  # root -> orbit index
-        self.vertex_orbit_index, self.vertex_orbits = [], []
-        self.edge_orbit_index, self.edge_orbit_sign = [], []
-        members: list[list[tuple[int, int, int]]] = []
-        for t in range(n):
-            for v in range(4):
-                x = 11 * t + 1 + v
-                root = parent[x] = parent[parent[x]]
-                if root == x:
-                    number[x] = len(self.vertex_orbits)
-                    self.vertex_orbits.append([])
-                self.vertex_orbit_index.append(number[root])
-                self.vertex_orbits[number[root]].append((t, v))
-            for e in range(6):
-                x = 11 * t + 5 + e
-                s = sign[x] = sign[x] * sign[parent[x]]
-                root = parent[x] = parent[parent[x]]
-                if root == x:
-                    number[x] = len(members)
-                    members.append([])
-                self.edge_orbit_index.append(number[root])
-                self.edge_orbit_sign.append(s)
-                members[number[root]].append((t, e, s))
-        self.edge_orbits = [EdgeOrbit(o, tuple(m)) for o, m in enumerate(members)]
+        # number in slot order, overwriting parents (numbered first) with numbers
+        self.vertex_orbits = []
+        for x, p in enumerate(vparent):
+            if p == x:
+                vparent[x] = len(self.vertex_orbits)
+                self.vertex_orbits.append([])
+            else:
+                vparent[x] = vparent[p]
+            self.vertex_orbits[vparent[x]].append(divmod(x, 4))
+        self.vertex_orbit_index = vparent
 
-        # each vertex link is connected (it is one orbit) and must have
-        # chi = 2; its vertices are the ends of the edge orbits, two per
-        # orbit and never the same one, as no edge is reversed.  The links
-        # hold 2E vertices, 6T edges and 4T triangles, so chi = 2 for each
-        # gives 2V = 2E - 2T: the complex has Euler characteristic 0
+        # walk each edge orbit's circle from its lowest slot; its ends are link vertices
+        index = self.edge_orbit_index = [-1] * (6 * n)
+        sign = self.edge_orbit_sign = [1] * (6 * n)
+        self.edge_orbits = []
         link_vertices = [0] * len(self.vertex_orbits)
-        for orbit in self.edge_orbits:
-            t, e, _sign = orbit.members[0]
+        for x in range(6 * n):
+            if index[x] >= 0:
+                continue
+            o, (t, e), s, y = len(self.edge_orbits), divmod(x, 6), 1, x
             for v in EDGES[e]:
                 link_vertices[self.vertex_orbit_index[4 * t + v]] += 1
+            members, f = [], 0 if e > 2 else 1 if e else 2  # e's lowest face
+            while not members or y != x:
+                index[y], sign[y] = o, s
+                members.append((t, e, s))
+                t, i = glued[4 * t + f]
+                e, f, rel = _GLUE[4 * i + f][4][e]
+                s *= rel
+                y = 6 * t + e
+            if s < 0:
+                raise TriangulationError(
+                    "edge identified with itself in reverse (non-manifold)")
+            self.edge_orbits.append(EdgeOrbit(o, tuple(sorted(members))))
+
+        # each vertex link is connected (it is one orbit) and must have
+        # chi = 2.  The links hold 2E vertices, 6T edges and 4T triangles,
+        # so chi = 2 for each gives 2V = 2E - 2T: the complex has Euler
+        # characteristic 0
         for o, corners in enumerate(map(len, self.vertex_orbits)):
             chi = link_vertices[o] - (3 * corners) // 2 + corners
             if chi != 2:
@@ -270,11 +265,12 @@ class Triangulation:
     # -- basic accessors ----------------------------------------------------
     @property
     def size(self) -> int:
-        return len(self._gluings)
+        return len(self._glued) // 4
 
     def gluing(self, t: int, f: int) -> tuple[int, Perm]:
         """(target tetrahedron, vertex permutation) of face f of t."""
-        return self._gluings[t][f]
+        t2, i = self._glued[4 * t + f]
+        return t2, PERMS[i]
 
     @property
     def euler_characteristic(self) -> int:

@@ -4,12 +4,16 @@ H_1 is ker d1 / im d2 of the orbit CW structure.  Since im d1 is free,
 Z^E / im d2 (the cokernel of d2) is H_1 + im d1, so no kernel basis is
 needed: the torsion of H_1 is the invariant factors of d2 greater than 1,
 and its free rank is E - rank d1 - rank d2 = E - (V - 1) - rank d2, as d1
-is the boundary map of a connected complex.  d2 is kept as sparse
-columns, one per face with at most three nonzeros: every +-1 entry is
-eliminated as a pivot first, and the dense Smith form reduces only what
-no unit pivot reaches (on census triangulations, nothing or a row or
-two).  All arithmetic is exact (Python integers), since intermediate
-entries blow up well before census-sized matrices become large.
+is the boundary map of a connected complex.  h1 takes d2's columns only at
+the faces off a spanning tree of the dual graph: a tree face is a face of
+the tetrahedron it leads out to, so by d2 d3 = 0 its column is a signed
+sum of that tetrahedron's other faces, each kept or further out on the
+tree, and im d2 stays the same.  d2 is kept as sparse columns, one per
+face with at most three nonzeros: every +-1 entry is eliminated as a pivot
+first, and the dense Smith form reduces only what no unit pivot reaches
+(on census triangulations, nothing or a row or two).  All arithmetic is
+exact (Python integers), since intermediate entries blow up well before
+census-sized matrices become large.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import operator
 from math import gcd
 from typing import NamedTuple
 
-from .complex3 import EDGES, FACE_SIDES, Triangulation
+from .complex3 import EDGES, FACE_SIDES, FaceOrbit, Triangulation
 
 
 class IntMatrix:
@@ -172,11 +176,10 @@ def parse_h1(text: str) -> H1Summary:
     return H1Summary(free, tuple(sorted(torsion)))
 
 
-def _chain(tri: Triangulation):
+def _chain(tri: Triangulation, faces: list[FaceOrbit]):
     """d1 as dense rows (vertex orbits by edge orbits) and d2 as sparse
-    columns {edge orbit: nonzero entry}, one per face orbit.  Orientations
-    come from the per-incidence signs recorded on the orbits; H_1 does not
-    depend on the choices."""
+    columns {edge orbit: nonzero entry}, one per face orbit in faces, with
+    the orientations the orbits record; H_1 does not depend on them."""
     vertex, edge, sign = (tri.vertex_orbit_index, tri.edge_orbit_index,
                           tri.edge_orbit_sign)
     d1 = [[0] * len(tri.edge_orbits) for _ in tri.vertex_orbits]
@@ -186,7 +189,7 @@ def _chain(tri: Triangulation):
         d1[vertex[4 * t + v]][o] += 1
         d1[vertex[4 * t + u]][o] -= 1
     d2 = []
-    for _, ((t, f), _) in tri.face_orbits:
+    for _, ((t, f), _) in faces:
         col: dict[int, int] = {}
         for e, s in FACE_SIDES[f]:
             o = edge[6 * t + e]
@@ -200,7 +203,7 @@ def _chain(tri: Triangulation):
 def boundary_matrices(tri: Triangulation) -> tuple[IntMatrix, IntMatrix]:
     """(d1, d2) of the orbit CW chain complex: d1 maps edges to vertices,
     d2 maps faces to edges."""
-    d1, d2 = _chain(tri)
+    d1, d2 = _chain(tri, tri.face_orbits)
     return IntMatrix(d1), IntMatrix([[col.get(e, 0) for col in d2]
                                      for e in range(len(tri.edge_orbits))])
 
@@ -225,19 +228,18 @@ def rank_and_torsion(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...
             break
         else:
             break
-        del columns[j]
+        del columns[j], col[i]
         rank += 1
         for other in columns:  # other -= (its row-i entry / u) col
-            q = other.pop(i, 0) * u
-            if q:
+            if i in other:
+                q = other.pop(i) * u
                 for r, w in col.items():
-                    if r != i:
-                        x = other.get(r, 0) - q * w
-                        if x:
-                            other[r] = x
-                        else:
-                            del other[r]
-    columns = [col for col in columns if col]
+                    x = other.get(r, 0) - q * w
+                    if x:
+                        other[r] = x
+                    else:
+                        del other[r]
+        columns = [other for other in columns if other]
     rows = sorted({i for col in columns for i in col})
     factors = smith_normal_form([[col.get(i, 0) for col in columns]
                                  for i in rows])
@@ -248,9 +250,10 @@ def rank_and_torsion(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...
 def _h1(d1: list[list[int]], edges: int,
         d2: list[dict[int, int]]) -> H1Summary:
     """ker d1 / im d2 from d1's rows and d2's sparse columns.  Only d2 is
-    reduced, as rank d1 = V - 1.  d1 @ d2 = 0 is checked one face column (at
-    most three nonzeros in a triangulation) at a time."""
-    if any(sum(row[e] * c for e, c in col.items()) for col in d2 for row in d1):
+    reduced, as rank d1 = V - 1.  d1 @ d2 = 0 is checked on the nonzero rows
+    of d1, one face column (at most three nonzeros) at a time."""
+    if any(sum(map(operator.mul, map(row.__getitem__, col), col.values()))
+           for row in filter(any, d1) for col in d2):
         raise ValueError("d1 @ d2 != 0: inconsistent boundary maps")
     rank2, torsion = rank_and_torsion(d2)
     return H1Summary(edges - (len(d1) - 1) - rank2, torsion)
@@ -269,5 +272,15 @@ def h1_from_matrices(d1: IntMatrix, d2: IntMatrix) -> H1Summary:
 
 def h1(tri: Triangulation) -> H1Summary:
     """First homology of the underlying closed manifold."""
-    d1, d2 = _chain(tri)
+    root, kept = list(range(tri.size)), []  # tetrahedra joined by the faces
+    for face in tri.face_orbits:  # so far, and the faces off the tree
+        (a, _), (b, _) = face.slots
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a == b:
+            kept.append(face)
+        root[max(a, b)] = min(a, b)
+    d1, d2 = _chain(tri, kept)
     return _h1(d1, len(tri.edge_orbits), d2)

@@ -12,13 +12,16 @@ carry no data.
 encode_isosig returns the canonical signature: the lexicographically
 smallest candidate over all choices of start tetrahedron and start
 labelling, so it is invariant under combinatorial isomorphism.  The decoder
-accepts any well-formed signature of a connected closed triangulation.
+accepts what a traversal of a connected closed triangulation writes, unused
+bits zero, and hands Triangulation each face's (target, permutation index)
+as FaceSlots, which skip the checks that normalize rows from users.
 """
 
 from __future__ import annotations
 
-from .complex3 import (PERM_INDEX, PERMS, Perm, Triangulation,
-                       TriangulationError, perm_compose, perm_inverse)
+from .complex3 import (PERM_INDEX, PERM_INVERSE, PERMS, FaceSlots, Perm,
+                       Triangulation, TriangulationError, perm_compose,
+                       perm_inverse)
 
 SIG_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _CHAR_INDEX = {c: i for i, c in enumerate(SIG_CHARS)}
@@ -123,16 +126,17 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
     destinations and permutations.  A signature of any other length, such
     as a truncated or padded one or one with boundary facets, is rejected
     as "signature length is inconsistent".  Also rejected: bad characters,
-    a bad or truncated size header, a permutation index out of range, and
+    a bad or truncated size header, nonzero unused bits in the last
+    facet-action character, a permutation index out of range, and
     signatures of the right length whose triangulation is not a connected
     closed 3-manifold.
     """
     if not sig:
         raise IsoSigError("empty signature")
-    if any(c not in _CHAR_INDEX for c in sig):
-        bad = next(c for c in sig if c not in _CHAR_INDEX)
-        raise IsoSigError(f"invalid signature character {bad!r}")
-    vals = [_CHAR_INDEX[c] for c in sig]
+    try:
+        vals = [_CHAR_INDEX[c] for c in sig]
+    except KeyError as exc:
+        raise IsoSigError(f"invalid signature character {exc.args[0]!r}") from None
 
     nchars, header = 1, 1
     if vals[0] == 63:
@@ -155,53 +159,53 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
 
     actions = [(v >> shift) & 3 for v in vals[header:joins_at]
                for shift in (0, 2, 4)]
-    dests = [_decode_int(vals[at:at + nchars])
-             for at in range(joins_at, perms_at, nchars)]
-    perms: list[Perm] = []
-    for gi in vals[perms_at:]:
+    if any(actions[2 * n:]):
+        raise IsoSigError("unused bits of the last action character are not zero")
+    dests = (vals[joins_at:perms_at] if nchars == 1 else
+             [_decode_int(vals[at:at + nchars])
+              for at in range(joins_at, perms_at, nchars)])
+    perms = vals[perms_at:]
+    for gi in perms:
         if gi >= 24:
             raise IsoSigError(f"invalid permutation index {gi}")
-        perms.append(PERMS[gi])
 
-    rows: list[list] = [[None] * 4 for _ in range(n)]
+    glued = FaceSlots([None] * (4 * n))  # (target, permutation index)
     created = 1
     ai = ji = 0
     for t in range(n):
         if t >= created:
             raise IsoSigError("signature describes a disconnected complex")
-        for f in range(4):
-            if rows[t][f] is not None:
+        for x in range(4 * t, 4 * t + 4):
+            if glued[x] is not None:
                 continue
             a = actions[ai]
             ai += 1
-            if a == 0:
-                raise IsoSigError(
-                    "signature has boundary facets; only closed "
-                    "triangulations are supported")
             if a == 1:
                 if created >= n:
                     raise IsoSigError("too many tetrahedra in traversal")
-                t2_new = created
+                glued[x] = (created, 0)  # PERMS[0] is the identity
+                glued[4 * created + x - 4 * t] = (t, 0)
                 created += 1
-                rows[t][f] = (t2_new, (0, 1, 2, 3))
-                rows[t2_new][f] = (t, (0, 1, 2, 3))
             elif a == 2:
                 # every index is in range: with k tetrahedra made and j
-                # joins read, the open face (t, f) leaves
-                # 2(k + j) <= 4(1 + k) - 1, so j <= k + 1 <= n, and the
-                # action index k + j <= 2k + 1 < 2n
-                dest, p = dests[ji], perms[ji]
+                # joins read, the open face x leaves 2(k + j) <= 4(1 + k) - 1,
+                # so j <= k + 1 <= n, and the action index k + j <= 2k + 1 < 2n
+                dest, gi = dests[ji], perms[ji]
                 ji += 1
                 if dest >= created:
                     raise IsoSigError("join destination not yet created")
-                f2 = p[f]
-                if rows[dest][f2] is not None or (dest, f2) == (t, f):
+                y = 4 * dest + PERMS[gi][x - 4 * t]
+                if glued[y] is not None or y == x:
                     raise IsoSigError("inconsistent join in signature")
-                rows[t][f] = (dest, p)
-                rows[dest][f2] = (t, perm_inverse(p))
+                glued[x] = (dest, gi)
+                glued[y] = (t, PERM_INVERSE[gi])
+            elif a == 0:
+                raise IsoSigError(
+                    "signature has boundary facets; only closed "
+                    "triangulations are supported")
             else:
                 raise IsoSigError(f"invalid facet action {a}")
     try:
-        return Triangulation(rows, name=name)
+        return Triangulation(glued, name=name)
     except TriangulationError as exc:
         raise IsoSigError(f"decoded complex is invalid: {exc}") from exc

@@ -35,7 +35,6 @@ import operator
 from functools import cached_property, lru_cache, reduce
 
 from .complex3 import EDGE_INDEX, EDGES
-from .cyclotomic import CycNumber
 
 
 # --------------------------------------------------------------------------
@@ -100,6 +99,7 @@ class _Exact(_Carrier):
     """CycNumber constants, plus 1/[n]! for n < r, each inverted once."""
 
     def __init__(self, r: int):
+        from .cyclotomic import CycNumber  # float processes never load it
         zero = CycNumber.zero(r)
         # [n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)
         super().__init__(r, [sum((CycNumber.zeta_power(r, n - 1 - 2 * k)

@@ -20,11 +20,6 @@ its two other edges colored takes only the third colors that face admits
 parity); other steps take the color set.  A prefix is pruned as soon as a
 completed face triple is inadmissible.
 
-One helper, _step_entries, builds a step's table for both engines: per
-coloring of the positions the step reads, its own excepted, the admissible
-colors in search order, each with delta_c, 1/theta per face, Tet per tet.
-The compiled kernel below generates the same fill in its own code.
-
 The float carrier sums by depth-first search (the backtracker), colors
 ascending, accumulating the weight along the path: inner steps are searched
 inline, one pass over a step's faces checking each and multiplying its
@@ -46,19 +41,15 @@ same and why the limits are 300 and 20.  No float is summed with sum(),
 which compensates rounding from Python 3.12 on, so the bits are the same
 under 3.10 to 3.13.
 
-The exact carrier, where order cannot change a value,
-sums over the frontier: after each step, one state per coloring of the
-positions a later step still reads, holding the summed weight of the
-admissible prefixes that agree there and their number.  Each state reads
-its step's table, whose factors are multiplied out once per entry, so it
-costs one multiplication per admissible color; the backtracker multiplies
-every factor into every admissible prefix.
-Every state is the image of an admissible prefix, so the frontier holds no
-more states than the backtracker visits, and the guard bounds both.  The
-engines report the same counters: states_admissible counts the complete
-admissible colorings, and states_visited every color of the set at each
-entered step (position 0, and the next position after each admissible
-proper prefix), as a search that tries them all would.
+The exact carrier, where order cannot change a value, sums over the
+frontier (_frontier_sum), at one multiplication per state and admissible
+color.  Every state is the image of an admissible prefix, so the frontier
+holds no more states than the backtracker visits, and the guard bounds
+both.  Both engines build a step's table with _step_entries and report the
+same counters: states_admissible counts the complete admissible colorings,
+and states_visited every color of the set at each entered step (position
+0, and the next position after each admissible proper prefix), as a search
+that tries them all would.
 
 In exact mode at odd r >= 5 the invariant factors as TV_r = TV_3 * TV'_r
 (Detcherry-Kalfagianni-Yang, arXiv:1701.07818, Thm 2.9), where TV'_r is
@@ -82,7 +73,6 @@ import time
 from typing import NamedTuple
 
 from .complex3 import Triangulation
-from .cyclotomic import CycNumber
 from .recoupling import TET_ARG_EDGES, tables
 
 
@@ -111,7 +101,7 @@ class TvResult(NamedTuple):
     r: int
     mode: str
     value_float: float | None = None
-    value_exact: CycNumber | None = None
+    value_exact: CycNumber | None = None  # a string: cyclotomic loads lazily
     states_visited: int = 0
     states_admissible: int = 0
     elapsed_seconds: float = 0.0
@@ -128,24 +118,20 @@ def _make_plan(tri: Triangulation) -> list[tuple[list, list, tuple | None]]:
     edges by position."""
     ne = len(tri.edge_orbits)
     face_triples = tri.face_edge_orbits()
-    degree = [0] * ne
-    for tri_edges in face_triples:
-        for e in tri_edges:
-            degree[e] += 1
-    order = sorted(range(ne), key=lambda e: (-degree[e], e))
-    position = [0] * ne
-    for k, e in enumerate(order):
-        position[e] = k
-    faces: list[list] = [[] for _ in range(ne)]
-    tets: list[list] = [[] for _ in range(ne)]
-    for (x, y, z) in face_triples:
+    # an orbit's face-incidence degree is its slot count (a slot lies in two
+    # faces, a face orbit in two slots); descending, ties by index
+    degree = [len(orbit.members) for orbit in tri.edge_orbits]
+    order = sorted(range(ne), key=degree.__getitem__, reverse=True)
+    position = sorted(range(ne), key=order.__getitem__)  # order's inverse
+    faces, tets = [[] for _ in range(ne)], [[] for _ in range(ne)]
+    for x, y, z in face_triples:
         pos = (position[x], position[y], position[z])
         faces[max(pos)].append(pos)
     # a tetrahedron completes when the last of its 6 edge orbits is colored;
     # store the positions in the argument order A..F of the tables' tet
-    for tet_edges in tri.tet_edge_orbits():
-        arg_pos = tuple(position[tet_edges[e]] for e in TET_ARG_EDGES)
-        tets[max(arg_pos)].append(arg_pos)
+    slot_pos = [position[o] for o in tri.edge_orbit_index]
+    for pos in zip(*(slot_pos[e::6] for e in TET_ARG_EDGES)):
+        tets[max(pos)].append(pos)
     plan = []
     for k in range(ne):
         others = [p for p in faces[k][0] if p != k] if faces[k] else []
@@ -219,7 +205,7 @@ def _run_split(tri: Triangulation, r: int):
     even-color search is skipped and the result is the zero of level r."""
     tv3, visited, leaves = _run(tri, 3, "exact")
     if tv3.is_zero():
-        return CycNumber.zero(r), visited, leaves
+        return tables(r, "exact").zero, visited, leaves
     tv_even, visited_e, leaves_e = _run(tri, r, "exact", even=True)
     return tv_even * tv3.to_rational(), visited + visited_e, leaves + leaves_e
 
@@ -233,10 +219,7 @@ def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
     # the color set; a paired step whose pair is even admits only even
     # colors, by parity, so third needs no filter
     every = range(0, len(lv.delta), 2 if even else 1)
-    # Exact sums run over the frontier, one multiplication per state.  The
-    # float carrier keeps the backtracker: its summation order fixes every
-    # float bit, and with them the pinned float values and the sign of the
-    # rounding noise of a TV that is exactly 0, which visible outputs read.
+    # float keeps the backtracker, whose order fixes every float bit
     search = _frontier_sum if carrier == "exact" else _backtrack_sum
     total, entered, leaves = search(lv, plan, every)
     # every color of the set per entered position, position 0 included
@@ -408,18 +391,22 @@ def _step_entries(lv, every, step, cols, k):
     is (faces, tets, pair), indices into cols, the colors before the step;
     cols[k], the step's own, is overwritten."""
     faces, tets, pair = step
+    delta, theta_inv, memo, fill = lv.delta, lv.theta_inv, lv.tet_memo.get, lv.tet
     entries = []
-    for c in every if pair is None else lv.third[cols[pair[0]]][cols[pair[1]]]:
-        cols[k] = c
-        fs = [lv.delta[c]]
-        for (x, y, z) in faces:
-            inv = lv.theta_inv[cols[x]][cols[y]][cols[z]]
+    for col in every if pair is None else lv.third[cols[pair[0]]][cols[pair[1]]]:
+        cols[k] = col
+        fs = [delta[col]]
+        for x, y, z in faces:
+            inv = theta_inv[cols[x]][cols[y]][cols[z]]
             if inv is None:
                 break  # prune: the face triple is inadmissible
             fs.append(inv)
         else:
-            fs += [lv.tet(*(cols[i] for i in tet)) for tet in tets]
-            entries.append((c, fs))
+            for a, b, c, d, e, f in tets:
+                key = cols[a], cols[b], cols[c], cols[d], cols[e], cols[f]
+                val = memo(key)
+                fs.append(fill(*key) if val is None else val)
+            entries.append((col, fs))
     return entries
 
 

@@ -1,6 +1,7 @@
 """Isomorphism signature codec: round trips, canonicality, rejection."""
 
 import itertools
+import math
 import random
 import time
 from pathlib import Path
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from tvgenus.cli import load_census
+from tvgenus.complex3 import Triangulation
 from tvgenus.fixtures import fixture, fixture_isosig, fixture_names
 from tvgenus.homology import format_h1, h1
-from tvgenus.isosig import IsoSigError, decode_isosig, encode_isosig
+from tvgenus.isosig import (IsoSigError, _candidate, decode_isosig,
+                            encode_isosig)
 
 PERMS = list(itertools.permutations(range(4)))
 CENSUS = Path(__file__).parents[1] / "perfbench" / "data" / "census.txt"
@@ -149,6 +152,29 @@ def test_truncated_and_padded_signatures_fail_the_length_check():
                 decode_isosig(bad)
 
 
+def _orbit_views(tri):
+    return (tri.size, tri.vertex_orbit_index, tri.vertex_orbits,
+            tri.edge_orbit_index, tri.edge_orbit_sign, tri.edge_orbits,
+            tri.face_orbits, tri.orientable, tri.face_edge_orbits(),
+            tri.tet_edge_orbits())
+
+
+def test_decoder_hand_off_builds_what_the_rows_build():
+    # decode_isosig hands Triangulation its checked (target, permutation
+    # index) slots; the same gluings given as rows take the checking path,
+    # and both must number, order and sign every orbit alike.  The lens
+    # spaces are read from their signature rooted at tetrahedron 0, which
+    # decodes as any other, at a hundredth of the canonical one's cost
+    sigs = [encode_isosig(fixture(name)) for name in fixture_names()]
+    sigs += [_candidate(fixture(f"L({p},{q})"), 0, (0, 1, 2, 3))
+             for p in range(2, 20) for q in range(1, p) if math.gcd(p, q) == 1]
+    sigs += [sig for _, sig in load_census(str(CENSUS))]
+    for sig in sigs:
+        tri = decode_isosig(sig)
+        rows = [[tri.gluing(t, f) for f in range(4)] for t in range(tri.size)]
+        assert _orbit_views(tri) == _orbit_views(Triangulation(rows)), sig
+
+
 def test_large_triangulation_multibyte_size_header():
     sig = encode_isosig(_sphere_64())
     assert sig.startswith("-")  # size >= 63 marker
@@ -174,6 +200,7 @@ def test_large_triangulation_multibyte_size_header():
     ("cAcaabgdv", "disconnected complex"),
     ("bbaaaa", "too many tetrahedra"),
     ("bcaa8a", "invalid permutation index 60"),
+    ("cMIabbgqs", "unused bits"),
     ("baa", "length is inconsistent"),
     ("bVV", "length is inconsistent"),
     ("bIBg", "length is inconsistent"),

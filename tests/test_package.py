@@ -30,6 +30,22 @@ def test_cli_import_loads_only_what_compute_runs():
                          "tvgenus.kernel"}
 
 
+def test_float_screen_loads_no_exact_arithmetic():
+    # only an exact carrier builds CycNumbers, so a float screen loads
+    # neither their module nor fractions, and an exact compute loads both
+    exact = {"tvgenus.cyclotomic", "fractions"}
+    screened = _loaded_by(
+        "import tvgenus.cli; from tvgenus.fixtures import fixture_isosig; "
+        "rec, = tvgenus.cli.screen([('t3', fixture_isosig('t3'))], 5); "
+        "assert rec.tv_value > 0 and rec.h1")
+    assert "tvgenus.statesum" in screened and not screened & exact
+    computed = _loaded_by(
+        "import tvgenus.cli; from tvgenus.fixtures import fixture; "
+        "rec = tvgenus.cli.screen_record('s3', fixture('s3'), 5, "
+        "mode='exact'); assert rec.tv_exact")
+    assert exact <= computed
+
+
 def test_package_import_loads_no_submodule():
     loaded = _loaded_by("import tvgenus")
     assert not [m for m in loaded if m.startswith("tvgenus.")]
