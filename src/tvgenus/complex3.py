@@ -393,17 +393,12 @@ def parse_gluing_file(text: str, name: str | None = None) -> Triangulation:
 
 def format_gluing_file(tri: Triangulation, header_comment: str | None = None) -> str:
     """Serialize to the gluing format parsed by parse_gluing_file."""
-    lines = []
-    if header_comment:
-        for ln in header_comment.splitlines():
-            lines.append(f"# {ln}".rstrip())
+    lines = [f"# {ln}".rstrip() for ln in (header_comment or "").splitlines()]
     lines.append(f"tets {tri.size}")
     for t in range(tri.size):
-        parts = []
-        for f in range(4):
-            t2, p = tri.gluing(t, f)
-            parts.append(f"{t2} {''.join(str(x) for x in p)}")
-        lines.append(f"{t}: " + " ".join(parts))
+        gluings = (tri.gluing(t, f) for f in range(4))
+        lines.append(f"{t}: " + " ".join(f"{t2} {''.join(map(str, p))}"
+                                         for t2, p in gluings))
     return "\n".join(lines) + "\n"
 
 

@@ -4,16 +4,17 @@ H_1 is ker d1 / im d2 of the orbit CW structure.  Since im d1 is free,
 Z^E / im d2 (the cokernel of d2) is H_1 + im d1, so no kernel basis is
 needed: the torsion of H_1 is the invariant factors of d2 greater than 1,
 and its free rank is E - rank d1 - rank d2 = E - (V - 1) - rank d2, as d1
-is the boundary map of a connected complex.  h1 takes d2's columns only at
-the faces off a spanning tree of the dual graph: a tree face is a face of
-the tetrahedron it leads out to, so by d2 d3 = 0 its column is a signed
-sum of that tetrahedron's other faces, each kept or further out on the
-tree, and im d2 stays the same.  d2 is kept as sparse columns, one per
-face with at most three nonzeros: every +-1 entry is eliminated as a pivot
-first, and the dense Smith form reduces only what no unit pivot reaches
-(on census triangulations, nothing or a row or two).  All arithmetic is
-exact (Python integers), since intermediate entries blow up well before
-census-sized matrices become large.
+is the boundary map of a connected complex.  h1 checks d1 d2 = 0 on every
+face but reduces d2's columns only at the faces off a spanning tree of the
+dual graph: a tree face is a face of the tetrahedron it leads out to, so
+by d2 d3 = 0 its column is a signed sum of that tetrahedron's other faces,
+each kept or further out on the tree, and im d2 stays the same.  d2 is
+kept as sparse columns, one per face with at most three nonzeros: every
++-1 entry is eliminated as a pivot first, and the dense Smith form reduces
+only what no unit pivot reaches (on census triangulations, nothing or a
+row or two).  All arithmetic is exact (Python integers), since
+intermediate entries blow up well before census-sized matrices become
+large.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import operator
 from math import gcd
 from typing import NamedTuple
 
-from .complex3 import EDGES, FACE_SIDES, FaceOrbit, Triangulation
+from .complex3 import EDGES, FACE_SIDES, Triangulation
 
 
 class IntMatrix:
@@ -176,10 +177,10 @@ def parse_h1(text: str) -> H1Summary:
     return H1Summary(free, tuple(sorted(torsion)))
 
 
-def _chain(tri: Triangulation, faces: list[FaceOrbit]):
+def _chain(tri: Triangulation):
     """d1 as dense rows (vertex orbits by edge orbits) and d2 as sparse
-    columns {edge orbit: nonzero entry}, one per face orbit in faces, with
-    the orientations the orbits record; H_1 does not depend on them."""
+    columns {edge orbit: nonzero entry}, one per face orbit, with the
+    orientations the orbits record; H_1 does not depend on them."""
     vertex, edge, sign = (tri.vertex_orbit_index, tri.edge_orbit_index,
                           tri.edge_orbit_sign)
     d1 = [[0] * len(tri.edge_orbits) for _ in tri.vertex_orbits]
@@ -189,7 +190,7 @@ def _chain(tri: Triangulation, faces: list[FaceOrbit]):
         d1[vertex[4 * t + v]][o] += 1
         d1[vertex[4 * t + u]][o] -= 1
     d2 = []
-    for _, ((t, f), _) in faces:
+    for _, ((t, f), _) in tri.face_orbits:
         col: dict[int, int] = {}
         for e, s in FACE_SIDES[f]:
             o = edge[6 * t + e]
@@ -203,7 +204,7 @@ def _chain(tri: Triangulation, faces: list[FaceOrbit]):
 def boundary_matrices(tri: Triangulation) -> tuple[IntMatrix, IntMatrix]:
     """(d1, d2) of the orbit CW chain complex: d1 maps edges to vertices,
     d2 maps faces to edges."""
-    d1, d2 = _chain(tri, tri.face_orbits)
+    d1, d2 = _chain(tri)
     return IntMatrix(d1), IntMatrix([[col.get(e, 0) for col in d2]
                                      for e in range(len(tri.edge_orbits))])
 
@@ -247,15 +248,15 @@ def rank_and_torsion(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...
             tuple(d for d in factors if d > 1))
 
 
-def _h1(d1: list[list[int]], edges: int,
-        d2: list[dict[int, int]]) -> H1Summary:
-    """ker d1 / im d2 from d1's rows and d2's sparse columns.  Only d2 is
-    reduced, as rank d1 = V - 1.  d1 @ d2 = 0 is checked on the nonzero rows
-    of d1, one face column (at most three nonzeros) at a time."""
+def _h1(d1: list[list[int]], edges: int, d2: list[dict[int, int]],
+        spanning: list[dict[int, int]]) -> H1Summary:
+    """ker d1 / im d2 from d1's rows and d2's sparse columns, reducing only
+    the columns spanning, which span im d2 (rank d1 = V - 1).  d1 @ d2 = 0
+    is checked on every column of d2 and the nonzero rows of d1."""
     if any(sum(map(operator.mul, map(row.__getitem__, col), col.values()))
            for row in filter(any, d1) for col in d2):
         raise ValueError("d1 @ d2 != 0: inconsistent boundary maps")
-    rank2, torsion = rank_and_torsion(d2)
+    rank2, torsion = rank_and_torsion(spanning)
     return H1Summary(edges - (len(d1) - 1) - rank2, torsion)
 
 
@@ -265,22 +266,22 @@ def h1_from_matrices(d1: IntMatrix, d2: IntMatrix) -> H1Summary:
     if d2.rows != d1.cols:
         raise ValueError(f"d1 @ d2 undefined: d1 has {d1.cols} columns, "
                          f"d2 has {d2.rows} rows")
-    return _h1(d1.entries, d1.cols, [
-        {i: row[j] for i, row in enumerate(d2.entries) if row[j]}
-        for j in range(d2.cols)])
+    cols = [{i: row[j] for i, row in enumerate(d2.entries) if row[j]}
+            for j in range(d2.cols)]
+    return _h1(d1.entries, d1.cols, cols, cols)
 
 
 def h1(tri: Triangulation) -> H1Summary:
     """First homology of the underlying closed manifold."""
+    d1, d2 = _chain(tri)
     root, kept = list(range(tri.size)), []  # tetrahedra joined by the faces
-    for face in tri.face_orbits:  # so far, and the faces off the tree
+    for face, col in zip(tri.face_orbits, d2):  # so far, and off-tree columns
         (a, _), (b, _) = face.slots
         while root[a] != a:
             a = root[a]
         while root[b] != b:
             b = root[b]
         if a == b:
-            kept.append(face)
+            kept.append(col)
         root[max(a, b)] = min(a, b)
-    d1, d2 = _chain(tri, kept)
-    return _h1(d1, len(tri.edge_orbits), d2)
+    return _h1(d1, len(tri.edge_orbits), d2, kept)

@@ -161,9 +161,9 @@ def decode_isosig(sig: str, name: str | None = None) -> Triangulation:
                for shift in (0, 2, 4)]
     if any(actions[2 * n:]):
         raise IsoSigError("unused bits of the last action character are not zero")
-    dests = (vals[joins_at:perms_at] if nchars == 1 else
-             [_decode_int(vals[at:at + nchars])
-              for at in range(joins_at, perms_at, nchars)])
+    dests = vals[joins_at:perms_at:nchars]  # nchars digits each, low first
+    for i in range(1, nchars):
+        dests = [d + (v << 6 * i) for d, v in zip(dests, vals[joins_at + i::nchars])]
     perms = vals[perms_at:]
     for gi in perms:
         if gi >= 24:

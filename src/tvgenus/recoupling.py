@@ -34,6 +34,7 @@ import math
 import operator
 from functools import cached_property, lru_cache, reduce
 
+import tvgenus  # tvgenus.CycNumber loads cyclotomic on first use
 from .complex3 import EDGE_INDEX, EDGES
 
 
@@ -241,17 +242,17 @@ def _tet(lv: _Carrier, labels: tuple[int, ...]):
 # public symbols: exact (CycNumber) and float wrappers of the formulas
 # --------------------------------------------------------------------------
 
-def quantum_integer(n: int, r: int) -> CycNumber:
+def quantum_integer(n: int, r: int) -> tvgenus.CycNumber:
     """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) = sum of zeta^(n-1-2k)."""
     return _at(r, True, n).qint[n % (2 * r)]
 
 
-def quantum_factorial(n: int, r: int) -> CycNumber:
+def quantum_factorial(n: int, r: int) -> tvgenus.CycNumber:
     """[n]! = [1][2]...[n], with [0]! = 1."""
     return _at(r, True, n).fact[min(n, r)]
 
 
-def qdim(i: int, r: int) -> CycNumber:
+def qdim(i: int, r: int) -> tvgenus.CycNumber:
     """Signed quantum dimension delta_i = (-1)^i [i+1]."""
     lv = _at(r, True)
     if not 0 <= i <= r - 2:
@@ -259,17 +260,18 @@ def qdim(i: int, r: int) -> CycNumber:
     return lv.delta[i]
 
 
-def global_dim(r: int) -> CycNumber:
+def global_dim(r: int) -> tvgenus.CycNumber:
     """dim(C) = sum of delta_i^2 = sum of [i+1]^2 over the color set."""
     return _at(r, True).dim
 
 
-def theta(a: int, b: int, c: int, r: int) -> CycNumber:
+def theta(a: int, b: int, c: int, r: int) -> tvgenus.CycNumber:
     """Theta network value; symmetric in a, b, c; nonzero when admissible."""
     return _theta(_at(r, True), a, b, c)
 
 
-def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> CycNumber:
+def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int,
+               r: int) -> tvgenus.CycNumber:
     """Tetrahedral network Tet[A B E; C D F].
 
     The four vertices carry the admissible triples (A,B,E), (C,D,E), (A,D,F)

@@ -72,6 +72,7 @@ import operator
 import time
 from typing import NamedTuple
 
+import tvgenus  # tvgenus.CycNumber loads cyclotomic on first use
 from .complex3 import Triangulation
 from .recoupling import TET_ARG_EDGES, tables
 
@@ -101,7 +102,7 @@ class TvResult(NamedTuple):
     r: int
     mode: str
     value_float: float | None = None
-    value_exact: CycNumber | None = None  # a string: cyclotomic loads lazily
+    value_exact: tvgenus.CycNumber | None = None
     states_visited: int = 0
     states_admissible: int = 0
     elapsed_seconds: float = 0.0
@@ -205,7 +206,7 @@ def _run_split(tri: Triangulation, r: int):
     even-color search is skipped and the result is the zero of level r."""
     tv3, visited, leaves = _run(tri, 3, "exact")
     if tv3.is_zero():
-        return tables(r, "exact").zero, visited, leaves
+        return tv3.zero(r), visited, leaves
     tv_even, visited_e, leaves_e = _run(tri, r, "exact", even=True)
     return tv_even * tv3.to_rational(), visited + visited_e, leaves + leaves_e
 

@@ -181,6 +181,10 @@ def test_large_triangulation_multibyte_size_header():
     back = decode_isosig(sig)
     assert back.size == 64
     assert encode_isosig(back) == sig
+    # the traversal of L(80,31) rooted at tetrahedron 0 joins 26 times to a
+    # tetrahedron past 63, so those destinations use their second character
+    sig = _candidate(fixture("L(80,31)"), 0, (0, 1, 2, 3))
+    assert _candidate(decode_isosig(sig), 0, (0, 1, 2, 3)) == sig
 
 
 # every check that decode_isosig makes, each fed an input that reaches it:

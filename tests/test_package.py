@@ -46,6 +46,19 @@ def test_float_screen_loads_no_exact_arithmetic():
     assert exact <= computed
 
 
+def test_exact_annotations_resolve_without_a_module_import():
+    # statesum and recoupling name the exact type as tvgenus.CycNumber, so
+    # float processes never import it and get_type_hints still resolves it
+    hints = _loaded_by(
+        "import typing, tvgenus.statesum as s, tvgenus.recoupling as r; "
+        "assert 'tvgenus.cyclotomic' not in sys.modules; "
+        "from tvgenus.cyclotomic import CycNumber; "
+        "assert typing.get_type_hints(s.TvResult)['value_exact'] "
+        "== CycNumber | None; "
+        "assert typing.get_type_hints(r.tet_symbol)['return'] is CycNumber")
+    assert "tvgenus.cyclotomic" in hints
+
+
 def test_package_import_loads_no_submodule():
     loaded = _loaded_by("import tvgenus")
     assert not [m for m in loaded if m.startswith("tvgenus.")]
