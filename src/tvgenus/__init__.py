@@ -14,9 +14,9 @@ _HOMES = {
                    "quantum_integer", "tet_symbol", "tet_symbol_f", "theta",
                    "theta_f"),
     "verify": ("verify_identities", "tv_anchor_checks"),
-    "complex3": ("GluingParseError", "PachnerError", "Triangulation",
-                 "TriangulationError", "format_gluing_file", "pachner_23",
-                 "parse_gluing_file"),
+    "complex3": ("Triangulation", "TriangulationError"),
+    "gluing": ("GluingParseError", "PachnerError", "format_gluing_file",
+               "pachner_23", "parse_gluing_file"),
     "isosig": ("IsoSigError", "decode_isosig", "encode_isosig"),
     "homology": ("H1Summary", "IntMatrix", "boundary_matrices", "format_h1",
                  "h1", "h1_from_matrices", "parse_h1", "smith_normal_form"),

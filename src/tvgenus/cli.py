@@ -18,8 +18,6 @@ import sys
 from typing import NamedTuple
 
 from . import __version__
-from .complex3 import parse_gluing_file
-from .fixtures import fixture, fixture_names
 from .genus import (ScreenRecord, screen, screen_record, trivial_exclusions,
                     PAPER_MODE_R, PAPER_MODE_THRESHOLD)
 from .homology import format_h1, h1, parse_h1
@@ -151,11 +149,15 @@ def _emit(report: Report, fmt: str, out) -> None:
 # --------------------------------------------------------------------------
 
 def _load_triangulation(args):
+    """The input triangulation, its name and its signature if it has one;
+    each source loads only the module that reads it."""
     if args.fixture_name is not None:
+        from .fixtures import fixture
         return fixture(args.fixture_name), args.fixture_name, None
     if args.isosig is not None:
         return (decode_isosig(args.isosig, name=args.isosig),
                 args.isosig, args.isosig)
+    from .gluing import parse_gluing_file
     with open(args.input_path, "r", encoding="utf-8") as fh:
         text = fh.read()
     name = os.path.basename(args.input_path)
@@ -235,9 +237,9 @@ def cmd_verify(args, out) -> int:
 
 
 def _provenance(args) -> dict:
-    p = {"tool": "tvgenus", "version": __version__, "r": args.r}
-    # mode: compute and screen only; threshold: screen only
-    for key in ("mode", "threshold"):
+    p = {"tool": "tvgenus", "version": __version__}
+    # r and mode: compute and screen only; threshold: screen only
+    for key in ("r", "mode", "threshold"):
         value = getattr(args, key, None)
         if value is not None:
             p[key] = value
@@ -261,19 +263,21 @@ def _checked(convert, rule: str, ok):
     return parse
 
 
-def _is_fixture(name: str) -> bool:
-    """Whether fixture() builds the name; a bad L(p,q) raises ValueError."""
+def _fixture(name: str) -> str:
+    """The argparse type of --fixture: a name that fixture() builds (a bad
+    L(p,q) raises ValueError).  The fixtures load only when one is named."""
+    from .fixtures import fixture, fixture_names
     try:
         fixture(name)
-    except KeyError:
-        return False
-    return True
+        return name
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"must be one of {', '.join(fixture_names())} or L(p,q) with "
+            f"p >= 2 and gcd(p, q) = 1, got {name!r}") from None
 
 
 _LEVEL = _checked(int, "an integer at least 3", lambda v: v >= 3)
 _POSITIVE = _checked(float, "a positive number", lambda v: v > 0)
-_FIXTURE = _checked(str, f"one of {', '.join(fixture_names())} or L(p,q) "
-                    "with p >= 2 and gcd(p, q) = 1", _is_fixture)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,13 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "census screening for closed 3-manifold triangulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, run, about, report=True, search=False,
+    def add_command(name, run, about, level=True, report=True, search=False,
                     with_input=False):
         # no abbreviations: verify's --r-max must not take --r
         p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.set_defaults(run=run)
-        if report:  # a report of one level, in a chosen format
+        if level:
             p.add_argument("--r", type=_LEVEL, default=5, help="level r >= 3")
+        if report:  # a report in a chosen format
             p.add_argument("--format", dest="fmt",
                            choices=("text", "csv", "json"), default="text")
         if search:
@@ -307,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
             source.add_argument("--isosig",
                                 help="isomorphism signature literal")
             source.add_argument("--fixture", dest="fixture_name",
-                                type=_FIXTURE,
+                                type=_fixture,
                                 help="built-in fixture, or the lens space "
                                      "L(p,q)")
         return p
@@ -321,9 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_screen.add_argument("--threshold", type=_POSITIVE, default=None)
     p_screen.add_argument("--paper-mode", action="store_true",
                           help="r=5, threshold 7.235, flag column")
-    add_command("homology", cmd_homology, with_input=True,
+    add_command("homology", cmd_homology, level=False, with_input=True,
                 about="first homology")
-    p_verify = add_command("verify", cmd_verify, report=False,
+    p_verify = add_command("verify", cmd_verify, level=False, report=False,
                            about="self-verification suite")
     p_verify.add_argument("--r-max", dest="r_max", type=_LEVEL, default=5)
     return parser

@@ -3,11 +3,20 @@
 zeta is a primitive 2r-th root of unity, so the field is Q[x]/(Phi_{2r}(x))
 with Phi_{2r} the 2r-th cyclotomic polynomial.  An element is a polynomial
 in zeta of degree below deg Phi_{2r}, stored as an integer numerator vector
-over one positive integer denominator.  Multiplication is an integer
-convolution followed by reduction with the integral rows of x^k mod
-Phi_{2r}; the inverse is the product of the other Galois conjugates over
-the norm.  No rational arithmetic runs inside: Fraction appears only at the
-edges, in the constructor and in the coeffs view.
+over one positive integer denominator.  Each level's _Field generates one
+straight-line product for its degree d: the d^2 integer products of the
+convolution, and its reduction by the integral rows of x^k mod Phi_{2r}
+with their constants folded in, as one Python function with no loop and no
+branch.  CycNumber.__mul__ is the one entry point to it.  The inverse is
+the product of the other Galois conjugates over the norm.
+
+No rational arithmetic runs inside, and an element built from integers
+never loads the fractions module: equality, hashing, division by an
+integer, the printed form and the complex embedding all work on the
+integers.  Fraction appears only at the edges: in the constructor (whose
+coefficients may be any value Fraction takes), in from_rational of a value
+that is neither an int nor a Fraction, and in the coeffs and to_rational
+views, which return Fractions.
 
 This one type carries every exact quantity the recoupling theory produces
 at q = e^(i*pi/r): quantum integers, theta- and tetrahedral symbols, and
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd
 
@@ -43,8 +52,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 class _Field:
     """Integral data for Q[x]/(Phi_{2r}), shared by every CycNumber at level
-    r: reduction rows, zeta powers and the exponents of the Galois
-    automorphisms zeta -> zeta^k."""
+    r: reduction rows, zeta powers, the exponents of the Galois
+    automorphisms zeta -> zeta^k, and mul, the level's generated product of
+    two numerator vectors."""
 
     def __init__(self, r: int):
         if r < 3:
@@ -66,6 +76,7 @@ class _Field:
             cur = self._shift(cur)
         self.units = [k for k in range(2, self.n) if gcd(k, self.n) == 1]
         self.zeta_complex = cmath.exp(1j * math.pi / r)
+        self.mul = self._product()
 
     def _shift(self, coeffs: list[int]) -> list[int]:
         """x * coeffs, reduced."""
@@ -74,6 +85,44 @@ class _Field:
         if lead:
             out = [a + lead * t for a, t in zip(out, self.rows[0])]
         return out
+
+    def _product(self):
+        """The product of two numerator vectors as one generated function:
+        h_k, the convolution's coefficient of x^k for k >= d, then each
+        output coefficient as the convolution's coefficient plus the h_k
+        times the entries of their rows, a 1 or -1 written as + or -, a 0
+        left out.  For Phi_10 (d = 4; x^4 = x^3 - x^2 + x - 1, x^5 = -1
+        and x^6 = -x):
+
+            a0, a1, a2, a3, = a
+            b0, b1, b2, b3, = b
+            h4 = a1 * b3 + a2 * b2 + a3 * b1
+            h5 = a2 * b3 + a3 * b2
+            h6 = a3 * b3
+            return (a0 * b0 - h4 - h5, a0 * b1 + a1 * b0 + h4 - h6, ...)"""
+        d = self.degree
+
+        def conv(k):  # the convolution's coefficient of x^k
+            return " + ".join(f"a{i} * b{k - i}"
+                              for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
+
+        out = []
+        for i in range(d):
+            terms = [conv(i)]
+            for k in range(d, 2 * d - 1):
+                c = self.rows[k - d][i]
+                terms.append("" if not c else f" + h{k}" if c == 1 else
+                             f" - h{k}" if c == -1 else f" + {c} * h{k}")
+            out.append("".join(terms))
+        lines = ["def mul(a, b):",
+                 "    " + "".join(f"a{i}, " for i in range(d)) + "= a",
+                 "    " + "".join(f"b{i}, " for i in range(d)) + "= b",
+                 *(f"    h{k} = {conv(k)}" for k in range(d, 2 * d - 1)),
+                 "    return (" + "".join(f"{x}, " for x in out) + ")"]
+        namespace: dict = {}
+        exec(compile("\n".join(lines), f"<Q(zeta_{self.n}) product>", "exec"),
+             namespace)
+        return namespace["mul"]
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +137,22 @@ def _make(f: _Field, num, den: int = 1) -> "CycNumber":
     x.num = tuple(num)
     x.den = den
     return x
+
+
+def _rational(value):
+    """(numerator, denominator) of an int or a Fraction, else None.  A
+    Fraction exists only once its module is loaded, so this loads none."""
+    if isinstance(value, int):
+        return value.numerator, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return value.numerator, value.denominator
+    return None
+
+
+# a product or quotient whose denominator passes this many bits is reduced:
+# numbers stay small without paying gcd on every step
+_REDUCE_BITS = 128
 
 
 class CycNumber:
@@ -105,6 +170,7 @@ class CycNumber:
     __slots__ = ("f", "num", "den")
 
     def __init__(self, level: int, coeffs):
+        from fractions import Fraction  # the constructor is an edge
         f = _field(level)
         if len(coeffs) != f.degree:
             raise ValueError("coefficient vector has wrong length")
@@ -119,7 +185,9 @@ class CycNumber:
         return self.f.r
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple:
+        """The coefficients of 1, zeta, zeta^2, ... as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(n, self.den) for n in self.num)
 
     # --- constructors -----------------------------------------------------
@@ -133,10 +201,16 @@ class CycNumber:
 
     @staticmethod
     def from_rational(level: int, value) -> "CycNumber":
-        value = Fraction(value)
+        """value, an int, a Fraction or anything Fraction takes, at level."""
         f = _field(level)
-        return _make(f, (value.numerator,) + (0,) * (f.degree - 1),
-                     value.denominator)
+        ratio = _rational(value)
+        if ratio is None:
+            from fractions import Fraction
+            value = Fraction(value)
+            ratio = value.numerator, value.denominator
+        num, den = ratio
+        g = gcd(num, den)
+        return _make(f, (num // g,) + (0,) * (f.degree - 1), den // g)
 
     @staticmethod
     def zeta_power(level: int, k: int) -> "CycNumber":
@@ -181,33 +255,13 @@ class CycNumber:
     def __mul__(self, other):
         f = self.f
         if other.__class__ is not CycNumber or other.f is not f:
-            if isinstance(other, (int, Fraction)):
+            if _rational(other) is not None:
                 other = CycNumber.from_rational(f.r, other)
             else:
                 self._check(other)
-        d = f.degree
-        a, b = self.num, other.num
-        conv = [0] * (2 * d - 1)
-        for i in range(d):
-            x = a[i]
-            if x:
-                for j in range(d):
-                    y = b[j]
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = f.rows[k - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        res = _make(f, out, self.den * other.den)
-        # keep numbers small without paying gcd on every step
-        if res.den.bit_length() > 128:
-            return res.normalized()
-        return res
+        x = object.__new__(CycNumber)
+        x.f, x.num, x.den = f, f.mul(self.num, other.num), self.den * other.den
+        return x.normalized() if x.den.bit_length() > _REDUCE_BITS else x
 
     __rmul__ = __mul__
 
@@ -237,10 +291,16 @@ class CycNumber:
                      rest.den * norm.num[0]).normalized()
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        ratio = _rational(other)
+        if ratio is not None:
+            # by n/d: the numerators times d over the denominator times n
+            n, d = ratio
+            if n == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / Fraction(other))
+            if n < 0:
+                n, d = -n, -d
+            x = _make(self.f, [c * d for c in self.num], self.den * n)
+            return x.normalized() if x.den.bit_length() > _REDUCE_BITS else x
         self._check(other)
         return self * other.inverse()
 
@@ -261,8 +321,10 @@ class CycNumber:
         return not any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(self.f.r, other)
+        ratio = _rational(other)
+        if ratio is not None:
+            return (not any(self.num[1:])
+                    and self.num[0] * ratio[1] == ratio[0] * self.den)
         if not isinstance(other, CycNumber):
             return NotImplemented
         if other.f is not self.f:
@@ -273,11 +335,16 @@ class CycNumber:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        """A rational element hashes like the Fraction it equals."""
-        if not any(self.num[1:]):
-            return hash(Fraction(self.num[0], self.den))
+        """A rational element n/d hashes like the Fraction it equals: by
+        Python's rule for rationals, |n| times the inverse of d modulo the
+        hash modulus P, with n's sign (inf where P divides d)."""
         a = self.normalized()
-        return hash((self.f.r, a.num, a.den))
+        if any(a.num[1:]):
+            return hash((self.f.r, a.num, a.den))
+        n, d = a.num[0], a.den
+        P = sys.hash_info.modulus
+        h = sys.hash_info.inf if d % P == 0 else abs(n) * pow(d, -1, P) % P
+        return hash(-h if n < 0 else h)
 
     def conjugate(self) -> "CycNumber":
         """Complex conjugation, i.e. the field automorphism zeta -> zeta^(2r-1)."""
@@ -287,18 +354,21 @@ class CycNumber:
         """Exact test: fixed by complex conjugation."""
         return self == self.conjugate()
 
-    def to_rational(self) -> Fraction:
-        """The rational number this element is; ValueError if it is not
-        rational."""
+    def to_rational(self):
+        """The rational number this element is, as a Fraction; ValueError
+        if it is not rational."""
         if any(self.num[1:]):
             raise ValueError("element is not rational")
+        from fractions import Fraction
         return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
-        z = self.f.zeta_complex
+        """The embedding zeta -> e^(i*pi/r), by Horner's rule over the
+        coefficients, each the correctly rounded quotient num[k] / den."""
+        z, den = self.f.zeta_complex, self.den
         out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + complex(c)
+        for n in reversed(self.num):
+            out = out * z + complex(n / den)
         return out
 
     def to_float(self) -> float:
@@ -311,17 +381,21 @@ class CycNumber:
         return f"CycNumber(r={self.level}, {self})"
 
     def __str__(self):
+        """The sum of the nonzero terms c*z^k, each c in lowest terms."""
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        den = self.den
+        for k, n in enumerate(self.num):
+            if not n:
                 continue
+            g = gcd(n, den)
+            c = f"{n // g}" if g == den else f"{n // g}/{den // g}"
             if k == 0:
-                terms.append(str(c))
+                terms.append(c)
             else:
                 mon = "z" if k == 1 else f"z^{k}"
-                if c == 1:
+                if n == den:
                     terms.append(mon)
-                elif c == -1:
+                elif n == -den:
                     terms.append(f"-{mon}")
                 else:
                     terms.append(f"{c}*{mon}")

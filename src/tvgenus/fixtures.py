@@ -1,7 +1,7 @@
 """Built-in triangulations for tests, anchors and offline CLI runs.
 
 The two-tetrahedron manifolds ship as gluing tables in the text format of
-complex3.parse_gluing_file (doubling as format examples); the larger ones
+gluing.parse_gluing_file (doubling as format examples); the larger ones
 ship as isomorphism signatures produced by this package's own canonical
 encoder.  tools/make_fixtures.py regenerates everything from scratch and
 re-verifies the identifications (homology, orientability, invariant values).
@@ -13,7 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .complex3 import Triangulation, parse_gluing_file
+from .complex3 import Triangulation
+from .gluing import parse_gluing_file
 from .isosig import decode_isosig
 
 _GLUING_FIXTURES = {

@@ -43,15 +43,29 @@ def _decode_int(digits: list[int]) -> int:
     return sum(v << (6 * i) for i, v in enumerate(digits))
 
 
-def _candidate(tri: Triangulation, start: int, vperm: Perm) -> str:
-    """Signature candidate for the traversal rooted at (start, vperm)."""
+def _candidate(tri: Triangulation, start: int, vperm: Perm,
+               best: str | None = None) -> str | None:
+    """Signature candidate for the traversal rooted at (start, vperm); None
+    as soon as a facet-action character it writes compares above best's
+    character at that place, all before it being equal, since the candidate
+    then compares above best."""
     n = tri.size
+    if n < 63:
+        header = SIG_CHARS[n]
+        nchars = 1
+    else:
+        nchars = 1
+        while n >= (1 << (6 * nchars)):
+            nchars += 1
+        header = SIG_CHARS[63] + SIG_CHARS[nchars] + _encode_int(n, nchars)
     image = [-1] * n
     vmap: list[Perm | None] = [None] * n
     preimage = [start]
     image[start] = 0
     vmap[start] = vperm
-    facet_actions: list[int] = []
+    actions: list[str] = []  # the facet-action characters, 3 actions each
+    bits = count = 0  # the actions of the character being written
+    tied = best is not None  # every character so far equals best's
     join_dests: list[int] = []
     join_gluings: list[int] = []
     glued = [[False] * 4 for _ in range(n)]
@@ -68,14 +82,14 @@ def _candidate(tri: Triangulation, start: int, vperm: Perm) -> str:
             if image[t2_old] < 0:
                 # first visit: relabel the neighbour so the gluing reads as
                 # the identity, and record only the action
-                facet_actions.append(1)
+                bits |= 1 << (2 * count)
                 image[t2_old] = len(preimage)
                 vmap[t2_old] = perm_compose(vmap[t_old], perm_inverse(p))
                 preimage.append(t2_old)
                 glued[label][f_new] = True
                 glued[image[t2_old]][f_new] = True
             else:
-                facet_actions.append(2)
+                bits |= 2 << (2 * count)
                 dest = image[t2_old]
                 ghat = perm_compose(vmap[t2_old],
                                     perm_compose(p, perm_inverse(vmap[t_old])))
@@ -83,35 +97,33 @@ def _candidate(tri: Triangulation, start: int, vperm: Perm) -> str:
                 join_gluings.append(PERM_INDEX[ghat])
                 glued[label][f_new] = True
                 glued[dest][ghat[f_new]] = True
+            count += 1
+            if count == 3:
+                char = SIG_CHARS[bits]
+                if tied:
+                    theirs = best[len(header) + len(actions)]
+                    if char > theirs:
+                        return None
+                    tied = char == theirs
+                actions.append(char)
+                bits = count = 0
         label += 1
-
-    if n < 63:
-        parts = [SIG_CHARS[n]]
-        nchars = 1
-    else:
-        nchars = 1
-        while n >= (1 << (6 * nchars)):
-            nchars += 1
-        parts = [SIG_CHARS[63], SIG_CHARS[nchars], _encode_int(n, nchars)]
-    for i in range(0, len(facet_actions), 3):
-        v = 0
-        for j, a in enumerate(facet_actions[i:i + 3]):
-            v |= a << (2 * j)
-        parts.append(SIG_CHARS[v])
-    for d in join_dests:
-        parts.append(_encode_int(d, nchars))
-    for g in join_gluings:
-        parts.append(SIG_CHARS[g])
-    return "".join(parts)
+    if count:
+        actions.append(SIG_CHARS[bits])
+    return "".join([header, *actions,
+                    *(_encode_int(d, nchars) for d in join_dests),
+                    *(SIG_CHARS[g] for g in join_gluings)])
 
 
 def encode_isosig(tri: Triangulation) -> str:
-    """Canonical signature: minimal candidate over all starting labellings."""
+    """Canonical signature: minimal candidate over all starting labellings.
+    A candidate is given up at the first action character that shows it
+    above the least so far."""
     best: str | None = None
     for start in range(tri.size):
         for vperm in PERMS:
-            s = _candidate(tri, start, vperm)
-            if best is None or s < best:
+            s = _candidate(tri, start, vperm, best)
+            if s is not None and (best is None or s < best):
                 best = s
     assert best is not None
     return best

@@ -1,23 +1,27 @@
-"""The float backtracker's compiled form: the search over a plan as
-generated Python, one nested for loop per position.
+"""The float search: the backtracker, interpreted and compiled.
 
-statesum._branches searches position 0's first color in the interpreted
-loop; if that branch entered more than statesum._KERNEL_MIN_ENTERED (300)
-prefixes, it runs the other colors of position 0 in the plan's kernel.
-Compiling a kernel costs more than most census searches take, while the
-rest of a long search enters several times the prefixes of its first
-branch, so 300 sits near the break-even at r=5 and is safe above (ROADMAP
-holds the measurements).  This is a module of its own so that a process
-that runs no such search, such as every exact `tvgenus compute`, does not
-compile the generator.
+Float mode sums by depth-first search over statesum's plan (statesum
+describes the plan, the order of the float operations and why float keeps
+it).  _backtrack_sum adds the partial sums of _branches, one per color of
+position 0, in ascending color order.  _branches searches position 0's
+first color in the interpreted loop, _search_inline; if that branch
+entered more than _KERNEL_MIN_ENTERED (300) prefixes, it runs the other
+colors of position 0 in the plan's kernel, Python source that
+compile_kernel generates for the plan and that makes the same float
+operations in the same order.  Compiling a kernel costs more than most
+census searches take, while the rest of a long search enters several times
+the prefixes of its first branch, so 300 sits near the break-even at r=5
+and is safe above (ROADMAP holds the measurements).  Exact mode sums over
+statesum's frontier instead, so an exact `tvgenus compute` never loads
+this module.
 
 A kernel is one generated function, whose loops nest as deep as the plan
 has positions.  CPython 3.10-3.12 refuse more than 20 statically nested
-blocks, so statesum runs a plan of more than 20 positions
-(_KERNEL_MAX_POSITIONS) interpreted, on every Python, so that the engine a
-search runs in does not depend on the version.  No workload's plan comes
-near, and under the default guard such a search runs only at r=3, whose
-first branch enters fewer than 300 prefixes.
+blocks, so a plan of more than 20 positions (_KERNEL_MAX_POSITIONS) runs
+interpreted, on every Python, so that the engine a search runs in does not
+depend on the version.  No workload's plan comes near, and under the
+default guard such a search runs only at r=3, whose first branch enters
+fewer than 300 prefixes.
 
 Each position's loop holds its color and weight in locals (c3, w3),
 checks the faces in plan order, reads Tet, and sets w3 = w2 * delta[c3] *
@@ -51,12 +55,107 @@ Tet of six step colors do.
 
 from __future__ import annotations
 
-from .statesum import _reads
+from .statesum import _picker, _reads, _step_entries
+
+# a first branch (position 0's first color) that entered more prefixes than
+# this has the other branches searched by the compiled kernel: near the
+# break-even of compile cost and saving at r=5 (see above)
+_KERNEL_MIN_ENTERED = 300
+# the most positions a kernel nests a loop for: CPython 3.10-3.12 compile
+# at most 20 nested blocks, so a deeper plan is searched inline throughout
+_KERNEL_MAX_POSITIONS = 20
+
+
+def _backtrack_sum(lv, plan, every):
+    """The sum over the colorings by depth-first search, and the numbers of
+    entered positions and of leaves: the partial sums of _branches added
+    in ascending color order."""
+    branch, entered, leaves = _branches(lv, plan, every)
+    total = lv.zero
+    for part in branch:  # ascending color order: deterministic floats
+        total += part
+    return total, entered, leaves
+
+
+def _branches(lv, plan, every):
+    """The sums of the colorings by the color of position 0, and the numbers
+    of entered positions and of leaves.  Position 0's first color is
+    searched inline; if that branch entered more than _KERNEL_MIN_ENTERED
+    prefixes and the plan has at most _KERNEL_MAX_POSITIONS positions, its
+    other colors run in the plan's compiled kernel, which makes the same
+    float operations in the same order.  Both add into the same partial
+    sums and read the same last-step table."""
+    table: dict = {}  # the last step's entries by the colors it reads
+    branch = [lv.zero] * len(lv.delta)
+    entered, leaves = _search_inline(lv, plan, every, every[:1], branch, table)
+    if (entered > _KERNEL_MIN_ENTERED
+            and len(plan) <= _KERNEL_MAX_POSITIONS):
+        rest = compile_kernel(plan)(lv, every, every[1:], branch, table)
+    else:
+        rest = _search_inline(lv, plan, every, every[1:], branch, table)
+    return branch, entered + rest[0], leaves + rest[1]
+
+
+def _search_inline(lv, plan, every, firsts, branch, table):
+    """Search the colorings whose position 0 takes a color of firsts, adding
+    each leaf into branch; return the entered positions and the leaves.
+    Each admissible prefix of the last step folds that step's table
+    entries into its branch, leaf by leaf."""
+    delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
+    memo, fill = lv.tet_memo.get, lv.tet
+    last = len(plan) - 1  # closed: E = V + n >= 2, so last >= 1
+    last_reads = _picker(_reads(plan, last))
+    colors = [0] * len(plan)
+    weights = [lv.one] * len(plan)  # weights[k]: product before position k
+    untried = [iter(firsts)] + [None] * last  # colors left at each position
+    entered = leaves = 0
+    k = 0
+    while k >= 0:
+        faces, tets, _ = plan[k]
+        before = weights[k]
+        for c in untried[k]:
+            colors[k] = c
+            w = before * delta[c]
+            for (px, py, pz) in faces:
+                inv = theta_inv[colors[px]][colors[py]][colors[pz]]
+                if inv is None:
+                    break  # prune: the face triple is inadmissible
+                w = w * inv
+            else:
+                for (p0, p1, p2, p3, p4, p5) in tets:
+                    key = (colors[p0], colors[p1], colors[p2], colors[p3],
+                           colors[p4], colors[p5])
+                    val = memo(key)
+                    w = w * (fill(*key) if val is None else val)
+                entered += 1
+                if k < last - 1:
+                    weights[k + 1] = w
+                    k += 1
+                    pair = plan[k][2]
+                    untried[k] = iter(every if pair is None else
+                                      third[colors[pair[0]]][colors[pair[1]]])
+                    break
+                read = last_reads(colors)
+                entries = table.get(read)
+                if entries is None:
+                    entries = table[read] = _step_entries(
+                        lv, every, plan[last], colors, last)
+                leaves += len(entries)
+                part = branch[colors[0]]
+                for _, fs in entries:
+                    leaf = w
+                    for f in fs:
+                        leaf = leaf * f
+                    part += leaf
+                branch[colors[0]] = part
+        else:
+            k -= 1
+    return entered, leaves
 
 
 def compile_kernel(plan):
     """The plan's search as generated Python, with the signature and effect
-    of statesum._search_inline: one nested for loop per position before the
+    of _search_inline: one nested for loop per position before the
     last, its color and its weight in locals (c3, w3).  Each position checks
     its faces in plan order (not a paired step's first face: third admits
     it), reads Tet from a row or the memo, and multiplies delta, the 1/theta

@@ -31,13 +31,11 @@ values, and with them the sign of the rounding noise of a TV that is exactly
 0, which visible outputs read; so float keeps the backtracker until those
 bits are pinned anew.
 
-A long search runs compiled: if position 0's first color, searched in the
-loop above, entered more than _KERNEL_MIN_ENTERED (300) prefixes, its
-other colors are searched in a kernel, Python source that tvgenus.kernel
-generates for the plan and that makes the same float operations in the
-same order; a plan of more than _KERNEL_MAX_POSITIONS (20) positions runs
-interpreted.  tvgenus.kernel describes the kernel, why its bits are the
-same and why the limits are 300 and 20.  No float is summed with sum(),
+The backtracker lives in tvgenus.kernel, which float searches load: a long
+search runs compiled there, in a kernel that tvgenus.kernel generates for
+the plan and that makes the same float operations in the same order.
+tvgenus.kernel describes when a search compiles, why its bits are the same
+and why its limits are what they are.  No float is summed with sum(),
 which compensates rounding from Python 3.12 on, so the bits are the same
 under 3.10 to 3.13.
 
@@ -208,7 +206,9 @@ def _run_split(tri: Triangulation, r: int):
     if tv3.is_zero():
         return tv3.zero(r), visited, leaves
     tv_even, visited_e, leaves_e = _run(tri, r, "exact", even=True)
-    return tv_even * tv3.to_rational(), visited + visited_e, leaves + leaves_e
+    # TV_3 = num[0] / den, its other coefficients being 0
+    return (tv_even * tv3.num[0] / tv3.den, visited + visited_e,
+            leaves + leaves_e)
 
 
 def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
@@ -220,110 +220,15 @@ def _run(tri: Triangulation, r: int, carrier: str, even: bool = False):
     # the color set; a paired step whose pair is even admits only even
     # colors, by parity, so third needs no filter
     every = range(0, len(lv.delta), 2 if even else 1)
-    # float keeps the backtracker, whose order fixes every float bit
-    search = _frontier_sum if carrier == "exact" else _backtrack_sum
+    if carrier == "exact":
+        search = _frontier_sum
+    else:  # float keeps the backtracker, whose order fixes every float bit
+        from .kernel import _backtrack_sum as search
     total, entered, leaves = search(lv, plan, every)
     # every color of the set per entered position, position 0 included
     visited = len(every) * (entered + 1)
     dim = lv.dim_even if even else lv.dim
     return total / dim ** len(tri.vertex_orbits), visited, leaves
-
-
-# a first branch (position 0's first color) that entered more prefixes than
-# this has the other branches searched by the compiled kernel: near the
-# break-even of compile cost and saving at r=5 (see tvgenus.kernel)
-_KERNEL_MIN_ENTERED = 300
-# the most positions a kernel nests a loop for: CPython 3.10-3.12 compile
-# at most 20 nested blocks, so a deeper plan is searched inline throughout
-_KERNEL_MAX_POSITIONS = 20
-
-
-def _backtrack_sum(lv, plan, every):
-    """The sum over the colorings by depth-first search, and the numbers of
-    entered positions and of leaves: the partial sums of _branches added
-    in ascending color order."""
-    branch, entered, leaves = _branches(lv, plan, every)
-    total = lv.zero
-    for part in branch:  # ascending color order: deterministic floats
-        total += part
-    return total, entered, leaves
-
-
-def _branches(lv, plan, every):
-    """The sums of the colorings by the color of position 0, and the numbers
-    of entered positions and of leaves.  Position 0's first color is
-    searched inline; if that branch entered more than _KERNEL_MIN_ENTERED
-    prefixes and the plan has at most _KERNEL_MAX_POSITIONS positions, its
-    other colors run in the plan's compiled kernel, which makes the same
-    float operations in the same order.  Both add into the same partial
-    sums and read the same last-step table."""
-    table: dict = {}  # the last step's entries by the colors it reads
-    branch = [lv.zero] * len(lv.delta)
-    entered, leaves = _search_inline(lv, plan, every, every[:1], branch, table)
-    if (entered > _KERNEL_MIN_ENTERED
-            and len(plan) <= _KERNEL_MAX_POSITIONS):
-        from . import kernel  # loaded only where a search is this long
-        rest = kernel.compile_kernel(plan)(lv, every, every[1:], branch, table)
-    else:
-        rest = _search_inline(lv, plan, every, every[1:], branch, table)
-    return branch, entered + rest[0], leaves + rest[1]
-
-
-def _search_inline(lv, plan, every, firsts, branch, table):
-    """Search the colorings whose position 0 takes a color of firsts, adding
-    each leaf into branch; return the entered positions and the leaves.
-    Each admissible prefix of the last step folds that step's table
-    entries into its branch, leaf by leaf."""
-    delta, theta_inv, third = lv.delta, lv.theta_inv, lv.third
-    memo, fill = lv.tet_memo.get, lv.tet
-    last = len(plan) - 1  # closed: E = V + n >= 2, so last >= 1
-    last_reads = _picker(_reads(plan, last))
-    colors = [0] * len(plan)
-    weights = [lv.one] * len(plan)  # weights[k]: product before position k
-    untried = [iter(firsts)] + [None] * last  # colors left at each position
-    entered = leaves = 0
-    k = 0
-    while k >= 0:
-        faces, tets, _ = plan[k]
-        before = weights[k]
-        for c in untried[k]:
-            colors[k] = c
-            w = before * delta[c]
-            for (px, py, pz) in faces:
-                inv = theta_inv[colors[px]][colors[py]][colors[pz]]
-                if inv is None:
-                    break  # prune: the face triple is inadmissible
-                w = w * inv
-            else:
-                for (p0, p1, p2, p3, p4, p5) in tets:
-                    key = (colors[p0], colors[p1], colors[p2], colors[p3],
-                           colors[p4], colors[p5])
-                    val = memo(key)
-                    w = w * (fill(*key) if val is None else val)
-                entered += 1
-                if k < last - 1:
-                    weights[k + 1] = w
-                    k += 1
-                    pair = plan[k][2]
-                    untried[k] = iter(every if pair is None else
-                                      third[colors[pair[0]]][colors[pair[1]]])
-                    break
-                read = last_reads(colors)
-                entries = table.get(read)
-                if entries is None:
-                    entries = table[read] = _step_entries(
-                        lv, every, plan[last], colors, last)
-                leaves += len(entries)
-                part = branch[colors[0]]
-                for _, fs in entries:
-                    leaf = w
-                    for f in fs:
-                        leaf = leaf * f
-                    part += leaf
-                branch[colors[0]] = part
-        else:
-            k -= 1
-    return entered, leaves
 
 
 def _reads(plan, k):

@@ -7,8 +7,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .complex3 import pachner_23
 from .fixtures import fixture
+from .gluing import pachner_23
 from .homology import format_h1, h1
 from .recoupling import _tet, admissible, tables, theta
 from .statesum import tv_invariant

@@ -30,7 +30,13 @@ formulas or search machinery:
 * TV of a lens space as |RT|^2 (Turaev-Walker; Roberts, Topology 34,
   1995), with RT(L(p,q)) from the modular S and T matrices of SU(2) at
   level r (Jeffrey, CMP 147, 1992), which shares no convention with the
-  state sum.
+  state sum;
+* the exact product of Q(zeta_2r) as a schoolbook loop over the package's
+  reduction rows (schoolbook_mul), which the generated product must equal;
+* the exhaustive signature encoder (exhaustive_isosig), which writes every
+  candidate in full and keeps the least, against which the encoder's early
+  give-up is checked; it shares the package's signature alphabet and
+  permutation tables by design.
 
 The loop value used by the diagram algebra is -2cos(pi/r), matching the
 signed dimension convention (a closed strand of color n evaluates to
@@ -45,7 +51,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from tvgenus.complex3 import PERM_INDEX, PERMS, perm_compose, perm_inverse
 from tvgenus.cyclotomic import cyclotomic_polynomial
+from tvgenus.isosig import SIG_CHARS, _encode_int
 
 # --------------------------------------------------------------------------
 # Temperley-Lieb diagrams
@@ -794,3 +802,106 @@ def lens_tv(p: int, q: int, r: int) -> float:
         row = [sum(row[i] * S[i][j] for i in range(n)) for j in range(n)]
         x, y = y, a * y - x
     return abs(row[0]) ** 2
+
+
+# --------------------------------------------------------------------------
+# the exact product as a schoolbook loop
+# --------------------------------------------------------------------------
+
+
+def schoolbook_mul(f, a, b) -> tuple[int, ...]:
+    """The product of two numerator vectors of the field f
+    (tvgenus.cyclotomic._Field) by loops: the convolution, skipping zero
+    coefficients, then each coefficient of x^k for k >= d times the row of
+    x^k mod Phi added in.  The generated product must equal it."""
+    d = f.degree
+    conv = [0] * (2 * d - 1)
+    for i in range(d):
+        x = a[i]
+        if x:
+            for j in range(d):
+                y = b[j]
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:d]
+    for k in range(d, 2 * d - 1):
+        c = conv[k]
+        if c:
+            row = f.rows[k - d]
+            for i in range(d):
+                if row[i]:
+                    out[i] += c * row[i]
+    return tuple(out)
+
+
+# --------------------------------------------------------------------------
+# isomorphism signatures, every candidate in full
+# --------------------------------------------------------------------------
+
+
+def _isosig_candidate(tri, start: int, vperm) -> str:
+    """Signature candidate for the traversal rooted at (start, vperm)."""
+    n = tri.size
+    image = [-1] * n
+    vmap: list = [None] * n
+    preimage = [start]
+    image[start] = 0
+    vmap[start] = vperm
+    facet_actions: list[int] = []
+    join_dests: list[int] = []
+    join_gluings: list[int] = []
+    glued = [[False] * 4 for _ in range(n)]
+
+    label = 0
+    while label < len(preimage):
+        t_old = preimage[label]
+        inv = perm_inverse(vmap[t_old])
+        for f_new in range(4):
+            if glued[label][f_new]:
+                continue
+            f_old = inv[f_new]
+            t2_old, p = tri.gluing(t_old, f_old)
+            if image[t2_old] < 0:
+                # first visit: relabel the neighbour so the gluing reads as
+                # the identity, and record only the action
+                facet_actions.append(1)
+                image[t2_old] = len(preimage)
+                vmap[t2_old] = perm_compose(vmap[t_old], perm_inverse(p))
+                preimage.append(t2_old)
+                glued[label][f_new] = True
+                glued[image[t2_old]][f_new] = True
+            else:
+                facet_actions.append(2)
+                dest = image[t2_old]
+                ghat = perm_compose(vmap[t2_old],
+                                    perm_compose(p, perm_inverse(vmap[t_old])))
+                join_dests.append(dest)
+                join_gluings.append(PERM_INDEX[ghat])
+                glued[label][f_new] = True
+                glued[dest][ghat[f_new]] = True
+        label += 1
+
+    if n < 63:
+        parts = [SIG_CHARS[n]]
+        nchars = 1
+    else:
+        nchars = 1
+        while n >= (1 << (6 * nchars)):
+            nchars += 1
+        parts = [SIG_CHARS[63], SIG_CHARS[nchars], _encode_int(n, nchars)]
+    for i in range(0, len(facet_actions), 3):
+        v = 0
+        for j, a in enumerate(facet_actions[i:i + 3]):
+            v |= a << (2 * j)
+        parts.append(SIG_CHARS[v])
+    for d in join_dests:
+        parts.append(_encode_int(d, nchars))
+    for g in join_gluings:
+        parts.append(SIG_CHARS[g])
+    return "".join(parts)
+
+
+def exhaustive_isosig(tri) -> str:
+    """The least of all 24n candidates, each written in full."""
+    return min(_isosig_candidate(tri, start, vperm)
+               for start in range(tri.size) for vperm in PERMS)

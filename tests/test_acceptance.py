@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.genus import genus_lower_bound, screen
+from tvgenus.gluing import pachner_23
 from tvgenus.homology import boundary_matrices, format_h1, h1, parse_h1
 from tvgenus.recoupling import global_dim
 from tvgenus.statesum import SearchLimits, tv_invariant

@@ -10,9 +10,9 @@ import pytest
 import tvgenus
 from tvgenus.cli import (Report, main, report_from_csv, report_from_json,
                          report_to_csv, report_to_json)
-from tvgenus.complex3 import format_gluing_file
 from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_isosig
 from tvgenus.genus import FLAG_DISCLAIMER, screen_record
+from tvgenus.gluing import format_gluing_file
 from tvgenus.homology import format_h1, parse_h1
 from tvgenus.isosig import encode_isosig
 
@@ -84,6 +84,8 @@ USAGE_ERRORS = [
     pytest.param(["homology", "--fixture", "rp3", "--threads", "1"],
                  "unrecognized arguments: --threads 1",
                  id="homology-threads"),
+    pytest.param(["homology", "--fixture", "rp3", "--r", "5"],
+                 "unrecognized arguments: --r 5", id="homology-r"),
     pytest.param(["verify", "--r", "5"], "unrecognized arguments: --r 5",
                  id="verify-r"),
     pytest.param(["verify", "--r-max", "2"],
@@ -112,7 +114,7 @@ def test_compute_isosig_t3(capsys):
 
 def _sphere_of_64_tetrahedra():
     # the triangulation of test_isosig's multibyte size header test
-    from tvgenus.complex3 import pachner_23
+    from tvgenus.gluing import pachner_23
     tri = fixture("s3")
     while tri.size < 64:
         face = next(f.index for f in tri.face_orbits
@@ -193,6 +195,20 @@ def test_homology_command(capsys):
         code, out, _ = run_cli(capsys, "homology", "--fixture", name)
         assert code == 0
         assert out.strip() == want
+
+
+def test_homology_reports_no_level(capsys):
+    # homology computes at no level, so its report names none
+    code, out, _ = run_cli(capsys, "homology", "--fixture", "q8",
+                           "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and "r" not in data["provenance"]
+    assert data["records"][0]["r"] is None
+    assert data["records"][0]["h1"] == "2 Z_2"
+    code, out, _ = run_cli(capsys, "homology", "--fixture", "q8",
+                           "--format", "csv")
+    assert code == 0 and out.splitlines()[1] == "q8,,,,,,2 Z_2,2,0,"
+    assert report_from_csv(out).provenance == {}
 
 
 def test_compute_deterministic(capsys):

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from tvgenus.complex3 import (EDGES, FACE_SIDES, FACE_VERTS, GluingParseError,
-                              PachnerError, Triangulation, TriangulationError,
-                              format_gluing_file, pachner_23,
-                              parse_gluing_file, perm_inverse)
+from tvgenus.complex3 import (EDGES, FACE_SIDES, FACE_VERTS, Triangulation,
+                              TriangulationError, perm_inverse)
 from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_names
+from tvgenus.gluing import (GluingParseError, PachnerError, format_gluing_file,
+                            pachner_23, parse_gluing_file)
 from tvgenus.homology import boundary_matrices, h1
 from tvgenus.isosig import encode_isosig
 

@@ -3,12 +3,14 @@ Fraction-coefficient oracle (tests/oracles.py)."""
 
 import cmath
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import FracCyc
+from oracles import FracCyc, schoolbook_mul
 from tvgenus.cyclotomic import CycNumber, _field, _make, cyclotomic_polynomial
 
 
@@ -221,3 +223,87 @@ def test_str_and_repr():
     x = CycNumber(5, [1, 0, -2, Fraction(1, 2)])
     assert str(x) == "1 - 2*z^2 + 1/2*z^3"
     assert str(CycNumber.zero(5)) == "0"
+
+
+# --- the generated product and the integer paths -----------------------------
+
+def _seeded(rng, f, density, bits):
+    """An element of the field f: each numerator nonzero with probability
+    density, of up to bits bits, over a denominator of up to bits bits."""
+    num = [rng.randint(-2 ** bits, 2 ** bits) if rng.random() < density
+           else 0 for _ in range(f.degree)]
+    return _make(f, num, rng.randint(1, 2 ** bits))
+
+
+@pytest.mark.parametrize("r", [*range(3, 13), 24])
+def test_generated_product_equals_the_schoolbook_loop(r):
+    f, rng = _field(r), random.Random(r)
+    for density in (1.0, 0.3, 0.05):
+        for bits in (6, 40, 90):  # 90: the product's denominator passes 128
+            for _ in range(8):
+                x, y = _seeded(rng, f, density, bits), _seeded(rng, f, 0.5, bits)
+                num = schoolbook_mul(f, x.num, y.num)
+                assert f.mul(x.num, y.num) == num
+                want = _make(f, num, x.den * y.den)
+                if want.den.bit_length() > 128:
+                    want = want.normalized()
+                got = x * y
+                assert (got.num, got.den) == (want.num, want.den)
+
+
+def _fraction_str(x):
+    """CycNumber.__str__ as written over Fraction coefficients."""
+    terms = []
+    for k, c in enumerate(Fraction(n, x.den) for n in x.num):
+        if c == 0:
+            continue
+        mon = "z" if k == 1 else f"z^{k}"
+        terms.append(str(c) if k == 0 else mon if c == 1 else
+                     f"-{mon}" if c == -1 else f"{c}*{mon}")
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def _fraction_complex(x):
+    out = 0j
+    for n in reversed(x.num):
+        out = out * x.f.zeta_complex + complex(Fraction(n, x.den))
+    return out
+
+
+@pytest.mark.parametrize("r", [3, 5, 6, 7, 12])
+def test_integer_paths_equal_the_fraction_ones(r):
+    f, rng = _field(r), random.Random(100 + r)
+    modulus = sys.hash_info.modulus
+    rational = [_make(f, (n,) + (0,) * (f.degree - 1), d) for n, d in (
+        (0, 5), (6, 4), (-6, 4), (7, 1), (-1, 1), (3, modulus),
+        (-2 * modulus, 6 * modulus), (5, modulus * 2 ** 70), (1, 2 ** 200))]
+    for x in rational + [_seeded(rng, f, p, b) for p in (1.0, 0.4)
+                         for b in (3, 70) for _ in range(6)]:
+        scaled = _make(f, [3 * n for n in x.num], 3 * x.den)  # unreduced
+        assert str(x) == str(scaled) == _fraction_str(x)
+        assert x.to_complex() == _fraction_complex(x)
+        assert hash(x) == hash(scaled)
+        if not any(x.num[1:]):
+            value = Fraction(x.num[0], x.den)
+            assert hash(x) == hash(value)
+            assert x == value and x == scaled and scaled == value
+            assert (x == value + 1) is False
+            if value.denominator == 1:
+                assert x == value.numerator
+        else:
+            assert x == scaled and x != Fraction(x.num[0], x.den)
+
+
+def test_from_rational_takes_what_fraction_takes():
+    assert CycNumber.from_rational(5, "-6/8") == Fraction(-3, 4)
+    assert CycNumber.from_rational(5, 0.5).den == 2
+
+
+def test_division_by_an_integer_scales_the_denominator():
+    x = _seeded(random.Random(7), _field(7), 1.0, 20)
+    for n in (3, -4, 2 ** 130):
+        assert x / n * n == x
+        assert x / n == x * Fraction(1, n) == x / Fraction(n)
+    assert (x / Fraction(-2, 3)).den > 0
+    assert x / Fraction(-2, 3) == x * Fraction(-3, 2)
+

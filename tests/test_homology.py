@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tvgenus.complex3 import pachner_23
 from tvgenus.fixtures import fixture
+from tvgenus.gluing import pachner_23
 from tvgenus.homology import (H1Summary, IntMatrix, boundary_matrices,
                               format_h1, h1, h1_from_matrices, parse_h1,
                               rank_and_torsion, smith_normal_form)

@@ -15,6 +15,8 @@ from tvgenus.homology import format_h1, h1
 from tvgenus.isosig import (IsoSigError, _candidate, decode_isosig,
                             encode_isosig)
 
+import oracles
+
 PERMS = list(itertools.permutations(range(4)))
 CENSUS = Path(__file__).parents[1] / "perfbench" / "data" / "census.txt"
 
@@ -27,6 +29,15 @@ def test_roundtrip_all_fixtures():
         assert encode_isosig(back) == sig  # encode o decode is the identity
         assert back.counts() == tri.counts()
         assert h1(back) == h1(tri)
+
+
+def test_early_give_up_keeps_the_least_candidate():
+    # every fixture and every lens space L(p,q) with p < 20
+    tris = [fixture(name) for name in fixture_names()]
+    tris += [fixture(f"L({p},{q})") for p in range(2, 20)
+             for q in range(1, p) if math.gcd(p, q) == 1]
+    for tri in tris:
+        assert encode_isosig(tri) == oracles.exhaustive_isosig(tri), tri
 
 
 def test_shipped_signatures_are_canonical():
@@ -127,7 +138,7 @@ def _closed_length(n):
 def _sphere_64():
     """A sphere grown by 2-3 moves beyond 62 tetrahedra, so that its
     signature needs the extended size header."""
-    from tvgenus.complex3 import pachner_23
+    from tvgenus.gluing import pachner_23
     tri = fixture("s3")
     while tri.size < 64:
         face = next(f.index for f in tri.face_orbits

@@ -23,16 +23,31 @@ def _loaded_by(statement: str) -> set[str]:
     return set(json.loads(out))
 
 
+# what an exact compute from a signature does not run: rational arithmetic,
+# the fixtures, the gluing-file reader and the float search
+NOT_RUN_BY_EXACT_COMPUTE = {"fractions", "decimal", "tvgenus.fixtures",
+                            "tvgenus.gluing", "tvgenus.kernel"}
+
+
+def _cli_run(*argv: str) -> str:
+    """A statement that runs tvgenus.cli.main(argv), its output discarded,
+    and asserts that it succeeds."""
+    return ("import io, tvgenus.cli; keep, sys.stdout = sys.stdout, "
+            f"io.StringIO(); rc = tvgenus.cli.main({list(argv)!r}); "
+            "sys.stdout = keep; assert rc == 0")
+
+
 def test_cli_import_loads_only_what_compute_runs():
     loaded = _loaded_by("import tvgenus.cli")
     assert "tvgenus.statesum" in loaded
     assert not loaded & {"dataclasses", "csv", "tvgenus.verify",
-                         "tvgenus.kernel"}
+                         *NOT_RUN_BY_EXACT_COMPUTE}
 
 
 def test_float_screen_loads_no_exact_arithmetic():
     # only an exact carrier builds CycNumbers, so a float screen loads
-    # neither their module nor fractions, and an exact compute loads both
+    # neither their module nor fractions; an exact compute loads their
+    # module, and it too leaves fractions unloaded
     exact = {"tvgenus.cyclotomic", "fractions"}
     screened = _loaded_by(
         "import tvgenus.cli; from tvgenus.fixtures import fixture_isosig; "
@@ -43,7 +58,30 @@ def test_float_screen_loads_no_exact_arithmetic():
         "import tvgenus.cli; from tvgenus.fixtures import fixture; "
         "rec = tvgenus.cli.screen_record('s3', fixture('s3'), 5, "
         "mode='exact'); assert rec.tv_exact")
-    assert exact <= computed
+    assert "tvgenus.cyclotomic" in computed and "fractions" not in computed
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_exact_compute_loads_only_what_it_runs(r):
+    # r=5 splits off TV_3 and scales by it; r=6 runs one search
+    loaded = _loaded_by(_cli_run("compute", "--isosig", "gvLQQedfedffrwawrhh",
+                                 "--r", str(r), "--mode", "exact"))
+    assert {"tvgenus.cyclotomic", "tvgenus.statesum"} <= loaded
+    assert not loaded & NOT_RUN_BY_EXACT_COMPUTE
+
+
+def test_each_input_loads_the_module_that_reads_it(tmp_path):
+    fixture = _loaded_by(_cli_run("compute", "--fixture", "s3", "--mode",
+                                  "exact"))
+    # the fixture s3 is a gluing table, read by the gluing module
+    assert {"tvgenus.fixtures", "tvgenus.gluing"} <= fixture
+    assert not fixture & {"fractions", "decimal", "tvgenus.kernel"}
+    path = tmp_path / "s3.tri"
+    path.write_text("tets 2\n0: 0 1023 0 1023 1 1203 1 0231\n"
+                    "1: 0 2013 0 0312 1 0132 1 0132\n")
+    read = _loaded_by(_cli_run("compute", "--input", str(path)))
+    assert {"tvgenus.gluing", "tvgenus.kernel"} <= read
+    assert not read & {"tvgenus.fixtures", "tvgenus.cyclotomic", "fractions"}
 
 
 def test_exact_annotations_resolve_without_a_module_import():

@@ -9,16 +9,17 @@ from types import SimpleNamespace
 import pytest
 
 from tvgenus import kernel, recoupling, statesum
-from tvgenus.complex3 import pachner_23
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.genus import tv_s3
+from tvgenus.gluing import pachner_23
 from tvgenus.homology import h1
 from tvgenus.isosig import decode_isosig
+from tvgenus.kernel import _backtrack_sum
 from tvgenus.recoupling import admissible, global_dim, tables, tet_symbol
-from tvgenus.statesum import (SearchLimits, SearchVolumeError,
-                              _backtrack_sum, _frontier_sum, _make_plan,
-                              _run, estimated_states, tv_invariant)
+from tvgenus.statesum import (SearchLimits, SearchVolumeError, _frontier_sum,
+                              _make_plan, _run, estimated_states,
+                              tv_invariant)
 from tvgenus.verify import tv_anchor_checks
 
 import oracles
@@ -587,11 +588,11 @@ def test_float_search_repeats_the_reference_bits(label, monkeypatch):
         lv, every = tables(r, "float"), range(r - 1)
         want = repr(oracles.backtrack_sum(lv, plan, every))
         branches = repr(oracles.backtrack_branches(lv, plan, every)[0])
-        for kernel_after in (statesum._KERNEL_MIN_ENTERED, -1):
-            monkeypatch.setattr(statesum, "_KERNEL_MIN_ENTERED", kernel_after)
+        for kernel_after in (kernel._KERNEL_MIN_ENTERED, -1):
+            monkeypatch.setattr(kernel, "_KERNEL_MIN_ENTERED", kernel_after)
             assert repr(_backtrack_sum(lv, plan, every)) == want, (r,
                                                                    kernel_after)
-            assert (repr(statesum._branches(lv, plan, every)[0])
+            assert (repr(kernel._branches(lv, plan, every)[0])
                     == branches), (r, kernel_after)
 
 
@@ -649,7 +650,7 @@ def test_kernel_runs_plans_of_at_most_20_positions(name, positions, kernels,
     sources = []
     monkeypatch.setattr(kernel, "compile", lambda text, *args: sources.append(
         text) or compile(text, *args), raising=False)
-    monkeypatch.setattr(statesum, "_KERNEL_MIN_ENTERED", -1)
+    monkeypatch.setattr(kernel, "_KERNEL_MIN_ENTERED", -1)
     plan = _make_plan(fixture(name))
     assert len(plan) == positions
     for r in (4, 5):

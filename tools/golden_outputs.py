@@ -234,7 +234,7 @@ def pachner_moves(fixtures) -> list[str]:
     """The gluing file of the 2-3 move at every eligible face of each
     triangulation along a 12-step walk from each (name, triangulation),
     seeded by the name, the start first."""
-    from tvgenus.complex3 import format_gluing_file, pachner_23
+    from tvgenus import format_gluing_file, pachner_23
 
     out = []
     for name, tri in fixtures:

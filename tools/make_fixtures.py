@@ -23,10 +23,10 @@ import sys
 
 sys.path.insert(0, "src")
 
-from tvgenus.complex3 import (FACE_VERTS, Triangulation,
-                              TriangulationError, format_gluing_file,
+from tvgenus.complex3 import (FACE_VERTS, Triangulation, TriangulationError,
                               perm_inverse)
 from tvgenus.fixtures import _GLUING_FIXTURES, _ISOSIG_FIXTURES
+from tvgenus.gluing import format_gluing_file
 from tvgenus.homology import format_h1, h1
 from tvgenus.isosig import encode_isosig
 from tvgenus.statesum import SearchLimits, tv_invariant
