@@ -33,8 +33,7 @@ def parse_gluing_file(text: str, name: str | None = None) -> Triangulation:
     written as 4 digits giving the images of vertices 0123.
     """
     n = None
-    rows: list[list[tuple[int, Perm]] | None] = []
-    seen: set[int] = set()
+    rows: dict[int, list[tuple[int, Perm]]] = {}
     line_of_tet: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -50,7 +49,6 @@ def parse_gluing_file(text: str, name: str | None = None) -> Triangulation:
                 raise GluingParseError(f"bad tetrahedron count {parts[1]!r}", lineno)
             if n <= 0:
                 raise GluingParseError("tetrahedron count must be positive", lineno)
-            rows = [None] * n
             continue
         head, _, rest = line.partition(":")
         if not _:
@@ -61,9 +59,8 @@ def parse_gluing_file(text: str, name: str | None = None) -> Triangulation:
             raise GluingParseError(f"bad tetrahedron index {head.strip()!r}", lineno)
         if not 0 <= idx < n:
             raise GluingParseError(f"tetrahedron index {idx} out of range", lineno)
-        if idx in seen:
+        if idx in line_of_tet:
             raise GluingParseError(f"duplicate tetrahedron {idx}", lineno)
-        seen.add(idx)
         line_of_tet[idx] = lineno
         parts = rest.split()
         if len(parts) != 8:
@@ -83,11 +80,14 @@ def parse_gluing_file(text: str, name: str | None = None) -> Triangulation:
         rows[idx] = row
     if n is None:
         raise GluingParseError("empty gluing file")
-    missing = [i for i in range(n) if rows[i] is None]
-    if missing:
-        raise GluingParseError(f"missing gluing lines for tetrahedra {missing}")
+    if len(rows) < n:  # name the first 10 missing: all below len(rows) + 10
+        missing = [i for i in range(min(n, len(rows) + 10))
+                   if i not in rows][:10]
+        more = n - len(rows) - len(missing)
+        raise GluingParseError(f"missing gluing lines for tetrahedra {missing}"
+                               + (f" and {more} more" if more else ""))
     try:
-        return Triangulation(rows, name=name)
+        return Triangulation([rows[i] for i in range(n)], name=name)
     except TriangulationError as exc:
         raise GluingParseError(str(exc), line_of_tet.get(exc.tet)) from exc
 

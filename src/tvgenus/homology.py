@@ -9,17 +9,18 @@ face but reduces d2's columns only at the faces off a spanning tree of the
 dual graph: a tree face is a face of the tetrahedron it leads out to, so
 by d2 d3 = 0 its column is a signed sum of that tetrahedron's other faces,
 each kept or further out on the tree, and im d2 stays the same.  d2 is
-kept as sparse columns, one per face with at most three nonzeros: every
-+-1 entry is eliminated as a pivot first, and the dense Smith form reduces
-only what no unit pivot reaches (on census triangulations, nothing or a
-row or two).  All arithmetic is exact (Python integers), since
-intermediate entries blow up well before census-sized matrices become
-large.
+kept as sparse columns, one per face with at most three nonzeros, and
+rank_and_torsion is the one Smith reduction, for smith_normal_form and
+h1_from_matrices too: it takes a +-1 entry as the pivot while there is
+one, else an entry of least absolute value (on census triangulations,
+only in the few columns, at most three over four rows, that the unit
+pivots leave).  All arithmetic is exact (Python integers).
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from math import gcd
 from typing import NamedTuple
 
@@ -47,61 +48,21 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
+def _columns(mat: IntMatrix) -> list[dict[int, int]]:
+    """The sparse columns {row: nonzero entry} of mat."""
+    return [{i: row[j] for i, row in enumerate(mat.entries) if row[j]}
+            for j in range(mat.cols)]
+
+
 def smith_normal_form(mat: IntMatrix | list[list[int]]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix over Z:
-    nonnegative, zeros last, padded to min(rows, cols).
-
-    Row/column reduction with smallest-pivot selection (the first in
-    row-major order among equals); the diagonal left by it is then folded
-    pairwise into (gcd, lcm) until d_i | d_{i+1}.
-    """
+    nonnegative, zeros last, padded to min(rows, cols); rank_and_torsion
+    reduces the matrix's sparse columns."""
     if not isinstance(mat, IntMatrix):
         mat = IntMatrix(mat)
-    m = [row[:] for row in mat.entries]
-    R, C = mat.rows, mat.cols
-
-    def col_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    pivot = 0
-    while pivot < R and pivot < C:
-        best = min(((abs(m[i][j]), i, j) for i in range(pivot, R)
-                    for j in range(pivot, C) if m[i][j]), default=None)
-        if best is None:
-            break
-        m[pivot], m[best[1]] = m[best[1]], m[pivot]
-        col_swap(pivot, best[2])
-        while True:
-            dirty = False
-            for i in range(pivot + 1, R):
-                if m[i][pivot]:
-                    q = m[i][pivot] // m[pivot][pivot]
-                    mi, mp = m[i], m[pivot]
-                    for k in range(C):
-                        mi[k] -= q * mp[k]
-                    if m[i][pivot]:
-                        m[pivot], m[i] = m[i], m[pivot]
-                        dirty = True
-            for j in range(pivot + 1, C):
-                if m[pivot][j]:
-                    q = m[pivot][j] // m[pivot][pivot]
-                    for row in m:
-                        row[j] -= q * row[pivot]
-                    if m[pivot][j]:
-                        col_swap(pivot, j)
-                        dirty = True
-            if not dirty:
-                break
-        pivot += 1
-
-    size = min(R, C)
-    diag = [abs(m[i][i]) for i in range(size) if m[i][i]]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return tuple(diag) + (0,) * (size - len(diag))
+    rank, torsion = rank_and_torsion(_columns(mat))
+    return ((1,) * (rank - len(torsion)) + torsion
+            + (0,) * (min(mat.rows, mat.cols) - rank))
 
 
 class H1Summary(NamedTuple("H1Summary", [("free_rank", int),
@@ -161,19 +122,14 @@ def parse_h1(text: str) -> H1Summary:
         term = term.strip()
         if not term:
             raise ValueError(f"empty term in H1 string {text!r}")
-        parts = term.split()
-        if len(parts) == 2:
-            count, base = int(parts[0]), parts[1]
-        elif len(parts) == 1:
-            count, base = 1, parts[0]
-        else:
+        match = re.fullmatch(r"(?:(\d+)\s+)?Z(?:_(\d+))?", term)
+        if not match:
             raise ValueError(f"bad H1 term {term!r}")
-        if base == "Z":
+        count = int(match[1] or 1)
+        if match[2] is None:
             free += count
-        elif base.startswith("Z_"):
-            torsion.extend([int(base[2:])] * count)
         else:
-            raise ValueError(f"bad H1 term {term!r}")
+            torsion.extend([int(match[2])] * count)
     return H1Summary(free, tuple(sorted(torsion)))
 
 
@@ -214,38 +170,62 @@ def rank_and_torsion(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...
     matrix with these sparse columns, {row: nonzero entry} each; the list
     and its columns are consumed.
 
-    While some column has a unit entry, it is a pivot: column operations
-    clear its row from every other column, and its row and column split
-    off as an invariant factor 1.  The dense Smith form reduces what is
-    left."""
-    rank = 0
-    while True:
+    The pivot is the first unit entry in column order, else an entry of
+    least absolute value.  Column operations reduce its row in the other
+    columns to remainders; once that row is clear, row operations reduce
+    the pivot's own column modulo the pivot, touching no other column.  A
+    pivot alone in its row and column splits off as |pivot|; otherwise the
+    least remainder becomes the pivot.  A unit pivot clears its row and
+    column at once.  The factors split off are folded pairwise into (gcd,
+    lcm) until d_i | d_{i+1}."""
+    rank, factors = 0, []
+    while any(columns):
         for j, col in enumerate(columns):  # the first column with a unit
-            for i, u in col.items():
-                if u == 1 or u == -1:
+            for i, p in col.items():
+                if p == 1 or p == -1:
                     break
             else:
                 continue
             break
         else:
-            break
-        del columns[j], col[i]
+            _, j, i = min((abs(p), j, i) for j, col in enumerate(columns)
+                          for i, p in col.items())
+            col = columns[j]
+            p = col[i]
+        del columns[j]
+        while True:
+            for other in columns:  # other -= (its row-i entry // p) col
+                if i in other:
+                    q = other[i] // p
+                    for r, w in col.items() if q else ():
+                        x = other.get(r, 0) - q * w
+                        if x:
+                            other[r] = x
+                        else:
+                            del other[r]
+            if p == 1 or p == -1:
+                break
+            row = [(abs(other[i]), k) for k, other in enumerate(columns)
+                   if i in other]
+            if row:  # the least remainder in row i is the next pivot
+                k = min(row)[1]
+                columns[k], col = col, columns[k]
+            else:  # rows r -= (col[r] // p) row i, row i being clear
+                rest = {r: w % p for r, w in col.items() if w % p}
+                if not rest:
+                    break
+                rest[i], col = p, rest
+                i = min(rest, key=lambda r: abs(rest[r]))
+            p = col[i]
         rank += 1
-        for other in columns:  # other -= (its row-i entry / u) col
-            if i in other:
-                q = other.pop(i) * u
-                for r, w in col.items():
-                    x = other.get(r, 0) - q * w
-                    if x:
-                        other[r] = x
-                    else:
-                        del other[r]
+        if p != 1 and p != -1:
+            factors.append(abs(p))
         columns = [other for other in columns if other]
-    rows = sorted({i for col in columns for i in col})
-    factors = smith_normal_form([[col.get(i, 0) for col in columns]
-                                 for i in rows])
-    return (rank + sum(1 for d in factors if d),
-            tuple(d for d in factors if d > 1))
+    for a in range(len(factors)):
+        for b in range(a + 1, len(factors)):
+            g = gcd(factors[a], factors[b])
+            factors[a], factors[b] = g, factors[a] // g * factors[b]
+    return rank, tuple(d for d in factors if d > 1)
 
 
 def _h1(d1: list[list[int]], edges: int, d2: list[dict[int, int]],
@@ -266,8 +246,7 @@ def h1_from_matrices(d1: IntMatrix, d2: IntMatrix) -> H1Summary:
     if d2.rows != d1.cols:
         raise ValueError(f"d1 @ d2 undefined: d1 has {d1.cols} columns, "
                          f"d2 has {d2.rows} rows")
-    cols = [{i: row[j] for i, row in enumerate(d2.entries) if row[j]}
-            for j in range(d2.cols)]
+    cols = _columns(d2)
     return _h1(d1.entries, d1.cols, cols, cols)
 
 

@@ -318,6 +318,18 @@ def test_unreadable_input_is_an_error(tmp_path, capsys):
         assert err.startswith("error: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("text", [
+    "tets 99999999999\n", "tets 1000000\n0: 1 0123 1 0123 1 0123 1 0123\n"])
+def test_gluing_file_with_a_huge_count_is_one_error_line(tmp_path, capsys,
+                                                         text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "compute", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: missing gluing lines for tetrahedra [")
+    assert err.count("\n") == 1 and len(err) < 120
+
+
 def test_closed_stdout_exits_quietly(monkeypatch, capsys):
     """A reader that closes the pipe early (``tvgenus ... | head``) ends the
     command with exit 1 and nothing on stderr."""

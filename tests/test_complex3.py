@@ -100,6 +100,14 @@ def test_header_and_syntax_errors_located():
      "0: 1 0123 1 0123 1 0123 1 0123\n", "duplicate tetrahedron 0", 3),
     ("tets 1\n0: x 0123 0 0123 0 0123 0 0123\n", "bad target 'x'", 2),
     ("# nothing but\n\n# comments\n", "empty gluing file", None),
+    # the count alone allocates nothing, and the message names at most 10
+    ("tets 99999999999\n", r"tetrahedra \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9\] "
+     r"and 99999999989 more$", None),
+    ("tets 1000000\n0: 1 0123 1 0123 1 0123 1 0123\n",
+     r"tetrahedra \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\] and 999989 more$", None),
+    ("tets 11\n0: 1 0123 1 0123 1 0123 1 0123\n",
+     r"^missing gluing lines for tetrahedra \[1, 2, 3, 4, 5, 6, 7, 8, 9, "
+     r"10\]$", None),
 ])
 def test_each_gluing_file_check_rejects_its_line(text, message, line):
     with pytest.raises(GluingParseError, match=message) as err:

@@ -1,6 +1,7 @@
 """Smith normal form and first homology."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -77,7 +78,7 @@ def test_snf_random_matrices_divisibility_permutation_oracle():
 def face_shaped_matrices(draw):
     """(rows, sparse columns) with at most three nonzeros per column, as a
     face has, in -3..3; with no_units the entries are +-2 and +-3 only, so
-    the dense remainder does all the work."""
+    every pivot is a least entry and most reduce to remainders."""
     rows = draw(st.integers(1, 8))
     no_units = draw(st.booleans())
     values = st.sampled_from((-3, -2, 2, 3) if no_units else (-3, -2, -1, 1, 2, 3))
@@ -95,12 +96,29 @@ def face_shaped_matrices(draw):
 @example((3, [{0: 2, 1: 2}, {1: 3, 2: -3}, {0: 2, 2: -2}]))  # no unit entry
 @example((2, [{0: 2, 1: 3}, {0: 3, 1: 2}]))     # no unit entry, invariant factors 1, 5
 def test_unit_pivot_elimination_matches_dense_smith_form(matrix):
+    """rank_and_torsion against the textbook dense reduction of
+    tests/oracles.py."""
     rows, columns = matrix
-    diag = smith_normal_form([[col.get(i, 0) for col in columns]
+    diag = oracles.snf_naive([[col.get(i, 0) for col in columns]
                               for i in range(rows)])
     rank, torsion = rank_and_torsion([dict(col) for col in columns])
     assert rank == sum(1 for d in diag if d)
     assert torsion == tuple(d for d in diag if d > 1)
+
+
+def test_dense_matrices_match_naive_smith_form():
+    """Dense matrices, where entries grow under reduction: a 6 x 6 one
+    whose entries a row/column loop drove past 21 million bits, and seeded
+    ones up to 7 x 7 with entries up to +-30."""
+    mat = [[-2, 9, 8, -5, 2, 6], [9, -7, -9, 6, -1, 8], [-2, -3, 6, 8, 8, 6],
+           [3, -5, -2, -5, 7, 3], [-9, -7, -4, 9, -8, 0], [-9, -1, 6, 3, 4, 3]]
+    start = time.perf_counter()
+    assert smith_normal_form(mat) == oracles.snf_naive(mat)
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(2026)
+    for _ in range(1000):
+        mat = _random_matrix(rng, max_dim=7, span=rng.choice((3, 9, 30)))
+        assert smith_normal_form(mat) == oracles.snf_naive(mat), mat
 
 
 # --- H1 ----------------------------------------------------------------------
@@ -264,6 +282,9 @@ def test_parse_h1_rejects_malformed_terms():
         parse_h1("2 Z 3")
     with pytest.raises(ValueError, match="bad H1 term"):
         parse_h1("Q")
+    for text in ("x Z", "Z_y", "2 Z_"):
+        with pytest.raises(ValueError, match=f"^bad H1 term '{text}'$"):
+            parse_h1(text)
 
 
 def test_summary_and_matrix_text():

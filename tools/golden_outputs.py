@@ -51,9 +51,12 @@ itself first).  ``orbits.txt`` holds what ``Triangulation`` builds, for
 every census signature and every fixture: ``vertex_orbit_index``,
 ``edge_orbit_index``, ``edge_orbit_sign``, the two slots of each face orbit
 and ``orientable``, so the diff compares the build itself and not only what
-H_1, the float bits and the search counters show of it.  To check a change, write the set from the parent's ``src``
-and from the change's, then ``diff -r`` the two directories: the diff must
-be empty.
+H_1, the float bits and the search counters show of it.  ``homology.txt``
+holds ``format_h1(h1(...))`` of every census signature and of every lens
+space L(p,q) with p < 60, 1 <= q < p and gcd(p, q) = 1; the screen CSV has
+no H_1 for the records the search-volume guard refuses.  To check a
+change, write the set from the parent's ``src`` and from the change's, then
+``diff -r`` the two directories: the diff must be empty.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ import os
 import random
 import sys
 import tempfile
+from math import gcd
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CENSUS = os.path.join(ROOT, "perfbench", "data", "census.txt")
@@ -263,6 +267,13 @@ def orbits(triangulations) -> list[str]:
     return out
 
 
+def homology(triangulations) -> list[str]:
+    """The first homology of each (name, triangulation), one line each."""
+    from tvgenus.homology import format_h1, h1
+
+    return [f"{name} {format_h1(h1(tri))}\n" for name, tri in triangulations]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir")
@@ -323,6 +334,13 @@ def main(argv=None) -> int:
                               for name in fixture_names()]))
         fh.writelines(orbits((name, decode_isosig(sig)) for name, sig
                              in census_signatures().items()))
+    with open(os.path.join(args.outdir, "homology.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(homology((name, decode_isosig(sig)) for name, sig
+                               in census_signatures().items()))
+        fh.writelines(homology((name, fixture(name)) for name in (
+            f"L({p},{q})" for p in range(2, 60) for q in range(1, p)
+            if gcd(p, q) == 1)))
     return 0
 
 
