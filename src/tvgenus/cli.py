@@ -41,10 +41,6 @@ class Report(NamedTuple):
         return {"total": len(self.rows), "flagged": flagged, "failed": failed}
 
 
-def _fmt12(x: float) -> str:
-    return f"{x:.12g}"
-
-
 # --------------------------------------------------------------------------
 # serialization (round-trip capable)
 # --------------------------------------------------------------------------
@@ -57,6 +53,11 @@ def _row(rec: ScreenRecord, r: int | None) -> dict:
             "h1": None if rec.h1 is None else format_h1(rec.h1),
             "min_gens": rec.min_generators, "flagged": rec.flagged,
             "notes": list(rec.notes)}
+
+
+# the text report's optional fields: a row key and its text, shown when set
+TEXT_FIELDS = (("tv_float", "tv={:.12g}"), ("tv_exact", "exact={}"),
+               ("genus_lb", "genus>={}"), ("h1", "h1={}"))
 
 
 def _record(row: dict) -> ScreenRecord:
@@ -106,8 +107,7 @@ def report_to_csv(report: Report) -> str:
 def report_from_csv(text: str) -> Report:
     import csv
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
+    if tuple(next(reader, ())) != CSV_COLUMNS:
         raise ValueError("unexpected CSV header")
     report = Report(rows=[], provenance={})
     for cells in reader:
@@ -126,18 +126,13 @@ def _emit(report: Report, fmt: str, out) -> None:
         out.write(report_to_csv(report))
     else:
         for rec in report.rows:
-            cols = [rec.name]
-            if rec.tv_value is not None:
-                cols.append(f"tv={_fmt12(rec.tv_value)}")
-            if rec.tv_exact:
-                cols.append(f"exact={rec.tv_exact}")
-            if rec.genus_lb is not None:
-                cols.append(f"genus>={rec.genus_lb}")
-            if rec.h1 is not None:
-                cols.append(f"h1={format_h1(rec.h1)}")
-            cols.append(f"flag={'*' if rec.flagged else '-'}")
-            if rec.notes:
-                cols.append(f"notes: {NOTE_SEP.join(rec.notes)}")
+            row = _row(rec, None)
+            cols = [row["name"]] + [text.format(row[key])
+                                    for key, text in TEXT_FIELDS
+                                    if row[key] is not None]
+            cols.append(f"flag={'*' if row['flagged'] else '-'}")
+            if row["notes"]:
+                cols.append(f"notes: {NOTE_SEP.join(row['notes'])}")
             out.write("  ".join(cols) + "\n")
         s = report.summary
         out.write(f"# total {s['total']}  flagged {s['flagged']}  "
@@ -199,15 +194,14 @@ def cmd_compute(args, out) -> int:
     _emit(Report(rows=[rec], provenance=_provenance(args)), args.fmt, out)
     if args.fmt == "text" and rec.tv_exact is not None:
         # the record's value is the exact one's float
-        out.write(f"# exact value, decimal: {_fmt12(rec.tv_value)}\n")
+        out.write(f"# exact value, decimal: {rec.tv_value:.12g}\n")
     return 0
 
 
 def cmd_homology(args, out) -> int:
     tri, name, sig = _load_triangulation(args)
     homology = h1(tri)
-    rec = ScreenRecord(name=name, isosig=sig, tv_value=None, genus_lb=None,
-                       h1=homology, flagged=False)
+    rec = ScreenRecord(name=name, isosig=sig, h1=homology)
     if args.fmt == "text":
         out.write(format_h1(homology) + "\n")
     else:

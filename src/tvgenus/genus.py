@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .complex3 import Triangulation
 from .homology import H1Summary, h1
 from .isosig import decode_isosig
-from .statesum import SearchLimits, TvResult, tv_invariant
+from .statesum import SearchLimits, tv_invariant
 
 GENUS_EPS = 1e-9
 PAPER_MODE_R = 5
@@ -60,10 +60,10 @@ def genus_lower_bound(tv: float, r: int) -> GenusBound:
 class ScreenRecord(NamedTuple):
     name: str
     isosig: str | None
-    tv_value: float | None
-    genus_lb: int | None
-    h1: H1Summary | None
-    flagged: bool
+    tv_value: float | None = None
+    genus_lb: int | None = None
+    h1: H1Summary | None = None
+    flagged: bool = False
     notes: tuple[str, ...] = ()
     tv_exact: str | None = None  # reduced polynomial in zeta, when computed
 
@@ -77,16 +77,20 @@ FLAG_DISCLAIMER = ("potential counterexample only: the genus bound exceeds the "
                    "computed here")
 
 
-def build_record(name: str, result: TvResult, homology: H1Summary,
-                 isosig: str | None = None) -> ScreenRecord:
-    """The record of one computed TV value: genus bound, flag and notes.
+def screen_record(name: str, tri: Triangulation, r: int,
+                  mode: str = "float",
+                  limits: SearchLimits | None = None,
+                  isosig: str | None = None) -> ScreenRecord:
+    """Full per-manifold record: TV, genus bound, H_1, the flag and notes.
     The value is the exact one where the result has it, so 'both' mode
     reports an exact 0 as 0, not as the float sum's rounding noise."""
+    result = tv_invariant(tri, r, mode=mode, limits=limits)
+    homology = h1(tri)
     notes = tuple(result.warnings)
     tv = (result.value_float if result.value_exact is None
           else result.value_exact.to_float())
     if tv > 0:
-        lb = genus_lower_bound(tv, result.r).genus_lb
+        lb = genus_lower_bound(tv, r).genus_lb
         flagged = lb > homology.min_generators
     else:
         # TV = 0 gives no bound
@@ -99,15 +103,6 @@ def build_record(name: str, result: TvResult, homology: H1Summary,
     return ScreenRecord(name=name, isosig=isosig, tv_value=tv, genus_lb=lb,
                         h1=homology, flagged=flagged, notes=notes,
                         tv_exact=tv_exact)
-
-
-def screen_record(name: str, tri: Triangulation, r: int,
-                  mode: str = "float",
-                  limits: SearchLimits | None = None,
-                  isosig: str | None = None) -> ScreenRecord:
-    """Full per-manifold record: TV, genus bound, H_1 and the flag."""
-    result = tv_invariant(tri, r, mode=mode, limits=limits)
-    return build_record(name, result, h1(tri), isosig=isosig)
 
 
 def screen(entries, r: int, threshold: float | None = None,
@@ -126,8 +121,7 @@ def screen(entries, r: int, threshold: float | None = None,
             return screen_record(name, tri, r, mode=mode, limits=limits,
                                  isosig=sig)
         except Exception as exc:  # per-record isolation is the contract
-            return ScreenRecord(name=name, isosig=sig, tv_value=None,
-                                genus_lb=None, h1=None, flagged=False,
+            return ScreenRecord(name=name, isosig=sig,
                                 notes=(f"failed: {exc}",))
 
     records = [one(e) for e in entries]

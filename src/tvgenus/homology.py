@@ -122,7 +122,8 @@ def parse_h1(text: str) -> H1Summary:
         term = term.strip()
         if not term:
             raise ValueError(f"empty term in H1 string {text!r}")
-        match = re.fullmatch(r"(?:(\d+)\s+)?Z(?:_(\d+))?", term)
+        # a count has at most 6 digits: its factors are held one by one
+        match = re.fullmatch(r"(?:(\d{1,6})\s+)?Z(?:_(\d+))?", term)
         if not match:
             raise ValueError(f"bad H1 term {term!r}")
         count = int(match[1] or 1)

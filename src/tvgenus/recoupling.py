@@ -13,8 +13,9 @@ of factorial products, division by one factorial, and an inverse).  The
 exact carrier is CycNumber; it also caches 1/[n]! for n < r, each inverted
 once, so Tet and theta are built by multiplication and addition only.  The
 float carrier evaluates the same expressions in doubles at
-zeta = e^(i*pi/r); theta_f and tet_symbol_f are the float wrappers of the
-same formulas.  tables(r, mode) is the one carrier object of a level, with
+zeta = e^(i*pi/r), with each [n] rounded to the integer it is at r=3, so
+that every float value there is exact; theta_f and tet_symbol_f are the
+float wrappers of the same formulas.  tables(r, mode) is the one carrier object of a level, with
 the state sum's dense 1/theta table theta_inv, the table third of the
 colors each pair admits, read off theta_inv, and the Tet memo tet_memo;
 the exact carrier fills Tet once per orbit of the 24 tetrahedral
@@ -143,8 +144,13 @@ class _Float(_Carrier):
 
     def __init__(self, r: int):
         z = cmath.exp(1j * math.pi / r)
-        super().__init__(r, [((z ** n - z ** (-n)) / (z - z ** (-1))).real
-                             if n else 0.0 for n in range(2 * r)], 0.0, 1.0)
+        qint = [((z ** n - z ** (-n)) / (z - z ** (-1))).real if n else 0.0
+                for n in range(2 * r)]
+        if r == 3:
+            # each [n] is 0 or +-1; as exact doubles, every symbol, product
+            # and sum at r=3 is exact, so TV_3 carries no rounding noise
+            qint = [float(round(x)) for x in qint]
+        super().__init__(r, qint, 0.0, 1.0)
 
     def quot(self, x, up, down):
         """x * prod [u]! / prod [d]!.  This evaluation order fixes every bit
@@ -163,6 +169,14 @@ class _Float(_Carrier):
 
     def div_fact(self, x, n: int):
         return x / self.fact[n]
+
+    @cached_property
+    def theta_inv(self) -> list:
+        """The table, refused before it is allocated where [r-1]!, which
+        the theta of (r-2, r-2, 0) takes, is past the double range: from
+        r=204 on, where the table would hold (r-1)^3 slots."""
+        self.quot(self.one, (self.r - 1,), ())
+        return super().theta_inv
 
     @staticmethod
     def inverse(x):

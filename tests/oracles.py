@@ -27,10 +27,11 @@ formulas or search machinery:
   reduced modulo Phi_2r, the inverse by the extended Euclidean algorithm in
   Q[x]) and the exact theta and Tet formulas on it, every quotient taken by
   that inverse, against which the package's integer CycNumber is checked;
-* TV of a lens space as |RT|^2 (Turaev-Walker; Roberts, Topology 34,
-  1995), with RT(L(p,q)) from the modular S and T matrices of SU(2) at
-  level r (Jeffrey, CMP 147, 1992), which shares no convention with the
-  state sum;
+* TV of a lens space, and of a Seifert fibred space over S^2, as |RT|^2
+  (Turaev-Walker; Roberts, Topology 34, 1995), with RT from the modular S
+  and T matrices of SU(2) at level r (Jeffrey, CMP 147, 1992; Lawrence and
+  Rozansky, CMP 205, 1999, for the Seifert fibred spaces), which shares no
+  convention with the state sum;
 * the exact product of Q(zeta_2r) as a schoolbook loop over the package's
   reduction rows (schoolbook_mul), which the generated product must equal;
 * the exhaustive signature encoder (exhaustive_isosig), which writes every
@@ -781,27 +782,61 @@ def backtrack_branches(lv, plan, every):
 
 
 # --------------------------------------------------------------------------
-# lens spaces: TV = |RT|^2 from the S and T matrices
+# lens spaces and Seifert fibred spaces: TV = |RT|^2 from S and T
 # --------------------------------------------------------------------------
+
+
+def _modular(r: int):
+    """S_ij = sqrt(2/r) sin(pi (i+1)(j+1) / r) and the diagonal of
+    T_jj = exp(i pi j (j+2) / (2r)), over the colors j = 0..r-2."""
+    n = r - 1
+    S = [[math.sqrt(2 / r) * math.sin(math.pi * (i + 1) * (j + 1) / r)
+          for j in range(n)] for i in range(n)]
+    T = [cmath.exp(1j * math.pi * j * (j + 2) / (2 * r)) for j in range(n)]
+    return S, T
+
+
+def _negative_continued_fraction(x: int, y: int) -> list[int]:
+    """[c_1, ..., c_k] with x/y = c_1 - 1/(c_2 - ... - 1/c_k), for y > 0."""
+    terms = []
+    while y:
+        c = -(-x // y)  # x/y = c - 1/(y/(c y - x))
+        terms.append(c)
+        x, y = y, c * y - x
+    return terms
 
 
 def lens_tv(p: int, q: int, r: int) -> float:
     """|RT_r(L(p,q))|^2 in float, RT = (S T^a_1 S ... T^a_k S)_00 up to a
     phase, with p/q = a_1 - 1/(a_2 - ... - 1/a_k) the negative continued
-    fraction, S_ij = sqrt(2/r) sin(pi (i+1)(j+1) / r) and
-    T_jj = exp(i pi j (j+2) / (2r)) over the colors j = 0..r-2."""
+    fraction."""
+    S, T = _modular(r)
     n = r - 1
-    S = [[math.sqrt(2 / r) * math.sin(math.pi * (i + 1) * (j + 1) / r)
-          for j in range(n)] for i in range(n)]
-    T = [cmath.exp(1j * math.pi * j * (j + 2) / (2 * r)) for j in range(n)]
     row = S[0]  # row 0 of the product so far
-    x, y = p, q % p
-    while y:
-        a = -(-x // y)  # x/y = a - 1/(y/(a y - x))
+    for a in _negative_continued_fraction(p, q % p):
         row = [row[i] * T[i] ** a for i in range(n)]
         row = [sum(row[i] * S[i][j] for i in range(n)) for j in range(n)]
-        x, y = y, a * y - x
     return abs(row[0]) ** 2
+
+
+def sfs_tv(fibres, r: int) -> float:
+    """|RT_r|^2 in float of the Seifert fibred space over S^2 with the
+    exceptional fibres (a, b), as in Regina's SFS [S2: (a,b) ...]:
+    RT = sum_j S_0j^(2-m) prod_i (U_i)_j0 up to a phase, over the m
+    fibres, with U = S T^c_1 S ... T^c_k S and a/b = [c_1, ..., c_k] the
+    negative continued fraction, the pair signed so that b > 0."""
+    S, T = _modular(r)
+    n = r - 1
+    total = [S[0][j] ** (2 - len(fibres)) for j in range(n)]
+    for a, b in fibres:
+        if b < 0:
+            a, b = -a, -b
+        col = S[0]  # column 0 of the product so far, from the right
+        for c in reversed(_negative_continued_fraction(a, b)):
+            col = [col[i] * T[i] ** c for i in range(n)]
+            col = [sum(S[j][i] * col[i] for i in range(n)) for j in range(n)]
+        total = [total[j] * col[j] for j in range(n)]
+    return abs(sum(total)) ** 2
 
 
 # --------------------------------------------------------------------------

@@ -396,6 +396,8 @@ def test_csv_roundtrip(tmp_path, capsys):
 def test_csv_with_another_header_is_rejected():
     with pytest.raises(ValueError, match="unexpected CSV header"):
         report_from_csv("name,r\ns3,5\n")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        report_from_csv("")
 
 
 def test_csv_columns_contract(tmp_path, capsys):
@@ -451,6 +453,24 @@ def test_verify_reports_injected_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--r-max", "3")
     assert code == 1
     assert "FAIL anchor r=5: TV(S^3) = 1/dim(C)" in out
+
+
+def test_verify_reports_a_float_disagreement(capsys, monkeypatch):
+    # a float sum skewed by 1e-6, as in
+    # test_invariant_checks_catch_a_faulty_search: the agreement check
+    # fails on its line, and the run still ends with its summary
+    from tvgenus import statesum
+    run = statesum._run
+
+    def skewed(tri, r, carrier, even=False):
+        total, visited, leaves = run(tri, r, carrier, even)
+        return (total + 1e-6 if carrier == "float" else total), visited, leaves
+    monkeypatch.setattr(statesum, "_run", skewed)
+    code, out, _ = run_cli(capsys, "verify", "--r-max", "3")
+    assert code == 1
+    for name in ("s3", "rp3", "l31", "s2xs1"):
+        assert f"FAIL exact/float agreement {name} r=5\n" in out
+    assert out.endswith("# verify: 4 failure(s)\n")
 
 
 def test_benchmark_command_lines(tmp_path, capsys):

@@ -282,7 +282,7 @@ def test_parse_h1_rejects_malformed_terms():
         parse_h1("2 Z 3")
     with pytest.raises(ValueError, match="bad H1 term"):
         parse_h1("Q")
-    for text in ("x Z", "Z_y", "2 Z_"):
+    for text in ("x Z", "Z_y", "2 Z_", "99999999999 Z_2", "1000000 Z"):
         with pytest.raises(ValueError, match=f"^bad H1 term '{text}'$"):
             parse_h1(text)
 

@@ -288,6 +288,28 @@ def test_theta_inv_table_is_one_dense_table_per_level():
         tables(5, "fast")
 
 
+def test_float_level_past_the_double_range_is_refused_before_its_table(
+        monkeypatch):
+    """From r=204 on [r-1]! is inf in doubles, so some theta leaves the
+    double range: the float 1/theta table is refused, with the message the
+    CLI prints, before its (r-1)^3 slots are allocated.  A tripwire on the
+    fill loop fails the test at r=204 (8.4M slots) before a larger level is
+    tried.  theta_f and tet_symbol_f still evaluate what stays in range."""
+    assert recoupling._Float(203).fact[202] < math.inf
+    assert recoupling._Float(204).fact[203] == math.inf
+
+    def tripwire(*args):
+        raise AssertionError("the table was allocated before the refusal")
+    monkeypatch.setattr(recoupling, "admissible", tripwire)
+    for r in (204, 1001):
+        with pytest.raises(ValueError, match=f"r={r}; use --mode exact"):
+            recoupling._Float(r).theta_inv
+    monkeypatch.undo()
+    assert theta_f(0, 0, 0, 1001) == tet_symbol_f(0, 0, 0, 0, 0, 0, 1001) == 1
+    with pytest.raises(ValueError, match="r=1001; use --mode exact"):
+        theta_f(999, 999, 0, 1001)
+
+
 def test_carrier_cache_is_bounded():
     """A process that visits many levels keeps the tables of the last few
     carriers only; the bound holds a deep-search round's four float levels
@@ -360,7 +382,7 @@ def test_float_symbol_bits_pinned():
             count += 1
     assert count == 6489
     assert h.hexdigest() == (
-        "c8282d204f020f07ff1b9c3f5f112be12e0407848908782f9550d4f092299a1d")
+        "3e396aae89986e181df175c4174d2812a787a0bb4ad012ce2eb8f71ba5ebf4e7")
 
 
 # --- identity suite -----------------------------------------------------------

@@ -1,8 +1,11 @@
 """State-sum engine: anchors, oracles, move invariance, determinism."""
 
+import csv
 import itertools
 import math
 import random
+import re
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -440,6 +443,16 @@ def test_tv3_is_rational():
         assert CycNumber.from_rational(3, tv3.to_rational()) == tv3
 
 
+def test_float_tv3_is_exact():
+    # at r=3 every float [n] is 0 or +-1, so every float symbol, product and
+    # sum is exact: the float TV_3 is the exact one, zeros and signs included
+    tris = [fixture(name) for name in fixture_names()]
+    tris += [decode_isosig(sig) for sig in _census_starts()]
+    for tri in tris:
+        res = tv_invariant(tri, 3, mode="both", limits=FORCE)
+        assert Fraction(res.value_float) == res.value_exact.to_rational()
+
+
 def test_guard_estimates_the_exact_split():
     tri = fixture("rp3#rp3")
     assert estimated_states(tri, 7, "exact") == 2.0 ** 13 + 3.0 ** 13
@@ -738,6 +751,42 @@ def test_lens_space_equals_the_modular_oracle(p, q):
         got = tv_invariant(tri, r, mode="exact").value_exact.to_float()
         assert got == pytest.approx(oracles.lens_tv(p, q, r), rel=1e-9,
                                     abs=1e-12), r
+
+
+def _reference_sfs_rows():
+    """The SFS [S2: (a,b) ...] rows of the reference screen at r=5, as
+    (name, fibres, TV_5)."""
+    path = Path(__file__).parent / "data" / "screen_reference_r5.csv"
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.DictReader(fh)
+                if row["name"].startswith("SFS [S2:")]
+    return [(row["name"], [tuple(map(int, pair)) for pair in re.findall(
+        r"\((-?\d+),(-?\d+)\)", row["name"])], float(row["tv"]))
+            for row in rows]
+
+
+def test_sfs_oracle_matches_the_reference_screen():
+    rows = _reference_sfs_rows()
+    assert len(rows) == 63
+    for name, fibres, tv in rows:
+        assert len(fibres) >= 3, name
+        assert oracles.sfs_tv(fibres, 5) == pytest.approx(tv, abs=1e-6), name
+
+
+def test_q8_equals_the_sfs_oracle():
+    """q8 is SFS [S2: (2,1) (2,1) (2,-1)], the quaternionic space."""
+    for r in range(3, 9):
+        got = tv_invariant(fixture("q8"), r, mode="exact").value_exact
+        assert got.to_float() == pytest.approx(
+            oracles.sfs_tv([(2, 1), (2, 1), (2, -1)], r), rel=1e-9), r
+
+
+@pytest.mark.parametrize("p, q", LENS)
+def test_sfs_oracle_with_one_fibre_is_the_lens_oracle(p, q):
+    # L(p,q) is SFS [S2: (q,p)]: the two oracles run different products
+    for r in range(3, 7):
+        assert oracles.sfs_tv([(q, p)], r) == pytest.approx(
+            oracles.lens_tv(p, q, r), rel=1e-9, abs=1e-12), r
 
 
 @pytest.mark.parametrize("p, q", LENS)
