@@ -42,15 +42,17 @@ at the later of the face's other two positions: h1_3 = theta_inv[c1][c3],
 read as h1_3[c4].  theta_inv shares one float object among the
 permutations of a triple, so the row gives the float of the full lookup.
 An inner step's Tet reads a row too: a list by the step's color, fetched
-at the latest of the Tet's other positions from a dict that lives for one
-call, keyed by the bitmask of the arguments that are the step's color and
-the other arguments' colors.  In `rp3#rp3`, R8_1 = tet_rows.get((16, c0,
-c2, c0, c2, c6)) is fetched in the loop of position 6 and read as R8_1[c8]
+at the latest of the Tet's other positions from the carrier's tet_rows,
+keyed by the bitmask of the arguments that are the step's color and the
+other arguments' colors.  In `rp3#rp3`, R8_1 = tet_rows.get((16, c0, c2,
+c0, c2, c6)) is fetched in the loop of position 6 and read as R8_1[c8]
 for Tet(c0, c2, c0, c2, c8, c6), under every color of position 7.  A slot
-is filled on its first read with the memo's own float object.  A Tet whose
-other arguments hold every earlier position would get a row per prefix,
-each slot read once, so it reads the memo, as the last step's Tet and a
-Tet of six step colors do.
+is filled on its first read with the memo's own float object.  The key
+fixes the Tet tuple for every color, whatever the plan, so a row is a view
+of tet_memo: every search of the level shares it, and it goes with the
+carrier.  A Tet whose other arguments hold every earlier position would
+get a row per prefix, each slot read once, so it reads the memo, as the
+last step's Tet and a Tet of six step colors do.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def compile_kernel(plan):
              "    one, delta, third = lv.one, lv.delta, lv.third",
              "    theta_inv, memo, fill = lv.theta_inv, lv.tet_memo.get, lv.tet",
              "    entered = leaves = 0",
-             "    tet_rows = {}"]
+             "    tet_rows = lv.tet_rows"]
     for k in range(last):
         ind = "    " * (k + 1)
         lines.append(f"{ind}for c{k} in {source(k)}:")

@@ -17,10 +17,11 @@ zeta = e^(i*pi/r), with each [n] rounded to the integer it is at r=3, so
 that every float value there is exact; theta_f and tet_symbol_f are the
 float wrappers of the same formulas.  tables(r, mode) is the one carrier object of a level, with
 the state sum's dense 1/theta table theta_inv, the table third of the
-colors each pair admits, read off theta_inv, and the Tet memo tet_memo;
-the exact carrier fills Tet once per orbit of the 24 tetrahedral
-relabelings, and its float twin once per tuple, since its argument order
-fixes its bits.
+colors each pair admits, read off theta_inv, the Tet memo tet_memo, and
+tet_rows, the rows of tet_memo that the compiled float kernel reads,
+shared by every search of the level; the exact carrier fills Tet once per
+orbit of the 24 tetrahedral relabelings, and its float twin once per
+tuple, since its argument order fixes its bits.
 D', the even colors' share of D, normalizes the even-color state sum at
 odd r.  TET_ARG_EDGES places the arguments A..F of Tet on the edges 01,
 02, 23, 13, 12, 03 of a tetrahedron; the state sum's plan and the symmetry
@@ -58,6 +59,9 @@ class _Carrier:
         # Python 3.12 on, which would move the last bit with the version
         self.dim = reduce(operator.add, (d ** 2 for d in self.delta), zero)
         self.tet_memo: dict = {}
+        # the compiled kernel's Tet rows (kernel.py): views of tet_memo,
+        # shared by every float search of the level
+        self.tet_rows: dict = {}
 
     @cached_property
     def dim_even(self):
@@ -172,10 +176,16 @@ class _Float(_Carrier):
 
     @cached_property
     def theta_inv(self) -> list:
-        """The table, refused before it is allocated where [r-1]!, which
-        the theta of (r-2, r-2, 0) takes, is past the double range: from
-        r=204 on, where the table would hold (r-1)^3 slots."""
-        self.quot(self.one, (self.r - 1,), ())
+        """The table, refused before its (r-1)^3 slots are allocated where
+        a theta of the level is past the double range: from r=117 on.  With
+        m, n, p as in _theta, [k] >= 1 for 1 <= k <= r-1, so raising m, n
+        or p raises both factorial products of theta, and the triples with
+        m+n+p = r-2 decide."""
+        s = self.r - 2
+        for m in range(s + 1):
+            for n in range(s + 1 - m):
+                p = s - m - n
+                self.quot(self.one, (s + 1, m, n, p), (m + n, n + p, m + p))
         return super().theta_inv
 
     @staticmethod

@@ -282,9 +282,11 @@ def test_parse_h1_rejects_malformed_terms():
         parse_h1("2 Z 3")
     with pytest.raises(ValueError, match="bad H1 term"):
         parse_h1("Q")
-    for text in ("x Z", "Z_y", "2 Z_", "99999999999 Z_2", "1000000 Z"):
+    for text in ("x Z", "Z_y", "2 Z_", "99999999999 Z_2", "1000000 Z",
+                 "Z_" + "7" * 5000):
         with pytest.raises(ValueError, match=f"^bad H1 term '{text}'$"):
             parse_h1(text)
+    assert parse_h1("Z_" + "7" * 4000).torsion == (int("7" * 4000),)
 
 
 def test_summary_and_matrix_text():

@@ -1,19 +1,23 @@
 """Quantum integers, dimensions, theta and tetrahedral symbols."""
 
+import gc
 import hashlib
 import itertools
 import math
 import random
 import types
+import weakref
 
 import pytest
 
-from tvgenus import recoupling
+from tvgenus import kernel, recoupling
 from tvgenus.complex3 import EDGES
+from tvgenus.fixtures import fixture
 from tvgenus.recoupling import (TET_ARG_EDGES, admissible, global_dim, qdim,
                                 quantum_factorial, quantum_integer, tables,
                                 tet_symbol, tet_symbol_f, theta, theta_f,
                                 _carrier, _relabel_tet, _TET_FACES)
+from tvgenus.statesum import _make_plan
 from tvgenus.verify import verify_identities, _admissible_tet_tuples
 
 import oracles
@@ -290,21 +294,25 @@ def test_theta_inv_table_is_one_dense_table_per_level():
 
 def test_float_level_past_the_double_range_is_refused_before_its_table(
         monkeypatch):
-    """From r=204 on [r-1]! is inf in doubles, so some theta leaves the
-    double range: the float 1/theta table is refused, with the message the
-    CLI prints, before its (r-1)^3 slots are allocated.  A tripwire on the
-    fill loop fails the test at r=204 (8.4M slots) before a larger level is
-    tried.  theta_f and tet_symbol_f still evaluate what stays in range."""
+    """From r=117 on some theta leaves the double range (from r=204 on
+    even [r-1]! is inf): the float 1/theta table is refused, with the
+    message the CLI prints, before its (r-1)^3 slots are allocated.  A
+    tripwire on the fill loop fails the test at r=117 (1.5M slots) before
+    a larger level is tried; r=116 still builds its table, every value in
+    range.  theta_f and tet_symbol_f still evaluate what stays in range."""
     assert recoupling._Float(203).fact[202] < math.inf
     assert recoupling._Float(204).fact[203] == math.inf
 
     def tripwire(*args):
         raise AssertionError("the table was allocated before the refusal")
     monkeypatch.setattr(recoupling, "admissible", tripwire)
-    for r in (204, 1001):
+    for r in (117, 150, 203, 204, 1001):
         with pytest.raises(ValueError, match=f"r={r}; use --mode exact"):
             recoupling._Float(r).theta_inv
     monkeypatch.undo()
+    table = recoupling._Float(116).theta_inv
+    assert all(0 < abs(val) < math.inf for plane in table for row in plane
+               for val in row if val is not None)
     assert theta_f(0, 0, 0, 1001) == tet_symbol_f(0, 0, 0, 0, 0, 0, 1001) == 1
     with pytest.raises(ValueError, match="r=1001; use --mode exact"):
         theta_f(999, 999, 0, 1001)
@@ -319,6 +327,22 @@ def test_carrier_cache_is_bounded():
     for r in range(3, 15):
         assert tables(r, "float").third
     assert _carrier.cache_info().currsize <= bound
+
+
+def test_evicted_level_releases_its_kernel_rows():
+    """The compiled kernel's Tet rows live on the level's carrier, so they
+    are released with it when the bounded cache evicts the level."""
+    lv, every = tables(11, "float"), range(10)
+    kernel.compile_kernel(_make_plan(fixture("rp3#l31")))(
+        lv, every, every[:1], [lv.zero] * len(every), {})
+    assert lv.tet_rows
+    carrier = weakref.ref(lv)
+    del lv
+    for r in range(12, 12 + _carrier.cache_parameters()["maxsize"]):
+        tables(r, "float")
+    gc.collect()
+    assert carrier() is None
+    assert tables(11, "float").tet_rows == {}
 
 
 _SYMBOLS = {

@@ -635,6 +635,55 @@ def test_kernel_fills_the_last_step_table_as_step_entries(build, r):
         assert repr([(c, list(fs)) for c, fs in entries]) == repr(want), key
 
 
+# (triangulation, level) of three plans whose kernels read Tet rows; at a
+# case's level the other cases' plans and two fixtures fill rows first
+ROW_CASES = {
+    "rp3_rp3.v1.t12": (lambda: _census_walk("rp3_rp3.v1.t12"), 6),
+    "t3 walk t8": (lambda: _seeded_walk("t3", 8), 8),
+    "L(18,5)": (lambda: fixture("L(18,5)"), 5),
+}
+
+
+def _row_tuples(lv):
+    """Each filled slot of the level's Tet rows with the Tet tuple its row
+    key and color name: the key's mask marks the arguments that are the
+    color, and the other arguments take the key's colors in order."""
+    for (mask, *others), row in lv.tet_rows.items():
+        for c, val in enumerate(row):
+            if val is not None:
+                rest = iter(others)
+                yield val, tuple(c if mask >> i & 1 else next(rest)
+                                 for i in range(6))
+
+
+@pytest.mark.parametrize("label", ROW_CASES)
+def test_kernel_rows_are_shared_by_the_searches_of_a_level(label,
+                                                           monkeypatch):
+    # the kernel keeps its Tet rows on the level's carrier: forced, the
+    # branch sums, entered positions and leaves are the same on a fresh
+    # carrier, on a rerun, and after other plans filled the level's rows;
+    # a rerun creates no row, and each slot is the memo's own float
+    monkeypatch.setattr(kernel, "_KERNEL_MIN_ENTERED", -1)
+    build, r = ROW_CASES[label]
+    plan, every = _make_plan(build()), range(r - 1)
+    lv = recoupling._Float(r)
+    want = repr(kernel._branches(lv, plan, every))
+    own = dict(lv.tet_rows)
+    assert own
+    assert repr(kernel._branches(lv, plan, every)) == want
+    assert lv.tet_rows.keys() == own.keys()
+    assert all(lv.tet_rows[key] is row for key, row in own.items())
+    lv = recoupling._Float(r)
+    for other in [fixture("rp3#rp3"), fixture("rp3#l31"),
+                  *(b() for name, (b, _) in ROW_CASES.items() if name != label)]:
+        kernel.compile_kernel(_make_plan(other))(
+            lv, every, every[:1], [lv.zero] * len(every), {})
+    shared = own.keys() & lv.tet_rows.keys()
+    assert shared
+    assert repr(kernel._branches(lv, plan, every)) == want
+    assert all(val is lv.tet_memo[key] for val, key in _row_tuples(lv))
+
+
 def test_kernel_is_compiled_only_after_a_long_first_branch(monkeypatch):
     compiled = _count_kernels(monkeypatch)
     tv_invariant(fixture("s3"), 5)
