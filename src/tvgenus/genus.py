@@ -111,18 +111,29 @@ def screen(entries, r: int, threshold: float | None = None,
     """Screen census entries (name, isosig) pairs; order preserved.
 
     Per-entry failures become records with the error in notes; the batch
-    never aborts.  With a threshold, only records with tv >= threshold (and
-    the failures) are kept."""
+    never aborts.  A signature repeated within one call is computed once:
+    each later line gets the first line's record under its own name (equal
+    signatures decode to the same triangulation, and no other field reads
+    the name).  Only computed records are shared; a failing line builds its
+    own failure record, and nothing is kept between calls.  With a
+    threshold, only records with tv >= threshold (and the failures) are
+    kept."""
+    done: dict[str, ScreenRecord] = {}
 
     def one(entry) -> ScreenRecord:
         name, sig = entry
+        rec = done.get(sig)
+        if rec is not None:
+            return rec._replace(name=name)
         try:
             tri = decode_isosig(sig, name=name)
-            return screen_record(name, tri, r, mode=mode, limits=limits,
-                                 isosig=sig)
+            rec = screen_record(name, tri, r, mode=mode, limits=limits,
+                                isosig=sig)
         except Exception as exc:  # per-record isolation is the contract
             return ScreenRecord(name=name, isosig=sig,
                                 notes=(f"failed: {exc}",))
+        done[sig] = rec
+        return rec
 
     records = [one(e) for e in entries]
     if threshold is not None:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from tvgenus.cli import load_census
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
 from tvgenus.genus import genus_lower_bound, screen
@@ -128,15 +129,8 @@ def test_criterion_07_census_screen():
             "closed orientable census ('name ; isosig' lines) to run the "
             "full screen reproduction")
     t0 = time.perf_counter()
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                name, _, sig = line.rpartition(";")
-                entries.append((name.strip(), sig.strip()))
-    records = screen(entries, r=5, limits=SearchLimits(max_states=1e12,
-                                                       force=True))
+    records = screen(load_census(path), r=5,
+                     limits=SearchLimits(max_states=1e12, force=True))
     by_name = {}
     for rec in records:
         assert rec.tv_value is not None, rec.notes

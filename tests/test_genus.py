@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvgenus import genus
 from tvgenus.fixtures import fixture, fixture_isosig
 from tvgenus.genus import (ACTIONABLE_NOTE, BELOW_ACTIONABLE_NOTE,
                            FLAG_DISCLAIMER, PAPER_MODE_THRESHOLD, ScreenRecord,
                            genus_lower_bound, screen, screen_record,
                            trivial_exclusions, tv_s3)
 from tvgenus.homology import parse_h1
-from tvgenus.statesum import tv_invariant
+from tvgenus.statesum import SearchLimits, tv_invariant
 
 
 def test_tv_s3_closed_form():
@@ -171,6 +172,64 @@ def test_screen_threshold_filter():
     records = screen(entries, r=5, threshold=PAPER_MODE_THRESHOLD)
     assert [rec.name for rec in records] == ["torus"]
     assert records[0].tv_value > 7.235
+
+
+# t3 passes the paper threshold and rp3#rp3 does not
+REPEATS = [("a", fixture_isosig("t3")), ("b", fixture_isosig("rp3#rp3")),
+           ("c", fixture_isosig("t3")), ("bad", "zzz###"),
+           ("d", fixture_isosig("rp3#rp3")), ("bad2", "zzz###"),
+           ("e", fixture_isosig("t3"))]
+
+
+def test_screen_repeats_match_each_line_screened_alone():
+    records = screen(REPEATS, r=5)
+    assert [rec.name for rec in records] == [name for name, _ in REPEATS]
+    for entry, rec in zip(REPEATS, records):
+        assert [rec] == screen([entry], r=5)
+    assert records[2]._replace(name="a") == records[0]
+
+
+def test_screen_computes_each_signature_once_per_call(monkeypatch):
+    decoded, computed = [], []
+    decode, record = genus.decode_isosig, genus.screen_record
+
+    def counted_decode(sig, **kw):
+        decoded.append(sig)
+        return decode(sig, **kw)
+
+    def counted_record(*args, **kw):
+        computed.append(kw["isosig"])
+        return record(*args, **kw)
+
+    monkeypatch.setattr(genus, "decode_isosig", counted_decode)
+    monkeypatch.setattr(genus, "screen_record", counted_record)
+    t3, sum_ = fixture_isosig("t3"), fixture_isosig("rp3#rp3")
+    for _ in range(2):  # a second call computes every signature again
+        decoded.clear()
+        computed.clear()
+        screen(REPEATS, r=5)
+        assert computed == [t3, sum_]
+        assert decoded == [t3, sum_, "zzz###", "zzz###"]
+
+
+def test_screen_repeated_failures_keep_one_record_per_line():
+    sig = fixture_isosig("rp3#rp3")
+    entries = [("x", sig), ("bad", "zzz###"), ("y", sig), ("bad2", "zzz###")]
+    guard = SearchLimits(max_states=10)
+    records = screen(entries, r=5, limits=guard)
+    assert [rec.name for rec in records] == ["x", "bad", "y", "bad2"]
+    for entry, rec in zip(entries, records):
+        assert rec.tv_value is None and rec.isosig == entry[1]
+        assert [rec] == screen([entry], r=5, limits=guard)
+    assert "search volume" in records[2].notes[0]
+    assert records[3].notes == records[1].notes
+
+
+def test_screen_threshold_keeps_repeats_like_their_first_line():
+    records = screen(REPEATS, r=5, threshold=PAPER_MODE_THRESHOLD)
+    assert [rec.name for rec in records] == ["a", "c", "bad", "bad2", "e"]
+    kept = {rec.name: rec for rec in screen(REPEATS, r=5)}
+    assert records == [kept[rec.name] for rec in records]
 
 
 def test_screen_record_flags_disclaimer():
