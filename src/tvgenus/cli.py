@@ -60,16 +60,27 @@ TEXT_FIELDS = (("tv_float", "tv={:.12g}"), ("tv_exact", "exact={}"),
                ("genus_lb", "genus>={}"), ("h1", "h1={}"))
 
 
-def _record(row: dict) -> ScreenRecord:
+def _record(row) -> ScreenRecord:
     """The record of report fields, as JSON values or as CSV text (with the
-    notes split); an empty or missing optional field reads as None."""
+    notes split); an empty or missing optional field reads as None.  A
+    record that is not an object, lacks a name, flag or notes, or whose
+    notes are not a list of strings raises ValueError."""
+    if not isinstance(row, dict):
+        raise ValueError(f"report record is not an object: {row!r}")
+    missing = [key for key in ("name", "flagged", "notes") if key not in row]
+    if missing:
+        raise ValueError(f"report record lacks {', '.join(missing)}")
+    notes = row["notes"]
+    if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+        raise ValueError(f"report notes are not a list of strings: {notes!r}")
+
     def opt(parse, key):
         return None if row.get(key) in (None, "") else parse(row[key])
     return ScreenRecord(
         name=row["name"], isosig=opt(str, "isosig"),
         tv_value=opt(float, "tv_float"), genus_lb=opt(int, "genus_lb"),
         h1=opt(parse_h1, "h1"), flagged=bool(int(row["flagged"])),
-        notes=tuple(row["notes"]), tv_exact=opt(str, "tv_exact"))
+        notes=tuple(notes), tv_exact=opt(str, "tv_exact"))
 
 
 def _csv_cell(value):
@@ -88,6 +99,8 @@ def report_to_json(report: Report) -> str:
 
 def report_from_json(text: str) -> Report:
     data = json.loads(text)
+    if not (isinstance(data, dict) and isinstance(data.get("records"), list)):
+        raise ValueError("a JSON report is an object with a 'records' list")
     return Report(rows=[_record(item) for item in data["records"]],
                   provenance=data.get("provenance", {}))
 
@@ -111,6 +124,9 @@ def report_from_csv(text: str) -> Report:
         raise ValueError("unexpected CSV header")
     report = Report(rows=[], provenance={})
     for cells in reader:
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"CSV line {reader.line_num} has {len(cells)} "
+                             f"cells, not {len(CSV_COLUMNS)}")
         row = dict(zip(CSV_COLUMNS, cells))
         if report.provenance.get("r") is None and row["r"]:
             report.provenance["r"] = int(row["r"])

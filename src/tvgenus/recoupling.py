@@ -19,9 +19,10 @@ float wrappers of the same formulas.  tables(r, mode) is the one carrier object 
 the state sum's dense 1/theta table theta_inv, the table third of the
 colors each pair admits, read off theta_inv, the Tet memo tet_memo, and
 tet_rows, the rows of tet_memo that the compiled float kernel reads,
-shared by every search of the level; the exact carrier fills Tet once per
-orbit of the 24 tetrahedral relabelings, and its float twin once per
-tuple, since its argument order fixes its bits.
+shared by every search of the level.  Every carrier fills Tet once per
+orbit of the 24 tetrahedral relabelings, at the least relabeling, as it
+fills theta once per sorted triple; theta, tet_symbol and their float
+wrappers evaluate the formula at the arguments given.
 D', the even colors' share of D, normalizes the even-color state sum at
 odd r.  TET_ARG_EDGES places the arguments A..F of Tet on the edges 01,
 02, 23, 13, 12, 03 of a tetrahedron; the state sum's plan and the symmetry
@@ -92,12 +93,19 @@ class _Carrier:
                  for row in plane] for plane in self.theta_inv]
 
     def tet(self, A: int, B: int, C: int, D: int, E: int, F: int):
-        """Tet[A B E; C D F], filled into tet_memo on first use: the state
-        sum touches only the tuples that occur."""
+        """Tet[A B E; C D F] from tet_memo, filled on first use: the state
+        sum touches only the tuples that occur.  On a miss it is read, or
+        filled, at the least of the 24 relabelings of the tuple, so each
+        symmetry orbit is computed once, as theta is once per sorted
+        triple, and stored under this key too."""
         key = (A, B, C, D, E, F)
         val = self.tet_memo.get(key)
         if val is None:
-            val = self.tet_memo[key] = _tet(self, key)
+            orbit_key = min(relabel(key) for relabel in _TET_RELABELINGS)
+            val = self.tet_memo.get(orbit_key)
+            if val is None:
+                val = self.tet_memo[orbit_key] = _tet(self, orbit_key)
+            self.tet_memo[key] = val
         return val
 
 
@@ -123,20 +131,6 @@ class _Exact(_Carrier):
 
     def div_fact(self, x, n: int):
         return x * self.inv_fact[n]
-
-    def tet(self, A: int, B: int, C: int, D: int, E: int, F: int):
-        """Tet[A B E; C D F] from tet_memo.  On a miss it is read, or
-        filled, at the least of the 24 relabelings of the tuple, so each
-        symmetry orbit is computed once, and stored under this key too."""
-        key = (A, B, C, D, E, F)
-        val = self.tet_memo.get(key)
-        if val is None:
-            orbit_key = min(relabel(key) for relabel in _TET_RELABELINGS)
-            val = self.tet_memo.get(orbit_key)
-            if val is None:
-                val = self.tet_memo[orbit_key] = _tet(self, orbit_key)
-            self.tet_memo[key] = val
-        return val
 
     @staticmethod
     def inverse(x):
@@ -300,16 +294,19 @@ def tet_symbol(A: int, B: int, C: int, D: int, E: int, F: int,
 
     The four vertices carry the admissible triples (A,B,E), (C,D,E), (A,D,F)
     and (B,C,F); the value is invariant under the order-24 symmetry group of
-    the tetrahedron acting on the edge labels.
+    the tetrahedron acting on the edge labels.  It is the formula evaluated
+    at the arguments given, not read from the carrier's memo.
     """
     return _tet(_at(r, True), (A, B, C, D, E, F))
 
 
 def theta_f(a: int, b: int, c: int, r: int) -> float:
+    """theta in doubles, the formula evaluated at the arguments given."""
     return _theta(_at(r, False), a, b, c)
 
 
 def tet_symbol_f(A: int, B: int, C: int, D: int, E: int, F: int, r: int) -> float:
+    """Tet in doubles, the formula evaluated at the arguments given."""
     return _tet(_at(r, False), (A, B, C, D, E, F))
 
 

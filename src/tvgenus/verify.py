@@ -35,9 +35,10 @@ def verify_identities(r: int, tables_override=None) -> IdentityReport:
     Checks, over all admissible tuples:
       * theta(a, a, 0) = delta_a;
       * invariance of Tet under the 24 edge relabelings induced by vertex
-        permutations of the tetrahedron: the exact carrier fills Tet once
-        per orbit of these, so the formula, evaluated at every tuple, must
-        equal the table's value there;
+        permutations of the tetrahedron: every carrier fills Tet once per
+        orbit of these, at its least relabeling, as it fills theta once per
+        sorted triple, so the formula, evaluated at every tuple, must equal
+        the table's value there;
       * orthogonality of the recoupling transform:
           sum_j delta_j Tet[a b i; c d j] Tet[a b i'; c d j]
                 / (theta(a,d,j) theta(b,c,j))

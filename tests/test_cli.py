@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import tvgenus
-from tvgenus.cli import (Report, main, report_from_csv, report_from_json,
-                         report_to_csv, report_to_json)
+from tvgenus.cli import (CSV_COLUMNS, Report, main, report_from_csv,
+                         report_from_json, report_to_csv, report_to_json)
 from tvgenus.fixtures import fixture, fixture_gluing_text, fixture_isosig
 from tvgenus.genus import FLAG_DISCLAIMER, screen_record
 from tvgenus.gluing import format_gluing_file
@@ -398,6 +398,33 @@ def test_csv_with_another_header_is_rejected():
         report_from_csv("name,r\ns3,5\n")
     with pytest.raises(ValueError, match="unexpected CSV header"):
         report_from_csv("")
+
+
+def test_csv_row_of_another_length_is_rejected():
+    header = ",".join(CSV_COLUMNS)
+    row = "s3,,5,0.138,,0,0,0,0,"
+    assert report_from_csv(f"{header}\n{row}\n").rows[0].name == "s3"
+    with pytest.raises(ValueError, match="CSV line 2 has 9 cells, not 10"):
+        report_from_csv(f"{header}\ns3,,5,0.138,,0,0,0,0\n")
+    with pytest.raises(ValueError, match="CSV line 3 has 11 cells, not 10"):
+        report_from_csv(f"{header}\n{row}\n{row},extra\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("{}", "object with a 'records' list"),
+    ("[]", "object with a 'records' list"),
+    ('{"records": {}}', "object with a 'records' list"),
+    ('{"records": ["s3"]}', "record is not an object"),
+    ('{"records": [{"flagged": false, "notes": []}]}', "record lacks name"),
+    ('{"records": [{"name": "s3"}]}', "record lacks flagged, notes"),
+    ('{"records": [{"name": "s3", "flagged": false, "notes": "xy"}]}',
+     "notes are not a list of strings"),
+    ('{"records": [{"name": "s3", "flagged": false, "notes": [1]}]}',
+     "notes are not a list of strings"),
+])
+def test_malformed_json_report_is_rejected(text, match):
+    with pytest.raises(ValueError, match=match):
+        report_from_json(text)
 
 
 def test_csv_columns_contract(tmp_path, capsys):

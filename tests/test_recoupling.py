@@ -10,14 +10,14 @@ import weakref
 
 import pytest
 
-from tvgenus import kernel, recoupling
+from tvgenus import kernel, recoupling, statesum
 from tvgenus.complex3 import EDGES
 from tvgenus.fixtures import fixture
 from tvgenus.recoupling import (TET_ARG_EDGES, admissible, global_dim, qdim,
                                 quantum_factorial, quantum_integer, tables,
                                 tet_symbol, tet_symbol_f, theta, theta_f,
                                 _carrier, _relabel_tet, _TET_FACES)
-from tvgenus.statesum import _make_plan
+from tvgenus.statesum import SearchLimits, _make_plan, tv_invariant
 from tvgenus.verify import verify_identities, _admissible_tet_tuples
 
 import oracles
@@ -225,6 +225,42 @@ def test_tet_inadmissible_face_raises():
         tet_symbol(1, 1, 1, 1, 1, 0, 5)
 
 
+# --- one Tet fill rule --------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+@pytest.mark.parametrize("r", range(3, 10))
+def test_tet_is_filled_once_per_orbit_at_its_least_relabeling(mode, r):
+    # every carrier reads a Tet orbit as one object, computed by the
+    # formula at the least of the orbit's 24 argument tuples, as theta is
+    # computed once at the sorted triple
+    lv = tables(r, mode)
+    for tup in _admissible_tet_tuples(r):
+        orbit = [_relabel_tet(tup, sigma)
+                 for sigma in itertools.permutations(range(4))]
+        val = lv.tet(*tup)
+        assert all(lv.tet(*other) is val for other in orbit), tup
+        assert repr(val) == repr(recoupling._tet(lv, min(orbit))), tup
+
+
+@pytest.mark.parametrize("r", (6, 8))
+def test_float_tet_does_not_depend_on_what_filled_the_level(r, monkeypatch):
+    # a search that meets a Tet orbit at another tuple first fills it at
+    # the same least relabeling, so the bits of t3, and of every Tet it
+    # reads, do not depend on the searches that ran on the level before it
+    def t3_after(*names):
+        lv = recoupling._Float(r)
+        monkeypatch.setattr(statesum, "tables", lambda r, mode: lv)
+        for name in (*names, "t3"):
+            res = tv_invariant(fixture(name), r,
+                               limits=SearchLimits(force=True))
+        return lv.tet_memo, repr(res.value_float)
+
+    alone, want = t3_after()
+    after, got = t3_after("rp3#rp3")
+    assert got == want
+    assert all(repr(after[key]) == repr(val) for key, val in alone.items())
+
+
 # --- exact/float agreement ---------------------------------------------------
 
 @pytest.mark.parametrize("r", range(3, 10))
@@ -406,7 +442,7 @@ def test_float_symbol_bits_pinned():
             count += 1
     assert count == 6489
     assert h.hexdigest() == (
-        "3e396aae89986e181df175c4174d2812a787a0bb4ad012ce2eb8f71ba5ebf4e7")
+        "b3a770dabce152e3b7a4d3530cd20cecf2d04734c78b34f8483a41bbb6edef64")
 
 
 # --- identity suite -----------------------------------------------------------
@@ -418,8 +454,8 @@ def test_verify_identities_pass(r):
 
 
 def test_asymmetric_tet_breaks_tetrahedral_symmetry(monkeypatch):
-    # the exact carrier fills Tet once per symmetry orbit, so the check
-    # must compare the formula at every tuple, not the table with itself
+    # every carrier fills Tet once per symmetry orbit, so the check must
+    # compare the formula at every tuple, not the table with itself
     formula = recoupling._tet
     monkeypatch.setattr(recoupling, "_tet", lambda lv, labels: formula(
         lv, labels) * (labels[0] + 1))

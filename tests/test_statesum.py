@@ -128,15 +128,19 @@ def test_pruning_soundness(name, r):
             == _naive_admissible_count(tri, r))
 
 
-@pytest.mark.parametrize("name", fixture_names())
-def test_r3_count_is_mod2_cocycle_count(name):
+def _mod2_cocycle_count(tri):
     # at r=3 the admissible colorings are the Z_2 1-cocycles, so their number
     # is 2^(b1(M;Z_2) + V - 1); b1(M;Z_2) counts free and even-torsion factors
-    tri = fixture(name)
     homology = h1(tri)
     b1 = homology.free_rank + sum(1 for d in homology.torsion if d % 2 == 0)
-    want = 2 ** (b1 + len(tri.vertex_orbits) - 1)
-    assert tv_invariant(tri, 3, limits=FORCE).states_admissible == want
+    return 2 ** (b1 + len(tri.vertex_orbits) - 1)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_r3_count_is_mod2_cocycle_count(name):
+    tri = fixture(name)
+    assert (tv_invariant(tri, 3, limits=FORCE).states_admissible
+            == _mod2_cocycle_count(tri))
 
 
 # --- move invariance -------------------------------------------------------------
@@ -222,10 +226,10 @@ PINNED_FLOAT = {
         "t3": "16.0", "rp3#rp3": "1.1134889515993497e-17",
         "rp3#l31": "9.25953970277354e-17"},
     6: {"s3": "0.08333333333333327", "s3_double": "0.08333333333333313",
-        "rp3": "0.04465819873852064", "l31": "0.24999999999999986",
+        "rp3": "0.04465819873852064", "l31": "0.2499999999999998",
         "s2xs1": "0.9999999999999991", "s2xts1": "0.9999999999999991",
         "q8": "2.33333333333333", "t3": "24.999999999999982",
-        "rp3#rp3": "0.02393225657483024", "rp3#l31": "0.13397459621556082"},
+        "rp3#rp3": "0.023932256574830207", "rp3#l31": "0.1339745962155607"},
 }
 PINNED_EXACT_R5 = {
     "s3": "1/5 - 1/10*z^2 + 1/10*z^3", "s3_double": "1/5 - 1/10*z^2 + 1/10*z^3",
@@ -428,6 +432,17 @@ def _census():
 
 def _census_starts():
     return [sig for name, sig in _census().items() if ".v" not in name]
+
+
+def test_r3_count_is_mod2_cocycle_count_over_the_census_pool():
+    # the fixture check above, tying the search to H_1, on every distinct
+    # signature of the census pool
+    sigs = sorted(set(_census().values()))
+    assert len(sigs) == 1142
+    for sig in sigs:
+        tri = decode_isosig(sig)
+        assert (tv_invariant(tri, 3, limits=FORCE).states_admissible
+                == _mod2_cocycle_count(tri)), sig
 
 
 def test_tv3_is_rational():
