@@ -60,11 +60,17 @@ TEXT_FIELDS = (("tv_float", "tv={:.12g}"), ("tv_exact", "exact={}"),
                ("genus_lb", "genus>={}"), ("h1", "h1={}"))
 
 
-def _record(row) -> ScreenRecord:
-    """The record of report fields, as JSON values or as CSV text (with the
-    notes split); an empty or missing optional field reads as None.  A
-    record that is not an object, lacks a name, flag or notes, or whose
-    notes are not a list of strings raises ValueError."""
+# the JSON types of the report fields that _record reads besides the notes
+JSON_TYPES = {"name": str, "isosig": str, "tv_float": (int, float),
+              "tv_exact": str, "genus_lb": int, "h1": str, "flagged": bool}
+
+
+def _record(row, typed: bool = False) -> ScreenRecord:
+    """The record of report fields, as JSON values (typed) or as CSV text
+    (with the notes split); an empty or missing optional field reads as
+    None.  A record that is not an object, lacks a name, flag or notes, or
+    whose notes are not a list of strings raises ValueError; so does, if
+    typed, a field not of its JSON type (a null name or flag included)."""
     if not isinstance(row, dict):
         raise ValueError(f"report record is not an object: {row!r}")
     missing = [key for key in ("name", "flagged", "notes") if key not in row]
@@ -73,6 +79,15 @@ def _record(row) -> ScreenRecord:
     notes = row["notes"]
     if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
         raise ValueError(f"report notes are not a list of strings: {notes!r}")
+    for key, kind in JSON_TYPES.items() if typed else ():
+        value = row.get(key)
+        if value is None and key not in ("name", "flagged"):
+            continue
+        # JSON's true and false are no numbers, though Python's bool is int
+        if not isinstance(value, kind) or (
+                isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"report field {key} is not of its JSON type: "
+                             f"{value!r}")
 
     def opt(parse, key):
         return None if row.get(key) in (None, "") else parse(row[key])
@@ -101,8 +116,11 @@ def report_from_json(text: str) -> Report:
     data = json.loads(text)
     if not (isinstance(data, dict) and isinstance(data.get("records"), list)):
         raise ValueError("a JSON report is an object with a 'records' list")
-    return Report(rows=[_record(item) for item in data["records"]],
-                  provenance=data.get("provenance", {}))
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError(f"report provenance is not an object: {provenance!r}")
+    return Report(rows=[_record(item, typed=True) for item in data["records"]],
+                  provenance=provenance)
 
 
 def report_to_csv(report: Report) -> str:

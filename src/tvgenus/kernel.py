@@ -31,16 +31,16 @@ product rounds as the interpreted loop's one-factor-at-a-time products
 do; both add into the same partial sums by first color and read the same
 table, so the total, entered and leaves keep every bit.
 
-The kernel fills the last step's table itself, in generated code: on a miss
-it loops over the last position's colors and appends each admissible one
-with its factors, as statesum._step_entries would, at no call per prefix.
-It looks the table up once per coloring of the positions the last step
-reads: entries is set to None in the loop of the latest of them, and
-position last - 1 reads the table only while it is None.
-A face that holds its step's color once reads its 1/theta from a row, set
-at the later of the face's other two positions: h1_3 = theta_inv[c1][c3],
-read as h1_3[c4].  theta_inv shares one float object among the
-permutations of a triple, so the row gives the float of the full lookup.
+A miss fills the table with statesum._step_entries, as the interpreted
+loop does.  The kernel looks the table up once per coloring of the
+positions the last step reads: entries is set to None in the loop of the
+latest of them, and position last - 1 reads the table only while it is
+None.
+A face of an inner step that holds the step's color once reads its
+1/theta from a row, set at the later of the face's other two positions:
+h1_3 = theta_inv[c1][c3], read as h1_3[c4].  theta_inv shares one float
+object among the permutations of a triple, so the row gives the float of
+the full lookup.
 An inner step's Tet reads a row too: a list by the step's color, fetched
 at the latest of the Tet's other positions from the carrier's tet_rows,
 keyed by the bitmask of the arguments that are the step's color and the
@@ -51,8 +51,8 @@ is filled on its first read with the memo's own float object.  The key
 fixes the Tet tuple for every color, whatever the plan, so a row is a view
 of tet_memo: every search of the level shares it, and it goes with the
 carrier.  A Tet whose other arguments hold every earlier position would
-get a row per prefix, each slot read once, so it reads the memo, as the
-last step's Tet and a Tet of six step colors do.
+get a row per prefix, each slot read once, so it reads the memo, as a
+Tet of six step colors does.
 """
 
 from __future__ import annotations
@@ -163,40 +163,43 @@ def compile_kernel(plan):
     it), reads Tet from a row or the memo, and multiplies delta, the 1/theta
     and the Tet factors into the weight left to right, as the inline search
     does; position last - 1 looks the last step's table up once per coloring
-    of the positions that step reads, fills it on a miss, with the colors,
-    factors and order of statesum._step_entries, and folds its entries as
-    part += w * f0 * f1 * ..., the same roundings as folding them one
-    factor at a time.  The plan has at most 20 positions."""
+    of the positions that step reads, fills it on a miss with
+    statesum._step_entries, as the interpreted loop does, and folds its
+    entries as part += w * f0 * f1 * ..., the same roundings as folding
+    them one factor at a time.  The plan has at most 20 positions."""
     last = len(plan) - 1
-    # each step's 1/theta and Tet reads, and the lines each position runs
-    # to set the rows that later steps read
-    thetas, tets, rows = [], [], [[] for _ in plan]
-    for k, (faces, tet_args, _) in enumerate(plan):
-        reads = []
-        for face in faces:
+    # the lines of each position's loop that check its faces, read its Tet
+    # and set its weight, and the lines it runs to set the rows that later
+    # steps read
+    body, rows = [], [[] for _ in plan]
+    for k, (faces, tet_args, pair) in enumerate(plan[:last]):
+        out, factors = [], [f"w{k - 1}" if k else "one", f"delta[c{k}]"]
+        for n, face in enumerate(faces):
             others = sorted(p for p in face if p != k)
             if len(others) < 2:
-                reads.append("theta_inv[c{}][c{}][c{}]".format(*face))
-                continue
-            u, v = others
-            row = f"h{u}_{v} = theta_inv[c{u}][c{v}]"
-            if row not in rows[v]:
-                rows[v].append(row)
-            reads.append(f"h{u}_{v}[c{k}]")
-        thetas.append(reads)
-        reads = []
+                out.append("i{} = theta_inv[c{}][c{}][c{}]".format(n, *face))
+            else:
+                u, v = others
+                row = f"h{u}_{v} = theta_inv[c{u}][c{v}]"
+                if row not in rows[v]:
+                    rows[v].append(row)
+                out.append(f"i{n} = h{u}_{v}[c{k}]")
+            if n or pair is None:  # third admits a paired step's first face
+                out.append(f"if i{n} is None: continue")
+            factors.append(f"i{n}")
         for n, tet in enumerate(tet_args):
             # a Tet of 0 reads false; fill returns the memo's value
             args = ", ".join(f"c{p}" for p in tet)
             fill = f"memo(({args})) or fill({args})"
             others = [p for p in tet if p != k]
-            # the last step's Tet, one of six step colors, and one of every
-            # earlier position (whose row one prefix would read once per
-            # slot) read the memo; another reads its row of the Tets that
-            # differ only in the arguments that are color k, keyed by which
-            # those are and the other arguments' colors
-            if k == last or not others or {*others} == {*range(k)}:
-                reads.append([f"t{n} = {fill}"])
+            factors.append(f"t{n}")
+            # a Tet of six step colors and one of every earlier position
+            # (whose row one prefix would read once per slot) read the
+            # memo; another reads its row of the Tets that differ only in
+            # the arguments that are color k, keyed by which those are and
+            # the other arguments' colors
+            if not others or {*others} == {*range(k)}:
+                out.append(f"t{n} = {fill}")
                 continue
             row = f"R{k}_{n}"
             mask = sum(1 << i for i, p in enumerate(tet) if p == k)
@@ -205,30 +208,11 @@ def compile_kernel(plan):
                 f"{row} = tet_rows.get(({key}))",
                 f"if {row} is None: {row} = tet_rows[({key})] = [None] * "
                 "len(delta)"]
-            reads.append([f"t{n} = {row}[c{k}]",
-                          f"if t{n} is None: t{n} = {row}[c{k}] = {fill}"])
-        tets.append(reads)
+            out += [f"t{n} = {row}[c{k}]",
+                    f"if t{n} is None: t{n} = {row}[c{k}] = {fill}"]
+        body.append(out + [f"w{k} = {' * '.join(factors)}", "entered += 1"])
     # the last step's table key is set once position m has its color
     m = max(_reads(plan, last), default=0)
-
-    def step(k, ind):
-        """The lines that check step k's faces and read its Tet, and its
-        factors after delta."""
-        out, factors = [], []
-        for n, read in enumerate(thetas[k]):
-            out.append(f"{ind}i{n} = {read}")
-            if n or plan[k][2] is None:
-                out.append(f"{ind}if i{n} is None: continue")
-            factors.append(f"i{n}")
-        for n, read in enumerate(tets[k]):
-            out += [ind + line for line in read]
-            factors.append(f"t{n}")
-        return out, factors
-
-    def source(k):
-        pair = plan[k][2]
-        return ("firsts" if k == 0 else "every" if pair is None
-                else "third[c{}][c{}]".format(*pair))
 
     lines = ["def kernel(lv, every, firsts, branch, table):",
              "    one, delta, third = lv.one, lv.delta, lv.third",
@@ -236,37 +220,32 @@ def compile_kernel(plan):
              "    entered = leaves = 0",
              "    tet_rows = lv.tet_rows"]
     for k in range(last):
+        pair = plan[k][2]
+        source = ("firsts" if k == 0 else "every" if pair is None
+                  else "third[c{}][c{}]".format(*pair))
         ind = "    " * (k + 1)
-        lines.append(f"{ind}for c{k} in {source(k)}:")
+        lines.append(f"{ind}for c{k} in {source}:")
         ind += "    "
         if k == 0:
             lines.append(f"{ind}part = branch[c0]")
-        checks, factors = step(k, ind)
-        factors = [f"w{k - 1}" if k else "one", f"delta[c{k}]", *factors]
-        lines += [*checks,
-                  f"{ind}w{k} = {' * '.join(factors)}",
-                  f"{ind}entered += 1",
-                  *(ind + row for row in rows[k])]
+        lines += [ind + line for line in body[k] + rows[k]]
         if k == m:
             lines.append(f"{ind}entries = None")
     ind = "    " * (last + 1)
     key = "(" + "".join(f"c{p}, " for p in _reads(plan, last)) + ")"
-    checks, factors = step(last, ind + "            ")
-    entry = "".join(f + ", " for f in [f"delta[c{last}]", *factors])
-    fs = [f"f{n}" for n in range(1 + len(factors))]
+    cols = "[" + "".join(f"c{p}, " for p in range(last)) + "0]"
+    fs = [f"f{n}" for n in range(1 + len(plan[last][0]) + len(plan[last][1]))]
     lines += [f"{ind}if entries is None:",
               f"{ind}    entries = table.get({key})",
               f"{ind}    if entries is None:",
-              f"{ind}        entries = table[{key}] = []",
-              f"{ind}        for c{last} in {source(last)}:",
-              *checks,
-              f"{ind}            entries.append((c{last}, ({entry})))",
+              f"{ind}        entries = table[{key}] = step_entries(",
+              f"{ind}            lv, every, last_step, {cols}, {last})",
               f"{ind}    count = len(entries)",
               f"{ind}leaves += count",
               f"{ind}for _, ({''.join(f + ', ' for f in fs)}) in entries:",
               f"{ind}    part += {' * '.join([f'w{last - 1}', *fs])}",
               "        branch[c0] = part",
               "    return entered, leaves"]
-    namespace: dict = {}
+    namespace = {"step_entries": _step_entries, "last_step": plan[last]}
     exec(compile("\n".join(lines), "<statesum kernel>", "exec"), namespace)
     return namespace["kernel"]

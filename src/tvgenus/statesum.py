@@ -21,15 +21,14 @@ parity); other steps take the color set.  A prefix is pruned as soon as a
 completed face triple is inadmissible.
 
 The float carrier sums by depth-first search (the backtracker), colors
-ascending, accumulating the weight along the path: inner steps are searched
-inline, one pass over a step's faces checking each and multiplying its
-1/theta in; the last step's table is read once per admissible prefix, each
-leaf multiplying the factors in one by one, as a search would.  Each leaf's
-weight goes into the partial sum of its first edge's color, and those are
-added in ascending color order.  That order fixes every bit of the float
-values, and with them the sign of the rounding noise of a TV that is exactly
-0, which visible outputs read; so float keeps the backtracker until those
-bits are pinned anew.
+ascending, accumulating the weight along the path one factor at a time:
+inner steps are searched inline, and the last step's factors come from a
+table of _step_entries, which tvgenus.kernel reads as its docstring
+describes.  Each leaf's weight goes into the partial sum of its first
+edge's color, and those are added in ascending color order.  That order
+fixes every bit of the float values, and with them the sign of the
+rounding noise of a TV that is exactly 0, which visible outputs read; so
+float keeps the backtracker until those bits are pinned anew.
 
 The backtracker lives in tvgenus.kernel, which float searches load: a long
 search runs compiled there, in a kernel that tvgenus.kernel generates for

@@ -27,7 +27,8 @@ formulas or search machinery:
   reduced modulo Phi_2r, the inverse by the extended Euclidean algorithm in
   Q[x]) and the exact theta and Tet formulas on it, every quotient taken by
   that inverse, against which the package's integer CycNumber is checked;
-* TV of a lens space, and of a Seifert fibred space over S^2, as |RT|^2
+* TV of a lens space, and of a Seifert fibred space over a closed surface,
+  as |RT|^2
   (Turaev-Walker; Roberts, Topology 34, 1995), with RT from the modular S
   and T matrices of SU(2) at level r (Jeffrey, CMP 147, 1992; Lawrence and
   Rozansky, CMP 205, 1999, for the Seifert fibred spaces), which shares no
@@ -819,15 +820,20 @@ def lens_tv(p: int, q: int, r: int) -> float:
     return abs(row[0]) ** 2
 
 
-def sfs_tv(fibres, r: int) -> float:
-    """|RT_r|^2 in float of the Seifert fibred space over S^2 with the
-    exceptional fibres (a, b), as in Regina's SFS [S2: (a,b) ...]:
-    RT = sum_j S_0j^(2-m) prod_i (U_i)_j0 up to a phase, over the m
+def sfs_tv(fibres, r: int, chi: int = 2) -> float:
+    """|RT_r|^2 in float of the Seifert fibred space over a closed base of
+    Euler characteristic chi with the exceptional fibres (a, b), as in
+    Regina's SFS [S2: (a,b) ...] (chi 2), SFS [T: ...] and SFS [KB/n2: ...]
+    (chi 0) and SFS [RP2/n2: ...] (chi 1):
+    RT = sum_j S_0j^(chi-m) prod_i (U_i)_j0 up to a phase, over the m
     fibres, with U = S T^c_1 S ... T^c_k S and a/b = [c_1, ..., c_k] the
-    negative continued fraction, the pair signed so that b > 0."""
+    negative continued fraction, the pair signed so that b > 0.  Over a
+    non-orientable base a crosscap may also carry a sign (-1)^j; the
+    reference rows at r=5 give the same TV with it and without, so they
+    do not tell which is right, and the formula leaves it out."""
     S, T = _modular(r)
     n = r - 1
-    total = [S[0][j] ** (2 - len(fibres)) for j in range(n)]
+    total = [S[0][j] ** (chi - len(fibres)) for j in range(n)]
     for a, b in fibres:
         if b < 0:
             a, b = -a, -b

@@ -410,6 +410,12 @@ def test_csv_row_of_another_length_is_rejected():
         report_from_csv(f"{header}\n{row}\n{row},extra\n")
 
 
+def _report_with(**fields):
+    """A JSON report of one record with a name, flag and notes, and fields."""
+    record = {"name": "a", "flagged": False, "notes": [], **fields}
+    return json.dumps({"records": [record]})
+
+
 @pytest.mark.parametrize("text, match", [
     ("{}", "object with a 'records' list"),
     ("[]", "object with a 'records' list"),
@@ -421,6 +427,13 @@ def test_csv_row_of_another_length_is_rejected():
      "notes are not a list of strings"),
     ('{"records": [{"name": "s3", "flagged": false, "notes": [1]}]}',
      "notes are not a list of strings"),
+    *((_report_with(**{key: value}), f"report field {key} is not of its JSON")
+      for key, value in [("h1", 5), ("genus_lb", [1]), ("tv_float", [1]),
+                         ("flagged", None), ("name", 5), ("genus_lb", 2.7),
+                         ("genus_lb", True), ("isosig", 5),
+                         ("tv_exact", 0.5)]),
+    ('{"provenance": 5, "records": []}', "provenance is not an object"),
+    ('{"provenance": null, "records": []}', "provenance is not an object"),
 ])
 def test_malformed_json_report_is_rejected(text, match):
     with pytest.raises(ValueError, match=match):

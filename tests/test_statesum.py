@@ -14,9 +14,9 @@ import pytest
 from tvgenus import kernel, recoupling, statesum
 from tvgenus.cyclotomic import CycNumber
 from tvgenus.fixtures import fixture, fixture_names
-from tvgenus.genus import tv_s3
+from tvgenus.genus import genus_lower_bound, tv_s3
 from tvgenus.gluing import pachner_23
-from tvgenus.homology import h1
+from tvgenus.homology import h1, parse_h1
 from tvgenus.isosig import decode_isosig
 from tvgenus.kernel import _backtrack_sum
 from tvgenus.recoupling import admissible, global_dim, tables, tet_symbol
@@ -628,13 +628,15 @@ def test_float_search_repeats_the_reference_bits(label, monkeypatch):
     (lambda: fixture("t3"), 8),
     (lambda: _seeded_walk("rp3#rp3", 12), 6),
     (lambda: fixture("L(18,5)"), 5),
-    (lambda: _census_walk("rp3_rp3.v1.t12"), 6)],
-    ids=["t3", "rp3#rp3 walk t12", "L(18,5)", "rp3_rp3.v1.t12"])
+    (lambda: _census_walk("rp3_rp3.v1.t12"), 6),
+    (lambda: _seeded_walk("t3", 11), 8)],
+    ids=["t3", "rp3#rp3 walk t12", "L(18,5)", "rp3_rp3.v1.t12", "t3 walk t11"])
 def test_kernel_fills_the_last_step_table_as_step_entries(build, r):
-    # every entry the kernel fills on its own (with 20 loops on L(18,5), the
-    # deepest kernel, and on rp3_rp3.v1.t12 looked up once per coloring of
-    # positions 1, 4 and 8): the colors and factors of _step_entries for
-    # that key, in its order
+    # every entry of a fresh table that the kernel alone fills (with 20
+    # loops on L(18,5), the deepest kernel, and on rp3_rp3.v1.t12 looked up
+    # once per coloring of positions 1, 4 and 8) is _step_entries's at the
+    # coloring its key encodes: the same colors in its order, and each
+    # factor the same float object
     plan = _make_plan(build())
     last = len(plan) - 1
     lv, every = tables(r, "float"), range(r - 1)
@@ -647,7 +649,10 @@ def test_kernel_fills_the_last_step_table_as_step_entries(build, r):
         for p, c in zip(statesum._reads(plan, last), key):
             cols[p] = c
         want = statesum._step_entries(lv, every, plan[last], cols, last)
-        assert repr([(c, list(fs)) for c, fs in entries]) == repr(want), key
+        assert [c for c, _ in entries] == [c for c, _ in want], key
+        for (c, fs), (_, want_fs) in zip(entries, want):
+            assert len(fs) == len(want_fs), (key, c)
+            assert all(f is g for f, g in zip(fs, want_fs)), (key, c)
 
 
 # (triangulation, level) of three plans whose kernels read Tet rows; at a
@@ -817,24 +822,55 @@ def test_lens_space_equals_the_modular_oracle(p, q):
                                     abs=1e-12), r
 
 
-def _reference_sfs_rows():
-    """The SFS [S2: (a,b) ...] rows of the reference screen at r=5, as
-    (name, fibres, TV_5)."""
+# the Euler characteristic of each closed base of the reference screen's
+# SFS rows, by Regina's name for the base
+SFS_BASE_CHI = {"S2": 2, "T": 0, "KB/n2": 0, "RP2/n2": 1}
+
+
+def _reference_sfs_rows(bases):
+    """The SFS [B: (a,b) ...] rows of the reference screen at r=5 whose
+    base B is one of bases, as (name, B, fibres, TV_5, H_1 text, flag)."""
     path = Path(__file__).parent / "data" / "screen_reference_r5.csv"
+    out = []
     with open(path, newline="") as fh:
-        rows = [row for row in csv.DictReader(fh)
-                if row["name"].startswith("SFS [S2:")]
-    return [(row["name"], [tuple(map(int, pair)) for pair in re.findall(
-        r"\((-?\d+),(-?\d+)\)", row["name"])], float(row["tv"]))
-            for row in rows]
+        for row in csv.DictReader(fh):
+            match = re.fullmatch(r"SFS \[([^:]+): ([^\]]*)\]", row["name"])
+            if match and match[1] in bases:
+                fibres = [tuple(map(int, pair)) for pair in re.findall(
+                    r"\((-?\d+),(-?\d+)\)", match[2])]
+                out.append((row["name"], match[1], fibres, float(row["tv"]),
+                            row["h1"], row["flagged"] == "1"))
+    return out
+
+
+def _screen_flag(tv, h1_text):
+    """The screen's flag at r=5 of a TV value and an H_1 text."""
+    return genus_lower_bound(tv, 5).genus_lb > parse_h1(h1_text).min_generators
 
 
 def test_sfs_oracle_matches_the_reference_screen():
-    rows = _reference_sfs_rows()
+    rows = _reference_sfs_rows({"S2"})
     assert len(rows) == 63
-    for name, fibres, tv in rows:
+    for name, _, fibres, tv, h1_text, flag in rows:
         assert len(fibres) >= 3, name
-        assert oracles.sfs_tv(fibres, 5) == pytest.approx(tv, abs=1e-6), name
+        got = oracles.sfs_tv(fibres, 5)
+        assert got == pytest.approx(tv, abs=1e-6), name
+        assert _screen_flag(got, h1_text) == flag, name
+    assert sum(flag for *_, flag in rows) == 41
+
+
+def test_sfs_oracle_matches_the_closed_base_reference_rows():
+    """The rows over the torus, the Klein bottle and the projective plane:
+    TV_5 from the oracle at the base's Euler characteristic, and the flag
+    from that TV through genus_lower_bound and the H_1 column."""
+    rows = _reference_sfs_rows({"T", "KB/n2", "RP2/n2"})
+    bases = [base for _, base, _, _, _, _ in rows]
+    assert [bases.count(b) for b in ("T", "KB/n2", "RP2/n2")] == [7, 7, 10]
+    for name, base, fibres, tv, h1_text, flag in rows:
+        got = oracles.sfs_tv(fibres, 5, chi=SFS_BASE_CHI[base])
+        assert got == pytest.approx(tv, rel=1e-12), name
+        assert _screen_flag(got, h1_text) == flag, name
+    assert sum(flag for *_, flag in rows) == 11
 
 
 def test_q8_equals_the_sfs_oracle():
